@@ -1,8 +1,10 @@
 """One binary for the whole toolkit.
 
 Exit codes: 0 = success / yes / equal, 1 = no / mismatch (with a witness
-printed), 2 = usage or input error.  ``--json`` wraps every result in the
-stable shape {command, input, answer, witness?, stats?}.
+printed), 2 = usage or input error, 3 = internal error (an unexpected
+exception, reported as ``internal error: <Type>: <msg>`` on stderr).
+``--json`` wraps every result in the stable shape {command, input,
+answer, witness?, stats?}.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .verify import Equal, MissingSolution, NotSubset, verify_tr
 EXIT_OK = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 BENCH_COLUMNS = ["instance_id", "n", "m", "delta", "kstar", "outputs", "max_delay_ns", "total_ns"]
 
@@ -391,6 +394,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     except (HypergraphFormatError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

@@ -2,13 +2,18 @@
 solution X avoiding Y, then decide whether any minimal hitting set with at
 least two more vertices remains, and if so grow the forbidden set.
 
+That decision searches the product of per-x candidate private edges
+depth-first in ``itertools.product`` order, cutting a prefix as soon as
+some unhit reduced edge has no unblocked vertex left (the pruning rule of
+Murakami and Uno's MMCS), so it returns the same first witness as the full
+product walk while visiting only a fraction of it.
+
 Everything here is pure over an immutable hypergraph; scratch state lives
 per call, so concurrent calls on a shared hypergraph are fine.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -136,22 +141,52 @@ def _higher_order_combo(
     """Search the Cartesian product of candidate private edges for a
     combination proving a higher-order extension; None if there is none.
 
-    The empty product (X = empty) contributes exactly one combination.
+    The walk is a depth-first odometer over ``per_x`` in x-ascending
+    order, trying each family's candidates as they come, so the product
+    is visited in ``itertools.product`` order.  A prefix is cut as soon as
+    some unhit reduced edge lies inside ``forced`` plus the chosen edges:
+    blocking only grows, so no completion of that prefix can succeed, and
+    the first combination returned is the first one of the full product.
+
+    ``product_iterations`` counts the cut prefixes plus the accepted
+    combination.  These are disjoint blocks of the product, so the count
+    stays within the product size and hence within Delta^|X|.  The empty
+    product (X = empty) contributes exactly one combination.
     """
-    if len(fam.unhit) == 1:
-        # the single unhit reduced edge is its own intersection: nothing avoids it
-        return None
-    unhit_masks = [em for _, em in fam.unhit]
     forced = fam.forced_mask or 0
-    for combo in itertools.product(*fam.per_x):
-        if counters is not None:
-            counters["product_iterations"] += 1
-        blocked = forced
-        for _, em in combo:
-            blocked |= em
-        if all(em & ~blocked for em in unhit_masks):
-            return combo
-    return None
+    unhit_masks = [em for _, em in fam.unhit]
+    if forced in unhit_masks:
+        # that unhit reduced edge is their intersection: nothing avoids it
+        return None
+    per_x = fam.per_x
+    depth = len(per_x)
+    pos = [0] * (depth + 1)
+    # blocked[i]: forced plus the edges chosen at depths < i
+    blocked = [forced] * (depth + 1)
+    cuts = 0
+    i = 0
+    while i < depth:
+        if pos[i] == len(per_x[i]):
+            if i == 0:
+                if counters is not None:
+                    counters["product_iterations"] += cuts
+                return None
+            i -= 1
+            pos[i] += 1
+            continue
+        free = ~(blocked[i] | per_x[i][pos[i]][1])
+        for em in unhit_masks:
+            if not em & free:
+                cuts += 1
+                pos[i] += 1
+                break
+        else:
+            i += 1
+            blocked[i] = ~free
+            pos[i] = 0
+    if counters is not None:
+        counters["product_iterations"] += cuts + 1
+    return tuple([per_x[j][pos[j]] for j in range(depth)])
 
 
 def extend(

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from transversal import parse
-from transversal.cli import BENCH_COLUMNS, dispatch
+from transversal.cli import BENCH_COLUMNS, EXIT_INTERNAL, dispatch
 from transversal.hitting import is_minimal_hitting_set
 from transversal.core import VertexSet
 
@@ -192,6 +192,26 @@ def test_oracle_cap_env(capsys, tmp_path, monkeypatch):
 def test_unknown_flag_is_usage_error(capsys, pairs):
     assert run(capsys, "enumerate", "--frobnicate", pairs)[0] == 2
     assert run(capsys, "nonsense")[0] == 2
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch, pairs):
+    def boom(args):
+        raise RuntimeError("search stack out of sync")
+
+    monkeypatch.setattr("transversal.cli._cmd_enumerate", boom)
+    code, out, err = run(capsys, "enumerate", pairs)
+    assert code == EXIT_INTERNAL == 3
+    assert out == ""
+    assert err.splitlines() == ["internal error: RuntimeError: search stack out of sync"]
+
+
+def test_keyboard_interrupt_propagates(monkeypatch, pairs):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("transversal.cli._cmd_enumerate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        dispatch(["enumerate", pairs])
 
 
 def test_bench_csv(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from transversal import Hypergraph, VertexSet
 from transversal.enumeration import enumerate_incremental, enumerate_tr
+from transversal.generators import bounded_rank_instance
 from transversal.oracle import brute_tr
 
 from conftest import masks, random_hypergraph
@@ -124,3 +125,11 @@ def test_stats_timestamps_monotone():
 def test_rejects_negative_limit():
     with pytest.raises(ValueError):
         enumerate_tr(Hypergraph(1, [(0,)]), limit=-1)
+
+
+def test_br30_product_work_stays_pruned():
+    # high-degree instance whose unpruned candidate product took millions of steps
+    got, stats = run(bounded_rank_instance(random.Random(2), 30, 60, 3))
+    assert len(got) == 8
+    assert len(stats.calls) == 209
+    assert stats.product_iterations <= 20_000

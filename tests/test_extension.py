@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import Counter
 
@@ -128,3 +130,40 @@ def test_find_higher_order_returns_certificate():
     assert w is not None
     assert len(w.edge_indices) == 1
     assert h.edges[w.edge_indices[0]].members() == (0, 1)
+
+
+def _reference_edge_indices(h, x, y):
+    """First combination of the full candidate product that leaves every
+    unhit reduced edge unblocked, found by plain exhaustion."""
+    fam = build_reduced_families(h, x, y)
+    if fam.dead_edge is not None or fam.missing_private is not None or not fam.unhit:
+        return None
+    for combo in itertools.product(*fam.per_x):
+        blocked = fam.forced_mask
+        for _, em in combo:
+            blocked |= em
+        if all(em & ~blocked for _, em in fam.unhit):
+            return tuple(idx for idx, _ in combo)
+    return None
+
+
+def test_pruned_search_matches_full_product(corpus):
+    rng = random.Random(20240)
+    for h in corpus:
+        if h.m == 0:
+            continue
+        for _ in range(8):
+            xm = ym = 0
+            for v in range(h.n):
+                r = rng.random()
+                if r < 0.3:
+                    xm |= 1 << v
+                elif r < 0.5:
+                    ym |= 1 << v
+            x, y = VertexSet(h.n, xm), VertexSet(h.n, ym)
+            counters: Counter = Counter()
+            w = find_higher_order(h, x, y, counters=counters)
+            got = None if w is None else w.edge_indices
+            assert got == _reference_edge_indices(h, x, y), (h, x, y)
+            per_x = build_reduced_families(h, x, y).per_x
+            assert counters["product_iterations"] <= math.prod(len(f) for f in per_x)

@@ -96,8 +96,13 @@ def enumerate_tr(
     At each node (X, Y) the extension call emits the small solutions and
     either halts the branch or returns a grown forbidden set Y+; the
     search then branches on the lowest vertex outside X and Y+, include
-    branch first.  The recursion is an explicit stack, so live state is
-    one scratch family plus the (X, Y) path.
+    branch first.  Each stack entry also carries the edge classification
+    of X (``uncov``/``crit``, see ``extend``): the exclude child shares
+    its parent's, the include child of v updates it with v's incidence
+    mask in O(|X|) integer operations, so a node reduces only the edges
+    its classification names instead of scanning all m.  The recursion is
+    an explicit stack, so live state is the root-to-leaf path of those
+    entries.
 
     An edgeless hypergraph yields the single solution {} and an empty
     edge yields nothing.
@@ -124,18 +129,40 @@ def enumerate_tr(
         elif h.m == 0:
             deliver(VertexSet(n))
         else:
+            # incidence[v]: edge-index mask of the edges containing v,
+            # built once in O(sum of edge sizes)
+            incidence = [0] * n
+            bit = 1
+            for e in h.edge_masks():
+                while e:
+                    low = e & -e
+                    incidence[low.bit_length() - 1] |= bit
+                    e ^= low
+                bit <<= 1
             full = (1 << n) - 1
-            stack: list[tuple[int, int]] = [(0, 0)]
+            # (X, Y, uncov, crit): see extension.extend for the last two
+            stack: list[tuple[int, int, int, list[int]]] = [
+                (0, 0, (1 << h.m) - 1, [])
+            ]
+            # one Counter for the run; each call's share is its increment
+            counters: Counter = Counter()
             while stack:
                 if len(stack) > stats.max_stack_depth:
                     stats.max_stack_depth = len(stack)
-                xm, ym = stack.pop()
-                counters: Counter = Counter()
+                xm, ym, uncov, crit = stack.pop()
+                before = counters["product_iterations"]
                 outcome: ExtensionOutcome = extend(
-                    h, VertexSet(n, xm), VertexSet(n, ym), deliver, counters=counters
+                    h,
+                    VertexSet(n, xm),
+                    VertexSet(n, ym),
+                    deliver,
+                    counters=counters,
+                    state=(uncov, crit),
                 )
                 stats.calls.append(
-                    ExtendCallRecord(xm.bit_count(), counters["product_iterations"])
+                    ExtendCallRecord(
+                        xm.bit_count(), counters["product_iterations"] - before
+                    )
                 )
                 if outcome.continues:
                     ypm = outcome.y_plus.mask
@@ -145,8 +172,14 @@ def enumerate_tr(
                             "higher-order extension promised but no vertex is left"
                         )
                     vbit = rest & -rest
-                    stack.append((xm, ypm | vbit))  # exclude branch, visited second
-                    stack.append((xm | vbit, ypm))  # include branch, visited first
+                    # exclude branch, visited second: X and so its state unchanged
+                    stack.append((xm, ypm | vbit, uncov, crit))
+                    # include branch, visited first: v is above every member
+                    # of X, so its critical edges go last
+                    ev = incidence[vbit.bit_length() - 1]
+                    child = [c & ~ev for c in crit]
+                    child.append(uncov & ev)
+                    stack.append((xm | vbit, ypm, uncov & ~ev, child))
     except _LimitReached:
         pass
     stats.finished_ns = time.perf_counter_ns()

@@ -8,8 +8,14 @@ some unhit reduced edge has no unblocked vertex left (the pruning rule of
 Murakami and Uno's MMCS), so it returns the same first witness as the full
 product walk while visiting only a fraction of it.
 
-Everything here is pure over an immutable hypergraph; scratch state lives
-per call, so concurrent calls on a shared hypergraph are fine.
+The families come from an edge classification of X: the edges disjoint
+from X (``uncov``) and, per member of X, the edges meeting X only there
+(``crit``), both as edge-index bitmasks, as in MMCS.  A tree search passes
+each node's classification to ``extend`` as ``state``, updated along its
+include path, so a node reduces only the edges the classification names
+instead of scanning all m; without it the classification is computed
+from scratch.  Everything here is pure over an immutable hypergraph and
+only reads ``state``, so concurrent calls on a shared hypergraph are fine.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ class ExtensionOutcome:
 
     @classmethod
     def halt(cls) -> "ExtensionOutcome":
-        return cls(None)
+        return _HALT
 
     @classmethod
     def continue_with(cls, y_plus: VertexSet) -> "ExtensionOutcome":
@@ -63,6 +69,10 @@ class ExtensionOutcome:
         if self.y_plus is None:
             return "ExtensionOutcome.halt()"
         return f"ExtensionOutcome.continue_with({self.y_plus!r})"
+
+
+# Immutable, so every halted call returns this one instance.
+_HALT = ExtensionOutcome(None)
 
 
 @dataclass
@@ -76,9 +86,10 @@ class ReducedFamilies:
     (vertices any one of which completes X to a hitting set; None when
     nothing is unhit).  ``veto_mask`` collects the vertices lying in every
     candidate private edge of some member of X, whose inclusion would
-    leave that member redundant (None when some family is empty).
-    ``dead_edge`` flags an edge fully inside Y, which rules out any
-    extension at all.
+    leave that member redundant.  ``dead_edge`` flags the first edge fully
+    inside Y, and ``missing_private`` the first member of X without a
+    candidate private edge; either rules out any extension at all, and
+    the families are then left empty, with both masks None.
     """
 
     x_vertices: tuple[int, ...]
@@ -99,47 +110,104 @@ def _validate(h: Hypergraph, x: VertexSet, y: VertexSet) -> None:
         raise ValueError("X and Y must be disjoint")
 
 
-def build_reduced_families(h: Hypergraph, x: VertexSet, y: VertexSet) -> ReducedFamilies:
-    xm, ym = x.mask, y.mask
-    xs = tuple(iter_bits(xm))
-    position = {v: i for i, v in enumerate(xs)}
-    per_x: list[list[tuple[int, int]]] = [[] for _ in xs]
-    unhit: list[tuple[int, int]] = []
-    for idx, e in enumerate(h.edge_masks()):
-        if e & ~ym == 0:
-            return ReducedFamilies(xs, per_x, unhit, idx, None, None, None)
+def _classify(edges: tuple[int, ...], xm: int) -> tuple[int, list[int]]:
+    """The edge classification of X, from all m edges: ``uncov``, the
+    edge-index mask of the edges disjoint from X, and ``crit``, one
+    edge-index mask per member of X (ascending) holding the edges that
+    meet X only in that vertex.  Edges meeting X in >= 2 vertices can
+    never be private and appear in neither."""
+    uncov = 0
+    crit = [0] * xm.bit_count()
+    for idx, e in enumerate(edges):
         ex = e & xm
         if ex == 0:
-            unhit.append((idx, e & ~ym))
+            uncov |= 1 << idx
         elif ex & (ex - 1) == 0:
-            per_x[position[ex.bit_length() - 1]].append((idx, e & ~ym))
-        # edges meeting X in >= 2 vertices can never be private: drop them
-    missing = None
-    for i, fam in enumerate(per_x):
-        if not fam:
-            missing = xs[i]
-            break
-    forced_mask: int | None = None
-    if unhit:
-        forced_mask = unhit[0][1]
-        for _, em in unhit:
-            forced_mask &= em
-    veto_mask: int | None = None
-    if missing is None:
-        veto_mask = 0
-        for fam in per_x:
-            core = fam[0][1]
-            for _, em in fam:
-                core &= em
-            veto_mask |= core
-    return ReducedFamilies(xs, per_x, unhit, None, missing, forced_mask, veto_mask)
+            # ex is one member of X; its position is the count below it
+            crit[(xm & (ex - 1)).bit_count()] |= 1 << idx
+    return uncov, crit
+
+
+def _reduce_unhit(
+    edges: tuple[int, ...], keep: int, uncov: int
+) -> tuple[int | None, list[int], int]:
+    """Reduce the edges disjoint from X to ``keep`` (the complement of Y).
+
+    Returns ``(dead, unhit, forced)``: the reduced masks in edge-index
+    order (their indices are the bits of ``uncov``) and their intersection
+    (-1 when there are none); or, when one of them lies inside Y, its
+    index as ``dead`` with nothing else.  Only an edge disjoint from X can
+    lie inside Y, so this is the whole dead-edge check.
+    """
+    # the bit loops here and below are inlined: they run at every node
+    unhit: list[int] = []
+    forced = -1
+    while uncov:
+        low = uncov & -uncov
+        em = edges[low.bit_length() - 1] & keep
+        if em == 0:
+            return low.bit_length() - 1, [], -1
+        unhit.append(em)
+        forced &= em
+        uncov ^= low
+    return None, unhit, forced
+
+
+def _reduce_private(
+    edges: tuple[int, ...], keep: int, crit: list[int]
+) -> tuple[list[list[int]], int]:
+    """Reduce each member of X's candidate private edges to ``keep``;
+    every member must have one.
+
+    Returns ``(per_x, veto)``: per member, the reduced masks in edge-index
+    order (their indices are the bits of its ``crit`` mask), and the union
+    over members of their intersections.
+    """
+    per_x: list[list[int]] = []
+    veto = 0
+    for c in crit:
+        fam = []
+        core = -1
+        while c:
+            low = c & -c
+            em = edges[low.bit_length() - 1] & keep
+            fam.append(em)
+            core &= em
+            c ^= low
+        per_x.append(fam)
+        veto |= core
+    return per_x, veto
+
+
+def build_reduced_families(h: Hypergraph, x: VertexSet, y: VertexSet) -> ReducedFamilies:
+    """Classify every edge against X from scratch and reduce it by Y."""
+    edges = h.edge_masks()
+    uncov, crit = _classify(edges, x.mask)
+    xs = tuple(iter_bits(x.mask))
+    keep = ~y.mask
+    dead, unhit, forced = _reduce_unhit(edges, keep, uncov)
+    if dead is not None:
+        return ReducedFamilies(xs, [], [], dead, None, None, None)
+    if 0 in crit:
+        return ReducedFamilies(xs, [], [], None, xs[crit.index(0)], None, None)
+    per_x, veto = _reduce_private(edges, keep, crit)
+    return ReducedFamilies(
+        xs,
+        [list(zip(iter_bits(c), fam)) for c, fam in zip(crit, per_x)],
+        list(zip(iter_bits(uncov), unhit)),
+        None,
+        None,
+        forced if unhit else None,
+        veto,
+    )
 
 
 def _higher_order_combo(
-    fam: ReducedFamilies, counters: Counter | None
-) -> tuple[tuple[int, int], ...] | None:
+    per_x: list[list[int]], unhit: list[int], forced: int, counters: Counter | None
+) -> list[int] | None:
     """Search the Cartesian product of candidate private edges for a
-    combination proving a higher-order extension; None if there is none.
+    combination proving a higher-order extension; return the chosen
+    position in each family, or None if there is none.
 
     The walk is a depth-first odometer over ``per_x`` in x-ascending
     order, trying each family's candidates as they come, so the product
@@ -153,12 +221,9 @@ def _higher_order_combo(
     stays within the product size and hence within Delta^|X|.  The empty
     product (X = empty) contributes exactly one combination.
     """
-    forced = fam.forced_mask or 0
-    unhit_masks = [em for _, em in fam.unhit]
-    if forced in unhit_masks:
+    if forced in unhit:
         # that unhit reduced edge is their intersection: nothing avoids it
         return None
-    per_x = fam.per_x
     depth = len(per_x)
     pos = [0] * (depth + 1)
     # blocked[i]: forced plus the edges chosen at depths < i
@@ -166,7 +231,8 @@ def _higher_order_combo(
     cuts = 0
     i = 0
     while i < depth:
-        if pos[i] == len(per_x[i]):
+        fam = per_x[i]
+        if pos[i] == len(fam):
             if i == 0:
                 if counters is not None:
                     counters["product_iterations"] += cuts
@@ -174,8 +240,8 @@ def _higher_order_combo(
             i -= 1
             pos[i] += 1
             continue
-        free = ~(blocked[i] | per_x[i][pos[i]][1])
-        for em in unhit_masks:
+        free = ~(blocked[i] | fam[pos[i]])
+        for em in unhit:
             if not em & free:
                 cuts += 1
                 pos[i] += 1
@@ -186,7 +252,8 @@ def _higher_order_combo(
             pos[i] = 0
     if counters is not None:
         counters["product_iterations"] += cuts + 1
-    return tuple([per_x[j][pos[j]] for j in range(depth)])
+    del pos[depth]
+    return pos
 
 
 def extend(
@@ -196,6 +263,7 @@ def extend(
     sink: Sink | None = None,
     *,
     counters: Counter | None = None,
+    state: tuple[int, list[int]] | None = None,
 ) -> ExtensionOutcome:
     """Send every minimal extension of ``x`` avoiding ``y`` that has at
     most one extra vertex to ``sink`` (x itself first if minimal, then
@@ -206,26 +274,39 @@ def extend(
     complete x in a single step and by those that would strip a member of
     x of its last candidate private edge; no remaining extension can use
     either kind.
+
+    ``state`` is the edge classification of ``x`` as ``(uncov, crit)``:
+    the edge-index mask of the edges disjoint from x, and one edge-index
+    mask per member of x (ascending) of the edges meeting x only there.
+    ``enumerate_tr`` carries it down its search tree and passes it at
+    every node, so the node touches only the edges it names; it is only
+    read.  When it is None (the CLI and direct callers) it is computed
+    from all m edges.  Y does not enter it.
     """
     _validate(h, x, y)
-    n = h.n
-    emit = sink if sink is not None else (lambda _t: None)
-    fam = build_reduced_families(h, x, y)
-    if fam.dead_edge is not None or fam.missing_private is not None:
-        return ExtensionOutcome.halt()
-    if not fam.unhit:
+    edges = h.edge_masks()
+    uncov, crit = _classify(edges, x.mask) if state is None else state
+    if 0 in crit:
+        # some member of x has no candidate private edge left
+        return _HALT
+    keep = ~y.mask
+    dead, unhit, forced = _reduce_unhit(edges, keep, uncov)
+    if dead is not None:
+        return _HALT
+    if not unhit:
         # x hits everything and each of its vertices kept a private edge
-        emit(x)
-        return ExtensionOutcome.halt()
-    forced = fam.forced_mask or 0
-    veto = fam.veto_mask or 0
-    for b in iter_bits(forced & ~veto):
-        emit(VertexSet(n, x.mask | (1 << b)))
-    combo = _higher_order_combo(fam, counters)
-    if combo is None:
-        return ExtensionOutcome.halt()
+        if sink is not None:
+            sink(x)
+        return _HALT
+    per_x, veto = _reduce_private(edges, keep, crit)
+    if sink is not None:
+        n, xm = h.n, x.mask
+        for b in iter_bits(forced & ~veto):
+            sink(VertexSet(n, xm | (1 << b)))
+    if _higher_order_combo(per_x, unhit, forced, counters) is None:
+        return _HALT
     y_plus = (y.mask | forced | veto) & ~x.mask
-    return ExtensionOutcome.continue_with(VertexSet(n, y_plus))
+    return ExtensionOutcome.continue_with(VertexSet(h.n, y_plus))
 
 
 @dataclass(frozen=True)
@@ -251,13 +332,18 @@ def find_higher_order(
     fam = build_reduced_families(h, x, y)
     if fam.dead_edge is not None or fam.missing_private is not None or not fam.unhit:
         return None
-    combo = _higher_order_combo(fam, counters)
-    if combo is None:
+    pos = _higher_order_combo(
+        [[em for _, em in cands] for cands in fam.per_x],
+        [em for _, em in fam.unhit],
+        fam.forced_mask,
+        counters,
+    )
+    if pos is None:
         return None
     return HigherOrderWitness(
-        forced=VertexSet(h.n, fam.forced_mask or 0),
-        veto=VertexSet(h.n, fam.veto_mask or 0),
-        edge_indices=tuple(idx for idx, _ in combo),
+        forced=VertexSet(h.n, fam.forced_mask),
+        veto=VertexSet(h.n, fam.veto_mask),
+        edge_indices=tuple(cands[p][0] for cands, p in zip(fam.per_x, pos)),
     )
 
 

@@ -5,8 +5,9 @@ import random
 import pytest
 
 from transversal import Hypergraph, VertexSet
+from transversal import enumeration
 from transversal.enumeration import enumerate_incremental, enumerate_tr
-from transversal.generators import bounded_rank_instance
+from transversal.generators import bounded_degree_instance, bounded_rank_instance
 from transversal.oracle import brute_tr
 
 from conftest import masks, random_hypergraph
@@ -133,3 +134,55 @@ def test_br30_product_work_stays_pruned():
     assert len(got) == 8
     assert len(stats.calls) == 209
     assert stats.product_iterations <= 20_000
+
+
+def test_bd40_tree_work_counts():
+    # sparse bounded-degree instance: pins the search tree the carried
+    # edge classification walks, and the product work inside it
+    got, stats = run(bounded_degree_instance(random.Random(1), 40, 80, 4))
+    assert len(got) == 4059
+    assert len(stats.calls) == 35_075
+    assert stats.product_iterations == 63_285
+    assert stats.max_stack_depth == 9
+
+
+def _fresh_state(h, xm):
+    """(uncov, crit) of X by direct counting over every edge."""
+    xs = [v for v in range(h.n) if xm >> v & 1]
+    uncov, crit = 0, [0] * len(xs)
+    for idx, e in enumerate(h.edge_masks()):
+        hit = [i for i, v in enumerate(xs) if e >> v & 1]
+        if not hit:
+            uncov |= 1 << idx
+        elif len(hit) == 1:
+            crit[hit[0]] |= 1 << idx
+    return uncov, crit
+
+
+def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
+    """At every node the (uncov, crit) state the tree search carries equals
+    the classification counted from scratch, and extend given that state
+    emits and returns exactly what it does without it."""
+    real = enumeration.extend
+    nodes = 0
+
+    def checked(h, x, y, sink=None, *, counters=None, state=None):
+        nonlocal nodes
+        nodes += 1
+        uncov, crit = state
+        assert (uncov, list(crit)) == _fresh_state(h, x.mask), (h, x, y)
+        fresh_got: list[VertexSet] = []
+        fresh = real(h, x, y, fresh_got.append)
+        got: list[VertexSet] = []
+        outcome = real(h, x, y, got.append, counters=counters, state=state)
+        assert got == fresh_got, (h, x, y)
+        assert outcome == fresh, (h, x, y)
+        for t in got:
+            sink(t)
+        return outcome
+
+    monkeypatch.setattr(enumeration, "extend", checked)
+    instances = list(corpus) + [bounded_degree_instance(random.Random(1), 40, 80, 4)]
+    for h in instances:
+        enumerate_tr(h)
+    assert nodes > 35_075

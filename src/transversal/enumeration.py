@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import Hypergraph, VertexSet
-from .extension import ExtensionOutcome, extend
+from .extension import ExtensionOutcome, extend, incidence_masks, include_vertex
 from . import verify as _verify
 
 __all__ = ["DelayStats", "ExtendCallRecord", "enumerate_tr", "enumerate_incremental"]
@@ -129,16 +129,7 @@ def enumerate_tr(
         elif h.m == 0:
             deliver(VertexSet(n))
         else:
-            # incidence[v]: edge-index mask of the edges containing v,
-            # built once in O(sum of edge sizes)
-            incidence = [0] * n
-            bit = 1
-            for e in h.edge_masks():
-                while e:
-                    low = e & -e
-                    incidence[low.bit_length() - 1] |= bit
-                    e ^= low
-                bit <<= 1
+            incidence = incidence_masks(h)
             full = (1 << n) - 1
             # (X, Y, uncov, crit): see extension.extend for the last two
             stack: list[tuple[int, int, int, list[int]]] = [
@@ -176,10 +167,10 @@ def enumerate_tr(
                     stack.append((xm, ypm | vbit, uncov, crit))
                     # include branch, visited first: v is above every member
                     # of X, so its critical edges go last
-                    ev = incidence[vbit.bit_length() - 1]
-                    child = [c & ~ev for c in crit]
-                    child.append(uncov & ev)
-                    stack.append((xm | vbit, ypm, uncov & ~ev, child))
+                    child_uncov, child_crit = include_vertex(
+                        uncov, crit, incidence[vbit.bit_length() - 1]
+                    )
+                    stack.append((xm | vbit, ypm, child_uncov, child_crit))
     except _LimitReached:
         pass
     stats.finished_ns = time.perf_counter_ns()

@@ -12,7 +12,7 @@ The families come from an edge classification of X: the edges disjoint
 from X (``uncov``) and, per member of X, the edges meeting X only there
 (``crit``), both as edge-index bitmasks, as in MMCS.  A tree search passes
 each node's classification to ``extend`` as ``state``, updated along its
-include path, so a node reduces only the edges the classification names
+include path by ``include_vertex``, so a node reduces only the edges the classification names
 instead of scanning all m; without it the classification is computed
 from scratch.  Everything here is pure over an immutable hypergraph and
 only reads ``state``, so concurrent calls on a shared hypergraph are fine.
@@ -34,6 +34,8 @@ __all__ = [
     "extend",
     "find_higher_order",
     "has_higher_order_extension",
+    "incidence_masks",
+    "include_vertex",
 ]
 
 Sink = Callable[[VertexSet], None]
@@ -108,6 +110,30 @@ def _validate(h: Hypergraph, x: VertexSet, y: VertexSet) -> None:
         raise ValueError("X and Y must live in the hypergraph's universe")
     if x.mask & y.mask:
         raise ValueError("X and Y must be disjoint")
+
+
+def incidence_masks(h: Hypergraph) -> list[int]:
+    """``E_v`` for every vertex v: the edge-index mask of the edges
+    containing v, in O(sum of edge sizes)."""
+    incidence = [0] * h.n
+    bit = 1
+    for e in h.edge_masks():
+        while e:
+            low = e & -e
+            incidence[low.bit_length() - 1] |= bit
+            e ^= low
+        bit <<= 1
+    return incidence
+
+
+def include_vertex(uncov: int, crit: list[int], ev: int) -> tuple[int, list[int]]:
+    """The edge classification of X + v from X's and v's incidence mask
+    ``ev``, in O(|X|) integer operations: v's critical edges are the
+    uncovered ones it meets, appended last, and its edges leave ``uncov``
+    and every other member's mask."""
+    child = [c & ~ev for c in crit]
+    child.append(uncov & ev)
+    return uncov & ~ev, child
 
 
 def _classify(edges: tuple[int, ...], xm: int) -> tuple[int, list[int]]:

@@ -1,22 +1,29 @@
 """Deciding whether some minimal hitting set has at least k vertices.
 
 Two independent deciders produce certified witnesses: the look-ahead
-route seeds the search with every (k-2)-subset of vertices and asks for a
-higher-order extension, and the edge-family route scans k-tuples of
-minimal edges whose pairwise overlaps trap no edge.  A brute-force oracle
-route is available for cross-checking.
+route seeds the search with (k-2)-subsets of vertices in colex order and
+asks for a higher-order extension, and the edge-family route scans
+k-tuples of minimal edges whose pairwise overlaps trap no edge.  A
+brute-force oracle route is available for cross-checking.
+
+Both scans keep their order, so their first hit, and save work only
+where it cannot matter.  The look-ahead walks the seeds top element
+first, carrying the prefix's edge classification (``uncov``/``crit``, see
+``extension.extend``), and drops every seed below a prefix in which some
+vertex has lost its last private edge: no such seed extends.  The
+edge-family route builds a (k-1)-subfamily's member list only when a
+k-family first reads it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Hypergraph, VertexSet, minimize_edges
-from .extension import find_higher_order
+from .extension import find_higher_order, incidence_masks, include_vertex
 from .hitting import minimize
 
 __all__ = [
@@ -39,6 +46,30 @@ def colex_combinations(n: int, size: int) -> Iterator[tuple[int, ...]]:
     for top in range(size - 1, n):
         for rest in colex_combinations(top, size - 1):
             yield rest + (top,)
+
+
+def _irredundant_seeds(h: Hypergraph, size: int) -> Iterator[tuple[int, ...]]:
+    """The size-subsets of the vertices in which every member keeps a
+    private edge (one meeting the subset only in it), in colex order.
+
+    The walk picks each seed's top element first, so a prefix is a set of
+    high vertices, and carries the prefix's ``uncov``/``crit`` edge masks,
+    updated by ``include_vertex`` as each vertex joins.  Masks only shrink
+    as vertices join, so once one is 0 the whole colex block below the
+    prefix is skipped.
+    """
+    incidence = incidence_masks(h)
+
+    def walk(below: int, left: int, uncov: int, crit: list[int], suffix: tuple):
+        if left == 0:
+            yield suffix
+            return
+        for v in range(left - 1, below):
+            child_uncov, child_crit = include_vertex(uncov, crit, incidence[v])
+            if 0 not in child_crit:
+                yield from walk(v, left - 1, child_uncov, child_crit, (v,) + suffix)
+
+    return walk(h.n, size, (1 << h.m) - 1, [], ())
 
 
 @dataclass(frozen=True)
@@ -81,11 +112,13 @@ def rank_at_least_lookahead(
     """Witness a minimal hitting set of size >= k, or None.
 
     For k >= 2, a set of k-2 vertices with a higher-order minimal
-    extension is searched (colex order, first hit wins).  From the
-    certifying combination, the union of the seed with everything outside
-    the chosen edges and the forced vertices is a hitting superset whose
-    minimization necessarily keeps the seed and at least two more
-    vertices.
+    extension is searched (colex order, first hit wins).  Seeds in which
+    some vertex has no private edge cannot extend and are skipped without
+    a ``find_higher_order`` call (see ``_irredundant_seeds``), so the first
+    hit is the full colex scan's.  From the certifying combination, the
+    union of the seed with everything outside the chosen edges and the
+    forced vertices is a hitting superset whose minimization necessarily
+    keeps the seed and at least two more vertices.
     """
     _reject_empty_edge(h)
     if h.m == 0 or k <= 1:
@@ -93,7 +126,7 @@ def rank_at_least_lookahead(
     n = h.n
     full = (1 << n) - 1
     masks = h.edge_masks()
-    for seed_tuple in colex_combinations(n, k - 2):
+    for seed_tuple in _irredundant_seeds(h, k - 2):
         seed = VertexSet.from_iterable(n, seed_tuple)
         witness = find_higher_order(h, seed, counters=counters)
         if witness is None:
@@ -171,9 +204,11 @@ def rank_at_least_bd(
     complement of the overlap set is then a hitting set whose minimization
     has at least k vertices.
 
-    Membership lists for the (k-1)-subfamilies are precomputed when their
-    number fits ``max_table_entries``, otherwise recomputed per family
-    (slower, same answers).
+    The member list of a (k-1)-subfamily (the edges inside its union) is
+    built the first time a k-family reads it and kept for later reads.
+    At most ``max_table_entries`` lists are kept; any other is rebuilt at
+    every read (slower, same answers).  Lists built are tallied under
+    ``bd_member_lists``.
     """
     _reject_empty_edge(h)
     if h.m == 0 or k <= 1:
@@ -185,23 +220,24 @@ def rank_at_least_bd(
         return None
     full = (1 << h.n) - 1
 
+    table: dict[tuple[int, ...], tuple[int, ...]] = {}
+
     def member_list(family: tuple[int, ...]) -> tuple[int, ...]:
+        found = table.get(family)
+        if found is not None:
+            return found
         union = 0
         for i in family:
             union |= masks[i]
-        return tuple(j for j, e in enumerate(masks) if e & ~union == 0)
-
-    table: dict[tuple[int, ...], tuple[int, ...]] | None = None
-    if math.comb(ms, k - 1) <= max_table_entries:
-        table = {
-            fam: member_list(fam) for fam in itertools.combinations(range(ms), k - 1)
-        }
+        found = tuple(j for j, e in enumerate(masks) if e & ~union == 0)
+        if counters is not None:
+            counters["bd_member_lists"] += 1
+        if len(table) < max_table_entries:
+            table[family] = found
+        return found
 
     for family in colex_combinations(ms, k):
-        lists = []
-        for drop in range(k):
-            sub = family[:drop] + family[drop + 1 :]
-            lists.append(table[sub] if table is not None else member_list(sub))
+        lists = [member_list(family[:drop] + family[drop + 1 :]) for drop in range(k)]
         if _sorted_lists_intersect(lists, counters):
             continue
         overlap = 0

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from transversal import enumeration
 from transversal.enumeration import enumerate_tr
 from transversal.generators import (
     block_family,
@@ -70,22 +72,33 @@ def test_delay_trend_instance_infeasible_raises():
             delay_trend_instance(18, 40, 3, delta)
 
 
-def test_delay_trend_supplementary_monotone_in_degree():
+def test_delay_trend_supplementary_monotone_in_degree(monkeypatch):
     """With the universe and the solution structure fixed (three blocks,
-    largest solution 3), growing every core's degree grows the measured
-    worst gap, which is the lead-in before the first output.  What grows
-    is m = 3 * degree, through two costs.  The lead-in builds the
-    per-vertex incidence masks once, over all 33 / 69 / 150 edge-vertex
-    incidences.  And each node reduces the edges its carried
-    classification names (those disjoint from X or private to one member
-    of X); here no edge ever holds two members of X, so that is all m
-    edges at every one of the 13 extend calls.  The product search does
-    not grow: the prefix cut settles it in 6 iterations per run whatever
-    the degree (the 13 extend calls and 8 outputs are the same too)."""
-    best: dict[int, int] = {}
+    largest solution 3), growing every core's degree grows the work
+    between outputs only through m = 3 * degree.  The search itself does
+    not change: 13 extend calls, 8 outputs and 6 product iterations (the
+    prefix cut settles it) at every degree.  What grows is the edges each
+    node reduces, those its carried classification names (disjoint from
+    X or private to one member of X): no edge here ever holds two members
+    of X, so that is all m edges at every call, 13 * m in all.  Wall time
+    (the worst gap, which is the lead-in before the first output) is
+    printed only."""
+    real = enumeration.extend
+    work: Counter = Counter()
+
+    def counted(h, x, y, sink=None, *, counters=None, state=None):
+        uncov, crit = state
+        work["calls"] += 1
+        work["edges_reduced"] += uncov.bit_count() + sum(c.bit_count() for c in crit)
+        return real(h, x, y, sink, counters=counters, state=state)
+
+    monkeypatch.setattr(enumeration, "extend", counted)
     for delta in (4, 8, 16):
         h = block_family((delta,) * 3, 18)
-        for _ in range(5):
-            stats = enumerate_tr(h)
-            best[delta] = min(best.get(delta, 1 << 62), stats.max_delay_ns)
-    assert best[4] <= best[8] <= best[16]
+        work.clear()
+        outputs: list = []
+        stats = enumerate_tr(h, outputs.append)
+        assert h.m == 3 * delta
+        assert (work["calls"], len(outputs), stats.product_iterations) == (13, 8, 6)
+        assert work["edges_reduced"] == 13 * h.m
+        print(f"\n[delay trend] degree {delta}: max delay {stats.max_delay_ns} ns")

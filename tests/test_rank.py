@@ -6,9 +6,17 @@ from collections import Counter
 import pytest
 
 from transversal import Hypergraph, VertexSet, edge_complement
+from transversal import rank
 from transversal.conformal import conformal_degree
-from transversal.hitting import is_minimal_hitting_set
+from transversal.extension import find_higher_order
+from transversal.generators import (
+    bounded_degree_instance,
+    bounded_rank_instance,
+    uniform_instance,
+)
+from transversal.hitting import is_minimal_hitting_set, minimize
 from transversal.rank import (
+    _irredundant_seeds,
     colex_combinations,
     rank_at_least,
     rank_at_least_bd,
@@ -65,6 +73,65 @@ class TestLookahead:
         assert rank_at_least_lookahead(h, 0).t == VertexSet(3)
         assert rank_at_least_lookahead(h, 1) is None
 
+    def test_seed_walk_is_filtered_colex(self, corpus):
+        def keeps_private(h, seed, v):
+            others = VertexSet.from_iterable(h.n, seed).without_vertex(v)
+            return any(v in e and e.isdisjoint(others) for e in h.edges)
+
+        for h in corpus:
+            for size in range(0, h.n + 2):
+                want = [
+                    seed
+                    for seed in colex_combinations(h.n, size)
+                    if all(keeps_private(h, seed, v) for v in seed)
+                ]
+                assert list(_irredundant_seeds(h, size)) == want, (h, size)
+
+    def test_matches_full_colex_scan(self, corpus):
+        """The seed skip keeps the first hit of the plain colex scan."""
+        for h in corpus:
+            if h.m == 0 or any(e == 0 for e in h.edge_masks()):
+                continue
+            n, full = h.n, (1 << h.n) - 1
+            for k in range(2, n + 2):
+                want = None
+                for seed_tuple in colex_combinations(n, k - 2):
+                    seed = VertexSet.from_iterable(n, seed_tuple)
+                    want = find_higher_order(h, seed)
+                    if want is not None:
+                        break
+                got = rank_at_least_lookahead(h, k)
+                assert (got is None) == (want is None), (h, k)
+                if got is None:
+                    continue
+                union = 0
+                for i in want.edge_indices:
+                    union |= h.edge_masks()[i]
+                cover = VertexSet(n, seed.mask | (full & ~(want.forced.mask | union)))
+                assert got.seed == seed, (h, k)
+                assert got.chosen_edges == tuple(h.edges[i] for i in want.edge_indices)
+                assert got.forced == want.forced
+                assert got.cover == cover
+                assert got.t == minimize(h, cover)
+
+    def test_exact_rank_skips_redundant_seeds(self, monkeypatch):
+        # the plain colex scan made 39,284 find_higher_order calls here
+        calls = 0
+        real = rank.find_higher_order
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rank, "find_higher_order", counted)
+        ranks = [
+            transversal_rank(uniform_instance(random.Random(s), 16, 40, 3))
+            for s in range(4)
+        ]
+        assert ranks == [11, 10, 10, 11]
+        assert calls <= 2_200
+
 
 class TestEdgeFamilyRoute:
     def test_three_matchings(self):
@@ -89,10 +156,24 @@ class TestEdgeFamilyRoute:
                 continue
             for k in range(0, h.n + 2):
                 a = rank_at_least_bd(h, k)
-                b = rank_at_least_bd(h, k, max_table_entries=0)
-                assert (a is None) == (b is None)
-                if a is not None:
-                    assert a.t == b.t
+                # every field: t, edge_family and overlap
+                assert rank_at_least_bd(h, k, max_table_entries=0) == a
+                assert rank_at_least_bd(h, k, max_table_entries=3) == a
+
+    def test_member_lists_built_lazily(self):
+        # the exact rank's k-scan builds only the (k-1)-subfamily member
+        # lists its families read; building them all up front took 65,534
+        # lists on br20 and 7,813 on bd40
+        for h, want_rank, want_lists in (
+            (bounded_rank_instance(random.Random(0), 20, 40, 3), 15, 309),
+            (bounded_degree_instance(random.Random(1), 40, 80, 4), 9, 993),
+        ):
+            counters: Counter = Counter()
+            k = 1
+            while rank_at_least_bd(h, k, counters=counters) is not None:
+                k += 1
+            assert k - 1 == want_rank
+            assert counters["bd_member_lists"] == want_lists
 
     def test_intersection_budget(self):
         rng = random.Random(9)

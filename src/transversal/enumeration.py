@@ -182,7 +182,6 @@ def enumerate_incremental(
     sink: Sink | None = None,
     *,
     limit: int | None = None,
-    rank_method: str = "lookahead",
 ) -> DelayStats:
     """Enumerate by repeatedly verifying the solutions found so far.
 
@@ -212,7 +211,7 @@ def enumerate_incremental(
         if limit != 0:
             while True:
                 g = Hypergraph(h.n, solutions, names=h.names)
-                outcome = _verify.verify_tr(g, h, rank_method=rank_method)
+                outcome = _verify.verify_tr(g, h)
                 if isinstance(outcome, _verify.Equal):
                     break
                 if isinstance(outcome, _verify.NotSubset):

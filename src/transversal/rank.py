@@ -209,6 +209,10 @@ def rank_at_least_bd(
     At most ``max_table_entries`` lists are kept; any other is rebuilt at
     every read (slower, same answers).  Lists built are tallied under
     ``bd_member_lists``.
+
+    A "yes" stops at the first certifying family, but a "no" reads all
+    C(m', k) k-families of the m' minimal edges, so the failing k of an
+    exact-rank scan can cost far more than every "yes" before it.
     """
     _reject_empty_edge(h)
     if h.m == 0 or k <= 1:

@@ -2,12 +2,13 @@
 minimal hitting sets of H, and on failure extract a counter-witness the
 incremental enumerator can turn into a fresh solution.
 
-Three checks, cheapest first: every edge of G must be a minimal hitting
-set of H; every minimal hitting set of G with at most rank(H) vertices
-must be an edge of H; and G may not have a minimal hitting set larger
-than rank(H).  A failure of the last two hands back a minimal hitting set
-S of G that is no edge of H — the complement of S is then a hitting set
-of H none of whose minimal subsets is already in G.
+Two checks: every edge of G must be a minimal hitting set of H, and
+every minimal hitting set of G must be an edge of H (the dual check of
+Eiter and Gottlob).  The second enumerates G's minimal hitting sets with
+the tree search and stops at the first that is no edge of H; the ones it
+passes are distinct edges of H, so at most m+1 are ever seen.  That
+first miss S is the counter-witness: the complement of S is a hitting
+set of H none of whose minimal subsets is already in G.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from collections import Counter
 
 from .core import Hypergraph, VertexSet
 from .hitting import is_minimal_mask, minimize
-from .rank import colex_combinations, rank_at_least
+from . import enumeration
 
-__all__ = ["VerifyOutcome", "Equal", "NotSubset", "MissingSolution", "verify_tr", "preorder_leq"]
+__all__ = ["VerifyOutcome", "Equal", "NotSubset", "MissingSolution", "verify_tr"]
 
 
 class VerifyOutcome:
@@ -75,17 +76,22 @@ def _extract(h: Hypergraph, s: VertexSet) -> MissingSolution:
     return MissingSolution(s, minimize(h, complement))
 
 
+class _Miss(Exception):
+    """Stops G's enumeration at its first minimal hitting set that is no
+    edge of H."""
+
+    def __init__(self, s: VertexSet):
+        self.s = s
+
+
 def verify_tr(
-    g: Hypergraph,
-    h: Hypergraph,
-    *,
-    rank_method: str = "lookahead",
-    counters: Counter | None = None,
+    g: Hypergraph, h: Hypergraph, *, counters: Counter | None = None
 ) -> VerifyOutcome:
+    """``Equal`` when G is exactly the transversal hypergraph of H, else the
+    first failing check's witness.  ``counters`` tallies the minimal
+    hitting sets of G examined under ``verify_g_outputs``."""
     if g.n != h.n:
         raise ValueError("both hypergraphs must share the universe")
-    n = h.n
-    r = h.rank
     h_masks = h.edge_masks()
     h_mask_set = h.edge_mask_set()
 
@@ -94,35 +100,16 @@ def verify_tr(
         if not is_minimal_mask(h_masks, ge.mask):
             return NotSubset(ge)
 
-    # 2: every minimal hitting set of G with <= r vertices is an edge of H.
-    # Scan subsets by size then colex; distinct hits are distinct edges of
-    # H, so the (m+1)-st hit cannot pass and the scan self-terminates.
-    g_masks = g.edge_masks()
-    for size in range(0, r + 1):
-        for combo in colex_combinations(n, size):
-            if counters is not None:
-                counters["verify_subset_candidates"] += 1
-            s = 0
-            for v in combo:
-                s |= 1 << v
-            if is_minimal_mask(g_masks, s) and s not in h_mask_set:
-                return _extract(h, VertexSet(n, s))
+    # 2: every minimal hitting set of G is an edge of H.  An empty edge in
+    # G leaves G without hitting sets, which passes trivially.
+    def check(s: VertexSet) -> None:
+        if counters is not None:
+            counters["verify_g_outputs"] += 1
+        if s.mask not in h_mask_set:
+            raise _Miss(s)
 
-    # 3: G has no minimal hitting set larger than r.  An empty edge in G
-    # leaves G without hitting sets, which passes trivially.
-    if all(gm != 0 for gm in g_masks):
-        witness = rank_at_least(g, r + 1, method=rank_method, counters=counters)
-        if witness is not None:
-            return _extract(h, witness.t)
-
+    try:
+        enumeration.enumerate_tr(g, check)
+    except _Miss as miss:
+        return _extract(h, miss.s)
     return Equal()
-
-
-def preorder_leq(g: Hypergraph, h: Hypergraph) -> bool:
-    """Every edge of ``g`` contains some edge of ``h``."""
-    if g.n != h.n:
-        raise ValueError("both hypergraphs must share the universe")
-    h_masks = h.edge_masks()
-    return all(
-        any(he & ~ge == 0 for he in h_masks) for ge in g.edge_masks()
-    )

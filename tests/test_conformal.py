@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from transversal import Hypergraph, VertexSet
-from transversal.conformal import conformal_degree, is_conformal, is_k_conformal
+from transversal import Hypergraph, VertexSet, conformal, edge_complement
+from transversal.conformal import conformal_degree, is_k_conformal
+from transversal.generators import bounded_degree_instance
 from transversal.oracle import brute_conformal_degree
 
 from conftest import random_hypergraph
@@ -51,10 +52,10 @@ def test_conformal_degree_examples():
     assert conformal_degree(SINGLETONS) == 2
 
 
-def test_is_conformal_specializes_k2():
-    assert not is_conformal(TRIANGLE).ok
-    assert is_conformal(Hypergraph(3, [(0, 1, 2)])).ok
-    assert is_conformal(Hypergraph(4, [(0, 1), (2, 3)])).ok
+def test_k2_conformality_examples():
+    assert not is_k_conformal(TRIANGLE, 2).ok
+    assert is_k_conformal(Hypergraph(3, [(0, 1, 2)]), 2).ok
+    assert is_k_conformal(Hypergraph(4, [(0, 1), (2, 3)]), 2).ok
 
 
 def test_rejects_k_zero():
@@ -80,3 +81,30 @@ def test_matches_oracle_for_all_k():
 def test_edgeless_is_1_conformal():
     assert conformal_degree(Hypergraph(4, [])) == 1
     assert conformal_degree(Hypergraph(0, [])) == 1
+
+
+def test_answers_never_build_a_k_section(monkeypatch, corpus):
+    """Both answers come from the rank deciders on the edge complement; the
+    k-section and its clique listing, which stall on conf16 at k = 5, are
+    never built."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conformality answered through the k-section")
+
+    for name in ("k_section", "enumerate_maximal_cliques", "enumerate_maximal_hypercliques"):
+        monkeypatch.setattr(conformal, name, forbidden)
+    for h in corpus:
+        if h.n > 6:
+            continue
+        degree = brute_conformal_degree(h)
+        assert conformal_degree(h) == degree, h
+        for k in range(1, h.n + 2):
+            verdict = is_k_conformal(h, k)
+            assert verdict.ok == (k >= degree), (h, k)
+            if not verdict.ok:
+                assert counterexample_is_valid(h, verdict.counterexample, k)
+    conf16 = edge_complement(bounded_degree_instance(random.Random(3), 16, 30, 3))
+    assert conformal_degree(conf16) == 5
+    verdict = is_k_conformal(conf16, 4)
+    assert not verdict.ok
+    assert counterexample_is_valid(conf16, verdict.counterexample, 4)

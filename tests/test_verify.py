@@ -3,17 +3,14 @@ from __future__ import annotations
 import random
 from collections import Counter
 
-import math
-
 import pytest
 
-from transversal import Hypergraph, VertexSet
+from transversal import Hypergraph, VertexSet, rank
 from transversal.hitting import is_minimal_hitting_set
 from transversal.oracle import brute_tr
 from transversal.verify import (
     MissingSolution,
     NotSubset,
-    preorder_leq,
     verify_tr,
 )
 
@@ -89,36 +86,42 @@ def test_extraction_is_always_new(corpus, corpus_tr):
         assert outcome.t.mask in masks(tr)
 
 
-def test_subset_scan_counter_bound():
+def test_g_output_counter_bound():
+    """The G-solutions that pass are distinct edges of H, so at most m+1
+    are examined, whether G is complete or one solution short."""
     rng = random.Random(95)
+    examined = 0
     for _ in range(30):
         h = random_hypergraph(rng, n_max=6, m_max=6, empty_edge_p=0)
-        g = Hypergraph(h.n, brute_tr(h))
-        counters: Counter = Counter()
-        verify_tr(g, h, counters=counters)
-        budget = sum(math.comb(h.n, j) for j in range(0, h.rank + 1))
-        assert counters["verify_subset_candidates"] <= budget
+        tr = brute_tr(h)
+        pairs = [Hypergraph(h.n, tr)]
+        if tr:
+            keep = list(tr)
+            keep.pop(rng.randrange(len(keep)))
+            pairs.append(Hypergraph(h.n, keep))
+        for g in pairs:
+            counters: Counter = Counter()
+            verify_tr(g, h, counters=counters)
+            assert counters["verify_g_outputs"] <= len(h.edge_mask_set()) + 1
+            examined += counters["verify_g_outputs"]
+    assert examined > 0
 
 
-class TestPreorder:
-    def test_examples(self):
-        assert preorder_leq(Hypergraph(2, [(0, 1)]), Hypergraph(2, [(0,)]))
-        assert not preorder_leq(Hypergraph(2, [(0,)]), Hypergraph(2, [(0, 1)]))
-        assert preorder_leq(Hypergraph(2, []), Hypergraph(2, [(0,)]))
+def test_verification_calls_no_rank_decider(monkeypatch, corpus, corpus_tr):
+    """The dual check alone decides: G's minimal hitting sets come from the
+    tree search, never from a rank decider."""
 
-    def test_duality_under_transversals(self):
-        rng = random.Random(99)
-        for _ in range(50):
-            n = rng.randint(1, 6)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("verification asked a rank decider")
 
-            def rand_edges():
-                return [
-                    rng.sample(range(n), rng.randint(1, n))
-                    for _ in range(rng.randint(0, 6))
-                ]
-
-            g = Hypergraph(n, rand_edges())
-            h = Hypergraph(n, rand_edges())
-            tg = Hypergraph(n, brute_tr(g))
-            th = Hypergraph(n, brute_tr(h))
-            assert preorder_leq(g, h) == preorder_leq(th, tg)
+    for name in ("rank_at_least", "rank_at_least_lookahead", "rank_at_least_bd"):
+        monkeypatch.setattr(rank, name, forbidden)
+    rng = random.Random(97)
+    for h, tr in zip(corpus[:70], corpus_tr[:70]):
+        assert verify_tr(Hypergraph(h.n, tr), h).equal
+        if tr:
+            keep = list(tr)
+            keep.pop(rng.randrange(len(keep)))
+            outcome = verify_tr(Hypergraph(h.n, keep), h)
+            assert isinstance(outcome, MissingSolution)
+            assert outcome.t.mask in masks(tr) - masks(keep)

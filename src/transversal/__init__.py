@@ -7,11 +7,9 @@ everything cross-checkable against built-in brute-force oracles.
 """
 
 from .core import (
-    DegreeProfile,
     Hypergraph,
     HypergraphFormatError,
     VertexSet,
-    degree_profile,
     edge_complement,
     k_section,
     minimize_edges,
@@ -21,11 +19,9 @@ from .core import (
 )
 
 __all__ = [
-    "DegreeProfile",
     "Hypergraph",
     "HypergraphFormatError",
     "VertexSet",
-    "degree_profile",
     "edge_complement",
     "k_section",
     "minimize_edges",

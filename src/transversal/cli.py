@@ -135,12 +135,14 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 def _cmd_rank(args: argparse.Namespace) -> int:
     h = _load(args.path)
     if args.exact:
-        kstar = transversal_rank(h, method=args.method)
+        kstar = transversal_rank(h, method=args.method or "tree")
         _respond(args, kstar, lines=[str(kstar)])
         return EXIT_OK
     if args.k is None:
         raise ValueError("rank needs --k K or --exact")
-    witness = rank_at_least(h, args.k, method=args.method)
+    if args.method == "tree":
+        raise ValueError("--method tree computes the rank itself; use it with --exact")
+    witness = rank_at_least(h, args.k, method=args.method or "lookahead")
     if witness is None:
         _respond(args, "no", lines=["no"])
         return EXIT_NO
@@ -338,7 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--method", choices=["lookahead", "bd", "oracle"], default="lookahead")
+    p.add_argument(
+        "--method",
+        choices=["tree", "lookahead", "bd", "oracle"],
+        default=None,
+        help="tree (default for --exact; --exact only), or a decider (default lookahead)",
+    )
 
     p = add("conformal", _cmd_conformal, help="k-conformality or conformal degree")
     p.add_argument("path")

@@ -1,15 +1,16 @@
 """Conformality: is every set whose small subsets all fit inside edges
 itself inside an edge?
 
-Both questions are answered on the dual side, by the rank deciders run
-on the edge complement (the Berge–Duchet characterisation).  A minimal
-hitting set t of the complement lies in no edge, while each t - v lies
-in some edge; so H is k-conformal exactly when the complement has no
-minimal hitting set of k+1 or more vertices, and such a t is itself the
-counterexample.  The conformal degree is therefore the complement's
-transversal rank (at least 1).  With no edges (the complement has rank
-0), or with an edge equal to the universe (checked first), every answer
-is "conformal".
+Both questions are answered on the dual side, on the edge complement
+(the Berge–Duchet characterisation).  A minimal hitting set t of the
+complement lies in no edge, while each t - v lies in some edge; so H is
+k-conformal exactly when the complement has no minimal hitting set of
+k+1 or more vertices, and such a t is itself the counterexample.  The
+k-test asks the rank decider for k+1.  The conformal degree is the
+complement's transversal rank (at least 1), from the pruned tree search
+of ``transversal_rank``.  With no edges (the complement has rank 0), or
+with an edge equal to the universe (checked first), every answer is
+"conformal".
 """
 
 from __future__ import annotations

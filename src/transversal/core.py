@@ -15,7 +15,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "VertexSet",
     "Hypergraph",
-    "DegreeProfile",
     "HypergraphFormatError",
     "parse",
     "serialize",
@@ -23,7 +22,6 @@ __all__ = [
     "edge_complement",
     "uniform_complement",
     "k_section",
-    "degree_profile",
     "iter_bits",
 ]
 
@@ -143,14 +141,6 @@ class VertexSet:
 
     def __repr__(self) -> str:
         return f"VertexSet.of({self.n}, {', '.join(map(str, self))})"
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    """Per-vertex edge-membership counts and their maximum."""
-
-    degrees: tuple[int, ...]
-    max_degree: int
 
 
 def _valid_token(tok: str) -> bool:
@@ -425,7 +415,3 @@ def k_section(h: Hypergraph, k: int) -> Hypergraph:
                 seen.add(mask)
                 out.append(VertexSet(h.n, mask))
     return Hypergraph(h.n, out, names=h.names)
-
-
-def degree_profile(h: Hypergraph) -> DegreeProfile:
-    return DegreeProfile(degrees=h.degrees, max_degree=h.max_degree)

@@ -88,21 +88,83 @@ class DelayStats:
         }
 
 
+def _walk_tree(
+    h: Hypergraph,
+    deliver: Sink,
+    counters: Counter,
+    *,
+    stats: DelayStats | None = None,
+    prune: Callable[[int, int, int], bool] | None = None,
+) -> None:
+    """Walk the look-ahead search tree of ``h`` (at least one edge) from
+    the root (X, Y) = ({}, {}), sending every solution to ``deliver``.
+
+    At each node the extension call emits the small solutions and either
+    halts the branch or returns a grown forbidden set Y+; the walk then
+    branches on the lowest vertex outside X and Y+, include branch first.
+    Each stack entry is (X, Y, uncov, crit): X and Y as vertex masks,
+    then X's edge classification (see ``extend``).  The exclude child
+    shares its parent's classification; the include child of v updates
+    it with v's incidence mask in O(|X|) integer operations.  The
+    recursion is an explicit stack, so live state is the root-to-leaf
+    path of entries.
+
+    ``prune(X, Y, uncov)``, when given, is asked at every node before its
+    extension call; a node it answers True for is dropped with its whole
+    subtree.  ``stats``, when given, records the stack depth and one
+    ``ExtendCallRecord`` per extension call.  ``extend`` is read from this
+    module's globals at every call.
+    """
+    n = h.n
+    incidence = incidence_masks(h)
+    full = (1 << n) - 1
+    stack: list[tuple[int, int, int, list[int]]] = [(0, 0, (1 << h.m) - 1, [])]
+    while stack:
+        if stats is not None and len(stack) > stats.max_stack_depth:
+            stats.max_stack_depth = len(stack)
+        xm, ym, uncov, crit = stack.pop()
+        if prune is not None and prune(xm, ym, uncov):
+            continue
+        before = counters["product_iterations"]
+        outcome: ExtensionOutcome = extend(
+            h,
+            VertexSet(n, xm),
+            VertexSet(n, ym),
+            deliver,
+            counters=counters,
+            state=(uncov, crit),
+        )
+        if stats is not None:
+            stats.calls.append(
+                ExtendCallRecord(
+                    xm.bit_count(), counters["product_iterations"] - before
+                )
+            )
+        if outcome.continues:
+            ypm = outcome.y_plus.mask
+            rest = full & ~(xm | ypm)
+            if not rest:
+                raise RuntimeError(
+                    "higher-order extension promised but no vertex is left"
+                )
+            vbit = rest & -rest
+            # exclude branch, visited second: X and so its state unchanged
+            stack.append((xm, ypm | vbit, uncov, crit))
+            # include branch, visited first: v is above every member of X,
+            # so its critical edges go last
+            child_uncov, child_crit = include_vertex(
+                uncov, crit, incidence[vbit.bit_length() - 1]
+            )
+            stack.append((xm | vbit, ypm, child_uncov, child_crit))
+
+
 def enumerate_tr(
     h: Hypergraph, sink: Sink | None = None, *, limit: int | None = None
 ) -> DelayStats:
-    """Stream every minimal hitting set of ``h`` exactly once.
-
-    At each node (X, Y) the extension call emits the small solutions and
-    either halts the branch or returns a grown forbidden set Y+; the
-    search then branches on the lowest vertex outside X and Y+, include
-    branch first.  Each stack entry also carries the edge classification
-    of X (``uncov``/``crit``, see ``extend``): the exclude child shares
-    its parent's, the include child of v updates it with v's incidence
-    mask in O(|X|) integer operations, so a node reduces only the edges
-    its classification names instead of scanning all m.  The recursion is
-    an explicit stack, so live state is the root-to-leaf path of those
-    entries.
+    """Stream every minimal hitting set of ``h`` exactly once, by one
+    unpruned walk of the look-ahead search tree (``_walk_tree``).  Each
+    node carries its edge classification, so it reduces only the edges
+    that classification names instead of scanning all m.
 
     An edgeless hypergraph yields the single solution {} and an empty
     edge yields nothing.
@@ -129,48 +191,8 @@ def enumerate_tr(
         elif h.m == 0:
             deliver(VertexSet(n))
         else:
-            incidence = incidence_masks(h)
-            full = (1 << n) - 1
-            # (X, Y, uncov, crit): see extension.extend for the last two
-            stack: list[tuple[int, int, int, list[int]]] = [
-                (0, 0, (1 << h.m) - 1, [])
-            ]
             # one Counter for the run; each call's share is its increment
-            counters: Counter = Counter()
-            while stack:
-                if len(stack) > stats.max_stack_depth:
-                    stats.max_stack_depth = len(stack)
-                xm, ym, uncov, crit = stack.pop()
-                before = counters["product_iterations"]
-                outcome: ExtensionOutcome = extend(
-                    h,
-                    VertexSet(n, xm),
-                    VertexSet(n, ym),
-                    deliver,
-                    counters=counters,
-                    state=(uncov, crit),
-                )
-                stats.calls.append(
-                    ExtendCallRecord(
-                        xm.bit_count(), counters["product_iterations"] - before
-                    )
-                )
-                if outcome.continues:
-                    ypm = outcome.y_plus.mask
-                    rest = full & ~(xm | ypm)
-                    if not rest:
-                        raise RuntimeError(
-                            "higher-order extension promised but no vertex is left"
-                        )
-                    vbit = rest & -rest
-                    # exclude branch, visited second: X and so its state unchanged
-                    stack.append((xm, ypm | vbit, uncov, crit))
-                    # include branch, visited first: v is above every member
-                    # of X, so its critical edges go last
-                    child_uncov, child_crit = include_vertex(
-                        uncov, crit, incidence[vbit.bit_length() - 1]
-                    )
-                    stack.append((xm | vbit, ypm, child_uncov, child_crit))
+            _walk_tree(h, deliver, Counter(), stats=stats)
     except _LimitReached:
         pass
     stats.finished_ns = time.perf_counter_ns()

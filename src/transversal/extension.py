@@ -12,10 +12,12 @@ The families come from an edge classification of X: the edges disjoint
 from X (``uncov``) and, per member of X, the edges meeting X only there
 (``crit``), both as edge-index bitmasks, as in MMCS.  A tree search passes
 each node's classification to ``extend`` as ``state``, updated along its
-include path by ``include_vertex``, so a node reduces only the edges the classification names
-instead of scanning all m; without it the classification is computed
-from scratch.  Everything here is pure over an immutable hypergraph and
-only reads ``state``, so concurrent calls on a shared hypergraph are fine.
+include path by ``include_vertex``, and the look-ahead rank decider passes
+each seed's to ``find_higher_order`` the same way, so a query reduces only
+the edges the classification names instead of scanning all m; without it
+the classification is computed from scratch.  Everything here is pure
+over an immutable hypergraph and only reads ``state``, so concurrent
+calls on a shared hypergraph are fine.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "build_reduced_families",
     "extend",
     "find_higher_order",
-    "has_higher_order_extension",
     "incidence_masks",
     "include_vertex",
 ]
@@ -206,7 +207,13 @@ def _reduce_private(
 
 
 def build_reduced_families(h: Hypergraph, x: VertexSet, y: VertexSet) -> ReducedFamilies:
-    """Classify every edge against X from scratch and reduce it by Y."""
+    """Classify every edge against X from scratch and reduce it by Y.
+
+    The searches here do not call it (they reduce a carried or freshly
+    classified state directly); it spells the families out for
+    inspection, and the benchmark's tracer (bench/spans.py) wraps it by
+    name.
+    """
     edges = h.edge_masks()
     uncov, crit = _classify(edges, x.mask)
     xs = tuple(iter_bits(x.mask))
@@ -350,34 +357,36 @@ def find_higher_order(
     y: VertexSet | None = None,
     *,
     counters: Counter | None = None,
+    state: tuple[int, list[int]] | None = None,
 ) -> HigherOrderWitness | None:
-    """Decide higher-order extendability without emitting solutions."""
+    """Decide higher-order extendability without emitting solutions.
+
+    ``state`` is x's edge classification, as for ``extend``; when it is
+    None it is computed from all m edges.
+    """
     if y is None:
         y = VertexSet(h.n)
     _validate(h, x, y)
-    fam = build_reduced_families(h, x, y)
-    if fam.dead_edge is not None or fam.missing_private is not None or not fam.unhit:
+    edges = h.edge_masks()
+    uncov, crit = _classify(edges, x.mask) if state is None else state
+    if 0 in crit:
         return None
-    pos = _higher_order_combo(
-        [[em for _, em in cands] for cands in fam.per_x],
-        [em for _, em in fam.unhit],
-        fam.forced_mask,
-        counters,
-    )
+    keep = ~y.mask
+    dead, unhit, forced = _reduce_unhit(edges, keep, uncov)
+    if dead is not None or not unhit:
+        return None
+    per_x, veto = _reduce_private(edges, keep, crit)
+    pos = _higher_order_combo(per_x, unhit, forced, counters)
     if pos is None:
         return None
+    # each member's chosen edge index is the p-th lowest bit of its crit mask
+    chosen = []
+    for c, p in zip(crit, pos):
+        for _ in range(p):
+            c &= c - 1
+        chosen.append((c & -c).bit_length() - 1)
     return HigherOrderWitness(
-        forced=VertexSet(h.n, fam.forced_mask),
-        veto=VertexSet(h.n, fam.veto_mask),
-        edge_indices=tuple(cands[p][0] for cands, p in zip(fam.per_x, pos)),
+        forced=VertexSet(h.n, forced),
+        veto=VertexSet(h.n, veto),
+        edge_indices=tuple(chosen),
     )
-
-
-def has_higher_order_extension(
-    h: Hypergraph,
-    x: VertexSet,
-    y: VertexSet | None = None,
-    *,
-    counters: Counter | None = None,
-) -> bool:
-    return find_higher_order(h, x, y, counters=counters) is not None

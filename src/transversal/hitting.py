@@ -8,7 +8,6 @@ from .core import Hypergraph, VertexSet, iter_bits
 
 __all__ = [
     "is_hitting_set",
-    "private_edge_report",
     "is_minimal_hitting_set",
     "minimize",
 ]
@@ -34,23 +33,6 @@ def is_minimal_mask(edge_masks: tuple[int, ...], t: int) -> bool:
 def is_hitting_set(h: Hypergraph, t: VertexSet) -> bool:
     """True iff ``t`` intersects every edge (an empty edge defeats any t)."""
     return hits_all_masks(h.edge_masks(), t.mask)
-
-
-def private_edge_report(h: Hypergraph, t: VertexSet) -> dict[int, int | None]:
-    """Map each vertex of ``t`` to the index of one private edge, or None.
-
-    A private edge for ``v`` meets ``t`` in exactly ``{v}``; every vertex
-    of a minimal hitting set owns one.
-    """
-    report: dict[int, int | None] = {v: None for v in t}
-    tm = t.mask
-    for idx, e in enumerate(h.edge_masks()):
-        et = e & tm
-        if et and et & (et - 1) == 0:
-            v = et.bit_length() - 1
-            if report[v] is None:
-                report[v] = idx
-    return report
 
 
 def is_minimal_hitting_set(h: Hypergraph, t: VertexSet) -> bool:

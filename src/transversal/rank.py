@@ -1,18 +1,27 @@
-"""Deciding whether some minimal hitting set has at least k vertices.
+"""Transversal rank: does some minimal hitting set have at least k
+vertices, and how large is the largest?
 
 Two independent deciders produce certified witnesses: the look-ahead
 route seeds the search with (k-2)-subsets of vertices in colex order and
 asks for a higher-order extension, and the edge-family route scans
-k-tuples of minimal edges whose pairwise overlaps trap no edge.  A
+k-tuples of minimal edges whose pairwise overlaps trap no edge.  These
+are the paper's algorithms and carry its bounds for fixed k.  A
 brute-force oracle route is available for cross-checking.
 
 Both scans keep their order, so their first hit, and save work only
 where it cannot matter.  The look-ahead walks the seeds top element
 first, carrying the prefix's edge classification (``uncov``/``crit``, see
-``extension.extend``), and drops every seed below a prefix in which some
-vertex has lost its last private edge: no such seed extends.  The
+``extension.extend``), drops every seed below a prefix in which some
+vertex has lost its last private edge (no such seed extends), and hands
+each surviving seed's classification to ``find_higher_order``.  The
 edge-family route builds a (k-1)-subfamily's member list only when a
 k-family first reads it.
+
+The exact rank defaults to a third route: one walk of ``enumerate_tr``'s
+search tree, keeping the largest solution and pruning each node whose
+private-edge bound cannot beat it.  It has no polynomial bound (in the
+worst case it visits the whole tree), but it pays no "no" answer at a
+failing k, which dominates the deciders' ascending scan.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Hypergraph, VertexSet, minimize_edges
+from .enumeration import _walk_tree
 from .extension import find_higher_order, incidence_masks, include_vertex
 from .hitting import minimize
 
@@ -48,9 +58,13 @@ def colex_combinations(n: int, size: int) -> Iterator[tuple[int, ...]]:
             yield rest + (top,)
 
 
-def _irredundant_seeds(h: Hypergraph, size: int) -> Iterator[tuple[int, ...]]:
+def _irredundant_seeds(
+    h: Hypergraph, size: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, list[int]]]]:
     """The size-subsets of the vertices in which every member keeps a
-    private edge (one meeting the subset only in it), in colex order.
+    private edge (one meeting the subset only in it), in colex order, each
+    with its edge classification ``(uncov, crit)`` (``crit`` ascending by
+    member, as ``extend`` takes it).
 
     The walk picks each seed's top element first, so a prefix is a set of
     high vertices, and carries the prefix's ``uncov``/``crit`` edge masks,
@@ -62,7 +76,8 @@ def _irredundant_seeds(h: Hypergraph, size: int) -> Iterator[tuple[int, ...]]:
 
     def walk(below: int, left: int, uncov: int, crit: list[int], suffix: tuple):
         if left == 0:
-            yield suffix
+            # members joined top first, so their masks are descending
+            yield suffix, (uncov, crit[::-1])
             return
         for v in range(left - 1, below):
             child_uncov, child_crit = include_vertex(uncov, crit, incidence[v])
@@ -81,7 +96,8 @@ class RankWitness:
     vertex), ``forced`` (the vertices completing the seed in one step)
     and ``cover`` (the hitting superset that was shrunk to ``t``).  The
     edge-family route fills ``edge_family`` (the k certifying edges) and
-    ``overlap`` (the vertices lying in at least two of them).
+    ``overlap`` (the vertices lying in at least two of them).  The tree
+    search and the oracle fill only ``t``.
     """
 
     t: VertexSet
@@ -126,9 +142,9 @@ def rank_at_least_lookahead(
     n = h.n
     full = (1 << n) - 1
     masks = h.edge_masks()
-    for seed_tuple in _irredundant_seeds(h, k - 2):
+    for seed_tuple, state in _irredundant_seeds(h, k - 2):
         seed = VertexSet.from_iterable(n, seed_tuple)
-        witness = find_higher_order(h, seed, counters=counters)
+        witness = find_higher_order(h, seed, counters=counters, state=state)
         if witness is None:
             continue
         union = 0
@@ -278,13 +294,83 @@ def rank_at_least(
     raise ValueError(f"unknown rank method {method!r}")
 
 
-def transversal_rank(h: Hypergraph, *, method: str = "lookahead") -> int:
+def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
+    """The largest minimal hitting set of ``h`` (no empty edge), by one
+    walk of ``enumerate_tr``'s search tree that keeps the largest output
+    and prunes every node whose subtree cannot beat it.
+
+    Below a node (X, Y), each vertex a solution adds to X needs a private
+    edge of its own, and that edge misses X, so it is one of the uncovered
+    edges and contains the vertex.  Hence no solution below the node has
+    more than |X| + min(r, u) vertices, where u counts the uncovered edges
+    and r the free vertices (outside X and Y) meeting one of them; the
+    node is pruned when that is at most the best size so far.  Extension
+    calls are tallied under ``tree_nodes`` and pruned nodes under
+    ``tree_pruned``.
+    """
+    n = h.n
+    best = VertexSet(n)
+    best_size = 0
+    if h.m == 0:
+        return RankWitness(t=best)
+    incidence = incidence_masks(h)
+    full = (1 << n) - 1
+
+    def keep(t: VertexSet) -> None:
+        nonlocal best, best_size
+        if len(t) > best_size:
+            best, best_size = t, len(t)
+
+    def prune(xm: int, ym: int, uncov: int) -> bool:
+        room = best_size - xm.bit_count()
+        if room >= 0:
+            if uncov.bit_count() <= room:
+                counters["tree_pruned"] += 1
+                return True
+            reach = 0
+            free = full & ~(xm | ym)
+            while free:
+                low = free & -free
+                if incidence[low.bit_length() - 1] & uncov:
+                    reach += 1
+                    if reach > room:
+                        break
+                free ^= low
+            else:
+                counters["tree_pruned"] += 1
+                return True
+        counters["tree_nodes"] += 1
+        return False
+
+    _walk_tree(h, keep, counters, prune=prune)
+    return RankWitness(t=best)
+
+
+def transversal_rank(
+    h: Hypergraph, *, method: str = "tree", counters: Counter | None = None
+) -> int:
     """Largest k admitting a minimal hitting set of size k (0 for an
-    edgeless hypergraph), by ascending scan of the monotone decider."""
+    edgeless hypergraph).
+
+    The default ``method="tree"`` walks the search tree once with a
+    private-edge bound (``_largest_by_tree``).  It has no polynomial
+    bound: in the worst case it visits the whole tree.  The deciders
+    (``"lookahead"``, ``"bd"``, ``"oracle"``), which carry the paper's
+    bounds for fixed k, are instead asked for k = 1, 2, ...; after a
+    witness t the next question is k = |t|+1, and the first "no" ends
+    the scan.  ``counters`` receives the chosen route's work counts.
+    """
     _reject_empty_edge(h)
+    if counters is None:
+        counters = Counter()
+    if method == "tree":
+        return len(_largest_by_tree(h, counters).t)
     best = 0
-    for k in range(1, h.n + 1):
-        if rank_at_least(h, k, method=method) is None:
+    k = 1
+    while k <= h.n:
+        witness = rank_at_least(h, k, method=method, counters=counters)
+        if witness is None:
             break
-        best = k
+        best = len(witness.t)
+        k = best + 1
     return best

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from transversal import parse
+from transversal import parse, rank
 from transversal.cli import BENCH_COLUMNS, EXIT_INTERNAL, dispatch
 from transversal.hitting import is_minimal_hitting_set
 from transversal.core import VertexSet
@@ -88,6 +88,25 @@ def test_rank_exact_and_methods(capsys, matchings):
         code, out, _ = run(capsys, "rank", "--exact", "--method", method, matchings)
         assert code == 0
         assert out.strip() == "3"
+
+
+def test_rank_exact_defaults_to_tree(capsys, monkeypatch, matchings):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rank --exact asked a decider")
+
+    for name in ("rank_at_least_lookahead", "rank_at_least_bd"):
+        monkeypatch.setattr(rank, name, forbidden)
+    for argv in (["--exact"], ["--exact", "--method", "tree"]):
+        code, out, _ = run(capsys, "rank", *argv, matchings)
+        assert code == 0
+        assert out.strip() == "3"
+
+
+def test_rank_tree_needs_exact(capsys, matchings):
+    code, out, err = run(capsys, "rank", "--k", "2", "--method", "tree", matchings)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--exact" in err
 
 
 def test_rank_empty_edge_is_input_error(capsys, tmp_path):

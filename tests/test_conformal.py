@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from transversal import Hypergraph, VertexSet, conformal, edge_complement
+from transversal import Hypergraph, VertexSet, conformal, edge_complement, rank
 from transversal.conformal import conformal_degree, is_k_conformal
 from transversal.generators import bounded_degree_instance
 from transversal.oracle import brute_conformal_degree
@@ -108,3 +108,19 @@ def test_answers_never_build_a_k_section(monkeypatch, corpus):
     verdict = is_k_conformal(conf16, 4)
     assert not verdict.ok
     assert counterexample_is_valid(conf16, verdict.counterexample, 4)
+
+
+def test_degree_never_calls_a_decider(monkeypatch, corpus):
+    """conformal_degree takes the complement's rank from the tree search;
+    the rank deciders are left to the k-test."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("conformal degree asked a rank decider")
+
+    for name in ("rank_at_least_lookahead", "rank_at_least_bd"):
+        monkeypatch.setattr(rank, name, forbidden)
+    for h in corpus:
+        if h.n <= 6:
+            assert conformal_degree(h) == brute_conformal_degree(h), h
+    conf16 = edge_complement(bounded_degree_instance(random.Random(3), 16, 30, 3))
+    assert conformal_degree(conf16) == 5

@@ -8,7 +8,6 @@ from transversal import (
     Hypergraph,
     HypergraphFormatError,
     VertexSet,
-    degree_profile,
     edge_complement,
     k_section,
     minimize_edges,
@@ -60,8 +59,8 @@ class TestHypergraph:
         assert h.rank == 2
         assert h.max_degree == 2  # vertex 1
         assert h.is_sperner()
-        assert degree_profile(h).degrees == (1, 2, 1)
-        assert sum(degree_profile(h).degrees) == sum(len(e) for e in h.edges)
+        assert h.degrees == (1, 2, 1)
+        assert sum(h.degrees) == sum(len(e) for e in h.edges)
 
     def test_not_sperner(self):
         assert not Hypergraph(2, [(0,), (0, 1)]).is_sperner()

@@ -13,7 +13,6 @@ from transversal.extension import (
     build_reduced_families,
     extend,
     find_higher_order,
-    has_higher_order_extension,
 )
 from transversal.hitting import is_minimal_hitting_set
 from transversal.oracle import brute_extensions
@@ -61,10 +60,10 @@ def test_rejects_overlapping_x_y_and_edgeless():
 
 def test_has_higher_order_examples():
     h = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])
-    assert has_higher_order_extension(h, VertexSet.of(6, 0))
+    assert find_higher_order(h, VertexSet.of(6, 0)) is not None
     h = Hypergraph(4, [(0, 1), (2, 3)])
-    assert not has_higher_order_extension(h, VertexSet.of(4, 0))
-    assert not has_higher_order_extension(Hypergraph(1, [(0,)]), VertexSet(1))
+    assert find_higher_order(h, VertexSet.of(4, 0)) is None
+    assert find_higher_order(Hypergraph(1, [(0,)]), VertexSet(1)) is None
 
 
 def test_emitted_order_is_ascending():

@@ -10,7 +10,6 @@ from transversal.hitting import (
     is_hitting_set,
     is_minimal_hitting_set,
     minimize,
-    private_edge_report,
 )
 
 from conftest import random_hypergraph
@@ -28,17 +27,25 @@ def test_empty_edge_defeats_everything():
     assert not is_hitting_set(h, VertexSet.full(2))
 
 
+def private_edges(h, t):
+    """Each vertex of t mapped to the indices of its private edges."""
+    return {
+        v: [i for i, e in enumerate(h.edges) if (e & t).members() == (v,)]
+        for v in t
+    }
+
+
 def test_minimality_with_private_report():
     h = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
     t = VertexSet.of(3, 0, 1)
     assert is_minimal_hitting_set(h, t)
-    assert private_edge_report(h, t) == {0: 2, 1: 1}
+    assert private_edges(h, t) == {0: [2], 1: [1]}
 
 
 def test_shared_only_edge_is_not_minimal():
     h = Hypergraph(2, [(0, 1)])
     assert not is_minimal_hitting_set(h, VertexSet.of(2, 0, 1))
-    assert private_edge_report(h, VertexSet.of(2, 0, 1)) == {0: None, 1: None}
+    assert private_edges(h, VertexSet.of(2, 0, 1)) == {0: [], 1: []}
 
 
 def test_single_vertex_single_edge():

@@ -30,6 +30,26 @@ from conftest import random_hypergraph
 MATCHING3 = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])
 
 
+def bd40():
+    return bounded_degree_instance(random.Random(1), 40, 80, 4)
+
+
+def br30():
+    return bounded_rank_instance(random.Random(2), 30, 60, 3)
+
+
+def fresh_state(h, seed):
+    """(uncov, crit) of a seed by direct counting over every edge."""
+    uncov, crit = 0, [0] * len(seed)
+    for idx, e in enumerate(h.edge_masks()):
+        hit = [i for i, v in enumerate(seed) if e >> v & 1]
+        if not hit:
+            uncov |= 1 << idx
+        elif len(hit) == 1:
+            crit[hit[0]] |= 1 << idx
+    return uncov, crit
+
+
 def test_colex_order():
     assert list(colex_combinations(4, 2)) == [
         (0, 1),
@@ -85,7 +105,11 @@ class TestLookahead:
                     for seed in colex_combinations(h.n, size)
                     if all(keeps_private(h, seed, v) for v in seed)
                 ]
-                assert list(_irredundant_seeds(h, size)) == want, (h, size)
+                got = list(_irredundant_seeds(h, size))
+                assert [seed for seed, _ in got] == want, (h, size)
+                # each seed comes with its own edge classification
+                for seed, state in got:
+                    assert state == fresh_state(h, seed), (h, seed)
 
     def test_matches_full_colex_scan(self, corpus):
         """The seed skip keeps the first hit of the plain colex scan."""
@@ -126,7 +150,9 @@ class TestLookahead:
 
         monkeypatch.setattr(rank, "find_higher_order", counted)
         ranks = [
-            transversal_rank(uniform_instance(random.Random(s), 16, 40, 3))
+            transversal_rank(
+                uniform_instance(random.Random(s), 16, 40, 3), method="lookahead"
+            )
             for s in range(4)
         ]
         assert ranks == [11, 10, 10, 11]
@@ -218,8 +244,11 @@ def test_transversal_rank_examples():
     assert transversal_rank(Hypergraph(3, [])) == 0
     assert transversal_rank(Hypergraph(4, [(0, 1), (2, 3)])) == 2
     assert transversal_rank(MATCHING3) == 3
+    assert transversal_rank(MATCHING3, method="lookahead") == 3
     assert transversal_rank(MATCHING3, method="bd") == 3
     assert transversal_rank(MATCHING3, method="oracle") == 3
+    with pytest.raises(ValueError):
+        transversal_rank(Hypergraph(2, [(), (0,)]))
 
 
 def test_rank_at_least_unknown_method():
@@ -233,4 +262,74 @@ def test_duality_with_conformal_degree():
         h = random_hypergraph(rng, n_max=6, m_max=8, empty_edge_p=0)
         if h.m == 0:
             continue
-        assert transversal_rank(h) == conformal_degree(edge_complement(h))
+        # the look-ahead scan against the tree search behind conformal_degree
+        assert transversal_rank(h, method="lookahead") == conformal_degree(
+            edge_complement(h)
+        )
+
+
+class TestTreeRank:
+    """The default exact rank: one pruned walk of the enumeration tree."""
+
+    @staticmethod
+    def check(h):
+        witness = rank._largest_by_tree(h, Counter())
+        assert is_minimal_hitting_set(h, witness.t), h
+        assert transversal_rank(h) == len(witness.t)
+        return len(witness.t)
+
+    def test_matches_oracle_on_corpus(self, corpus):
+        for h in corpus:
+            if any(e == 0 for e in h.edge_masks()):
+                continue
+            assert self.check(h) == brute_rank(h), h
+
+    def test_matches_oracle_on_random_instances(self):
+        rng = random.Random(37)
+        for _ in range(300):
+            h = random_hypergraph(rng, n_max=12, m_max=16, empty_edge_p=0)
+            assert self.check(h) == brute_rank(h), h
+
+    def test_matches_deciders(self):
+        # each decider where it answers within seconds: on uniform_instance
+        # the edge-family route's k = 10 runs for minutes, and on br30 the
+        # look-ahead's k = 18 alone takes about 25 s
+        for s, want in zip(range(4), [11, 10, 10, 11]):
+            h = uniform_instance(random.Random(s), 16, 40, 3)
+            assert self.check(h) == want
+            assert transversal_rank(h, method="lookahead") == want
+        h = br30()
+        assert self.check(h) == 18
+        assert transversal_rank(h, method="bd") == 18
+        h = bd40()
+        assert self.check(h) == 9
+        assert transversal_rank(h, method="bd") == 9
+        assert transversal_rank(h, method="lookahead") == 9
+
+    def test_work_counts(self):
+        conf16 = edge_complement(bounded_degree_instance(random.Random(3), 16, 30, 3))
+        for h, want, nodes, pruned in (
+            (bd40(), 9, 2_290, 1_049),
+            (br30(), 18, 141, 26),
+            # the tree conformal_degree(conf16) walks
+            (edge_complement(conf16), 5, 177, 84),
+        ):
+            counters: Counter = Counter()
+            assert transversal_rank(h, counters=counters) == want
+            assert counters["tree_nodes"] == nodes
+            assert counters["tree_pruned"] == pruned
+
+
+def test_decider_scan_jumps_past_each_witness(monkeypatch):
+    asked = []
+    real = rank.rank_at_least_lookahead
+
+    def counted(h, k, **kwargs):
+        asked.append(k)
+        return real(h, k, **kwargs)
+
+    monkeypatch.setattr(rank, "rank_at_least_lookahead", counted)
+    h = uniform_instance(random.Random(0), 16, 40, 3)
+    assert transversal_rank(h, method="lookahead") == 11
+    # the plain scan asked k = 1, 2, ..., 12
+    assert asked == [1, 10, 12]

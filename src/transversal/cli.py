@@ -5,6 +5,12 @@ printed), 2 = usage or input error, 3 = internal error (an unexpected
 exception, reported as ``internal error: <Type>: <msg>`` on stderr).
 ``--json`` wraps every result in the stable shape {command, input,
 answer, witness?, stats?}.
+
+In plain mode ``enumerate`` and ``cliques`` print each set as it is
+found; ``--json`` collects them for its one line.  A closed stdout
+(``... | head -n 1``) is no error: it stops a streaming enumeration,
+``dispatch`` returns 0 at any other ``BrokenPipeError``, and ``main``
+points stdout at the null device so the final flush prints nothing.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .core import (
     serialize,
     uniform_complement,
 )
-from .enumeration import enumerate_incremental, enumerate_tr
+from .enumeration import StopEnumeration, enumerate_incremental, enumerate_tr
 from .generators import bounded_degree_instance, bounded_rank_instance, uniform_instance
 from .hitting import minimize
 from .rank import rank_at_least, transversal_rank
@@ -89,11 +95,27 @@ def _respond(
             print(line)
 
 
+def _stream_sink(args: argparse.Namespace, h: Hypergraph, found: list[VertexSet]):
+    """Plain mode prints each set as it arrives, and a closed stdout stops
+    the enumeration (so ``--stats`` still covers what was found);
+    ``--json`` collects the sets in ``found`` for its one line."""
+    if args.json:
+        return found.append
+
+    def emit(s: VertexSet) -> None:
+        try:
+            print(_set_text(h, s))
+        except BrokenPipeError:
+            raise StopEnumeration from None
+
+    return emit
+
+
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     h = _load(args.path)
     solutions: list[VertexSet] = []
     run = enumerate_tr if args.method == "tree" else enumerate_incremental
-    stats = run(h, solutions.append, limit=args.limit)
+    stats = run(h, _stream_sink(args, h, solutions), limit=args.limit)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as fh:
             json.dump(stats.to_json(), fh, indent=2)
@@ -102,7 +124,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         args,
         {"outputs": stats.outputs, "solutions": [h.set_tokens(t) for t in solutions]},
         stats=stats.to_json(),
-        lines=[_set_text(h, t) for t in solutions],
     )
     return EXIT_OK
 
@@ -185,14 +206,11 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
     h = _load(args.path)
     found: list[VertexSet] = []
     if args.independent:
-        enumerate_maximal_independent_sets(h, found.append, limit=args.limit)
+        run = enumerate_maximal_independent_sets
     else:
-        enumerate_maximal_hypercliques(h, found.append, limit=args.limit)
-    _respond(
-        args,
-        [h.set_tokens(c) for c in found],
-        lines=[_set_text(h, c) for c in found],
-    )
+        run = enumerate_maximal_hypercliques
+    run(h, _stream_sink(args, h, found), limit=args.limit)
+    _respond(args, [h.set_tokens(c) for c in found])
     return EXIT_OK
 
 
@@ -398,6 +416,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader has gone (``| head``)
+        return EXIT_OK
     except (HypergraphFormatError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -407,7 +428,13 @@ def dispatch(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    code = dispatch()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a closed pipe: let the interpreter's final flush go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,27 +6,23 @@ only on the graph size, never on how many cliques were already produced.
 Uniform hypergraphs of higher arity go through the complement: maximal
 hypercliques are exactly the complements of the minimal hitting sets of
 the non-edges.
+
+Every enumerator here follows the sink protocol of ``enumeration``: a
+sink may raise ``StopEnumeration`` to end the call, ``limit=N`` stops
+right after the N-th output, and each returns the number of outputs it
+delivered.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .core import Hypergraph, VertexSet, uniform_complement
-from .enumeration import enumerate_tr
+from .enumeration import Sink, enumerate_tr, stream
 
 __all__ = [
     "enumerate_maximal_cliques",
     "enumerate_maximal_hypercliques",
     "enumerate_maximal_independent_sets",
 ]
-
-Sink = Callable[[VertexSet], None]
-
-
-class _Stop(Exception):
-    pass
-
 
 def _uniform_rank(h: Hypergraph, r: int | None) -> int:
     sizes = {e.bit_count() for e in h.edge_masks()}
@@ -55,8 +51,6 @@ def enumerate_maximal_cliques(
     between two outputs is polynomial in the graph size regardless of how
     many cliques came before.
     """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
     for e in g.edge_masks():
         if e.bit_count() != 2:
             raise ValueError("clique enumeration needs a 2-uniform hypergraph")
@@ -67,20 +61,14 @@ def enumerate_maximal_cliques(
         b = e.bit_length() - 1
         adj[a] |= 1 << b
         adj[b] |= 1 << a
-    count = 0
-    if limit == 0:
-        return 0
-    emit = sink if sink is not None else (lambda _c: None)
-    stack: list[tuple[int, int]] = [(0, 0)]  # (level, clique mask)
-    try:
+
+    def run(out: Sink) -> None:
+        stack: list[tuple[int, int]] = [(0, 0)]  # (level, clique mask)
         while stack:
             i, c = stack.pop()
             if i == n:
                 if c.bit_count() >= 2:
-                    emit(VertexSet(n, c))
-                    count += 1
-                    if limit is not None and count >= limit:
-                        raise _Stop
+                    out(VertexSet(n, c))
                 continue
             av = adj[i]
             if c & ~av == 0:
@@ -104,9 +92,8 @@ def enumerate_maximal_cliques(
             if keep_spawn:
                 stack.append((i + 1, spawn))
             stack.append((i + 1, c))
-    except _Stop:
-        pass
-    return count
+
+    return stream(run, sink, limit)
 
 
 def enumerate_maximal_hypercliques(
@@ -119,32 +106,22 @@ def enumerate_maximal_hypercliques(
     """Emit the maximal hypercliques (>= r vertices, every r-subset an
     edge) of an r-uniform hypergraph, r >= 2, via the complement's
     minimal hitting sets.  Complements smaller than r are discarded."""
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
     r = _uniform_rank(h, r)
     if r < 2:
         raise ValueError("hypercliques need arity at least 2")
     non_edges = uniform_complement(h, r)
     full = (1 << h.n) - 1
-    count = 0
-    if limit == 0:
-        return 0
-    emit = sink if sink is not None else (lambda _c: None)
 
-    def on_transversal(t: VertexSet) -> None:
-        nonlocal count
-        c = full & ~t.mask
-        if c.bit_count() >= r:
-            emit(VertexSet(h.n, c))
-            count += 1
-            if limit is not None and count >= limit:
-                raise _Stop
+    def run(out: Sink) -> None:
+        def on_transversal(t: VertexSet) -> None:
+            c = full & ~t.mask
+            if c.bit_count() >= r:
+                out(VertexSet(h.n, c))
 
-    try:
+        # a stop raised by ``out`` ends this tree run, and with it the call
         enumerate_tr(non_edges, on_transversal)
-    except _Stop:
-        pass
-    return count
+
+    return stream(run, sink, limit)
 
 
 def enumerate_maximal_independent_sets(
@@ -157,25 +134,11 @@ def enumerate_maximal_independent_sets(
     """Emit the maximal sets containing no edge of a uniform hypergraph;
     these are exactly the complements of its minimal hitting sets, with
     no size floor."""
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
     if h.edge_masks():
         _uniform_rank(h, r)
     full = (1 << h.n) - 1
-    count = 0
-    if limit == 0:
-        return 0
-    emit = sink if sink is not None else (lambda _c: None)
 
-    def on_transversal(t: VertexSet) -> None:
-        nonlocal count
-        emit(VertexSet(h.n, full & ~t.mask))
-        count += 1
-        if limit is not None and count >= limit:
-            raise _Stop
+    def complement(t: VertexSet) -> None:
+        sink(VertexSet(h.n, full & ~t.mask))
 
-    try:
-        enumerate_tr(h, on_transversal)
-    except _Stop:
-        pass
-    return count
+    return enumerate_tr(h, None if sink is None else complement, limit=limit).outputs

@@ -4,6 +4,13 @@ Two routes: a look-ahead tree search (works for any input, delay governed
 by the maximum degree and the largest solution), and an incremental
 verify-and-extract loop that shines when the edge rank is small.  Both
 stream to a sink and collect delay instrumentation.
+
+The sink protocol, shared by every enumerator in the package: each output
+goes to ``sink`` as soon as it is found.  A sink may raise
+``StopEnumeration`` to end the innermost enumerator feeding it, which
+returns normally, counting the output the sink raised on as delivered.
+``limit=N`` stops right after the N-th output; 0 produces nothing and a
+negative limit is a ``ValueError``.  ``stream`` implements both rules.
 """
 
 from __future__ import annotations
@@ -14,16 +21,42 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import Hypergraph, VertexSet
-from .extension import ExtensionOutcome, extend, incidence_masks, include_vertex
+from .extension import ExtensionOutcome, Sink, extend, incidence_masks, include_vertex
 from . import verify as _verify
 
-__all__ = ["DelayStats", "ExtendCallRecord", "enumerate_tr", "enumerate_incremental"]
+__all__ = [
+    "DelayStats", "ExtendCallRecord", "Sink", "StopEnumeration",
+    "enumerate_tr", "enumerate_incremental", "stream",
+]
 
-Sink = Callable[[VertexSet], None]
+
+class StopEnumeration(Exception):
+    """Raised by a sink to end the innermost enumerator feeding it."""
 
 
-class _LimitReached(Exception):
-    pass
+def stream(run: Callable[[Sink], object], sink: Sink | None, limit: int | None) -> int:
+    """Call ``run(out)`` and return how many outputs it handed to ``out``,
+    which forwards each to ``sink`` (None discards it) and raises
+    ``StopEnumeration`` right after the ``limit``-th.  A stop that reaches
+    this call ends the run normally; ``limit`` 0 runs nothing."""
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be non-negative")
+    count = 0
+
+    def out(t: VertexSet) -> None:
+        nonlocal count
+        count += 1
+        if sink is not None:
+            sink(t)
+        if count == limit:
+            raise StopEnumeration
+
+    if limit != 0:
+        try:
+            run(out)
+        except StopEnumeration:
+            pass
+    return count
 
 
 @dataclass(frozen=True)
@@ -158,6 +191,18 @@ def _walk_tree(
             stack.append((xm | vbit, ypm, child_uncov, child_crit))
 
 
+def _stamped(stats: DelayStats, sink: Sink | None) -> Sink:
+    """``sink`` behind a stamp of each output's time and call index."""
+
+    def deliver(t: VertexSet) -> None:
+        stats.output_ns.append(time.perf_counter_ns())
+        stats.output_call_index.append(len(stats.calls))
+        if sink is not None:
+            sink(t)
+
+    return deliver
+
+
 def enumerate_tr(
     h: Hypergraph, sink: Sink | None = None, *, limit: int | None = None
 ) -> DelayStats:
@@ -169,41 +214,23 @@ def enumerate_tr(
     An edgeless hypergraph yields the single solution {} and an empty
     edge yields nothing.
     """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
     n = h.n
     stats = DelayStats(n=n, m=h.m, started_ns=time.perf_counter_ns())
-    emitted = 0
 
-    def deliver(t: VertexSet) -> None:
-        nonlocal emitted
-        if sink is not None:
-            sink(t)
-        stats.output_ns.append(time.perf_counter_ns())
-        stats.output_call_index.append(len(stats.calls))
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            raise _LimitReached
-
-    try:
-        if limit == 0:
-            pass
-        elif h.m == 0:
-            deliver(VertexSet(n))
+    def run(out: Sink) -> None:
+        if h.m == 0:
+            out(VertexSet(n))
         else:
             # one Counter for the run; each call's share is its increment
-            _walk_tree(h, deliver, Counter(), stats=stats)
-    except _LimitReached:
-        pass
+            _walk_tree(h, out, Counter(), stats=stats)
+
+    stream(run, _stamped(stats, sink), limit)
     stats.finished_ns = time.perf_counter_ns()
     return stats
 
 
 def enumerate_incremental(
-    h: Hypergraph,
-    sink: Sink | None = None,
-    *,
-    limit: int | None = None,
+    h: Hypergraph, sink: Sink | None = None, *, limit: int | None = None
 ) -> DelayStats:
     """Enumerate by repeatedly verifying the solutions found so far.
 
@@ -213,36 +240,22 @@ def enumerate_incremental(
     and shrinking the complement of S yields a fresh solution.  Intended
     for inputs of small edge rank, where the verification is cheap.
     """
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
     stats = DelayStats(n=h.n, m=h.m, started_ns=time.perf_counter_ns())
-    emitted = 0
 
-    def deliver(t: VertexSet) -> None:
-        nonlocal emitted
-        if sink is not None:
-            sink(t)
-        stats.output_ns.append(time.perf_counter_ns())
-        stats.output_call_index.append(len(stats.calls))
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            raise _LimitReached
+    def run(out: Sink) -> None:
+        solutions: list[VertexSet] = []
+        while True:
+            g = Hypergraph(h.n, solutions, names=h.names)
+            outcome = _verify.verify_tr(g, h)
+            if isinstance(outcome, _verify.Equal):
+                return
+            if isinstance(outcome, _verify.NotSubset):
+                raise RuntimeError(
+                    "found solutions stopped being minimal hitting sets"
+                )
+            solutions.append(outcome.t)
+            out(outcome.t)
 
-    solutions: list[VertexSet] = []
-    try:
-        if limit != 0:
-            while True:
-                g = Hypergraph(h.n, solutions, names=h.names)
-                outcome = _verify.verify_tr(g, h)
-                if isinstance(outcome, _verify.Equal):
-                    break
-                if isinstance(outcome, _verify.NotSubset):
-                    raise RuntimeError(
-                        "found solutions stopped being minimal hitting sets"
-                    )
-                deliver(outcome.t)
-                solutions.append(outcome.t)
-    except _LimitReached:
-        pass
+    stream(run, _stamped(stats, sink), limit)
     stats.finished_ns = time.perf_counter_ns()
     return stats

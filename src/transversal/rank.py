@@ -45,6 +45,10 @@ __all__ = [
     "transversal_rank",
 ]
 
+# Most (k-1)-subfamily member lists ``rank_at_least_bd`` keeps per call;
+# any other list is rebuilt at every read (slower, same answers).
+BD_TABLE_ENTRIES = 1 << 20
+
 
 def colex_combinations(n: int, size: int) -> Iterator[tuple[int, ...]]:
     """All size-subsets of range(n) in colexicographic order."""
@@ -208,11 +212,7 @@ def _sorted_lists_intersect(
 
 
 def rank_at_least_bd(
-    h: Hypergraph,
-    k: int,
-    *,
-    counters: Counter | None = None,
-    max_table_entries: int = 1 << 20,
+    h: Hypergraph, k: int, *, counters: Counter | None = None
 ) -> RankWitness | None:
     """Edge-family decider: after reducing to the inclusion-minimal edges,
     look for k of them such that no edge lies inside the union of any k-1
@@ -222,9 +222,8 @@ def rank_at_least_bd(
 
     The member list of a (k-1)-subfamily (the edges inside its union) is
     built the first time a k-family reads it and kept for later reads.
-    At most ``max_table_entries`` lists are kept; any other is rebuilt at
-    every read (slower, same answers).  Lists built are tallied under
-    ``bd_member_lists``.
+    At most ``BD_TABLE_ENTRIES`` lists are kept; any other is rebuilt at
+    every read.  Lists built are tallied under ``bd_member_lists``.
 
     A "yes" stops at the first certifying family, but a "no" reads all
     C(m', k) k-families of the m' minimal edges, so the failing k of an
@@ -252,7 +251,7 @@ def rank_at_least_bd(
         found = tuple(j for j, e in enumerate(masks) if e & ~union == 0)
         if counters is not None:
             counters["bd_member_lists"] += 1
-        if len(table) < max_table_entries:
+        if len(table) < BD_TABLE_ENTRIES:
             table[family] = found
         return found
 

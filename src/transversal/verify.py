@@ -8,7 +8,9 @@ Eiter and Gottlob).  The second enumerates G's minimal hitting sets with
 the tree search and stops at the first that is no edge of H; the ones it
 passes are distinct edges of H, so at most m+1 are ever seen.  That
 first miss S is the counter-witness: the complement of S is a hitting
-set of H none of whose minimal subsets is already in G.
+set of H none of whose minimal subsets is already in G.  The check's sink
+records S and raises ``StopEnumeration``, which ends that inner
+enumeration only: an enumerator calling ``verify_tr`` keeps running.
 """
 
 from __future__ import annotations
@@ -76,14 +78,6 @@ def _extract(h: Hypergraph, s: VertexSet) -> MissingSolution:
     return MissingSolution(s, minimize(h, complement))
 
 
-class _Miss(Exception):
-    """Stops G's enumeration at its first minimal hitting set that is no
-    edge of H."""
-
-    def __init__(self, s: VertexSet):
-        self.s = s
-
-
 def verify_tr(
     g: Hypergraph, h: Hypergraph, *, counters: Counter | None = None
 ) -> VerifyOutcome:
@@ -102,14 +96,14 @@ def verify_tr(
 
     # 2: every minimal hitting set of G is an edge of H.  An empty edge in
     # G leaves G without hitting sets, which passes trivially.
+    misses: list[VertexSet] = []
+
     def check(s: VertexSet) -> None:
         if counters is not None:
             counters["verify_g_outputs"] += 1
         if s.mask not in h_mask_set:
-            raise _Miss(s)
+            misses.append(s)
+            raise enumeration.StopEnumeration
 
-    try:
-        enumeration.enumerate_tr(g, check)
-    except _Miss as miss:
-        return _extract(h, miss.s)
-    return Equal()
+    enumeration.enumerate_tr(g, check)
+    return _extract(h, misses[0]) if misses else Equal()

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from transversal import parse, rank
+from transversal import cli, parse, rank
 from transversal.cli import BENCH_COLUMNS, EXIT_INTERNAL, dispatch
 from transversal.hitting import is_minimal_hitting_set
 from transversal.core import VertexSet
@@ -64,6 +64,36 @@ def test_enumerate_json_schema(capsys, pairs):
     assert payload["command"] == "enumerate"
     assert payload["answer"]["outputs"] == 4
     assert payload["stats"]["outputs"] == 4
+
+
+@pytest.mark.parametrize(
+    "command, enumerator, lines",
+    [
+        ("enumerate", "enumerate_tr", ["1 3", "1 4", "2 3", "2 4"]),
+        ("cliques", "enumerate_maximal_hypercliques", ["3 4", "1 2"]),
+    ],
+)
+def test_plain_mode_prints_each_set_as_it_arrives(
+    capsys, monkeypatch, pairs, command, enumerator, lines
+):
+    real = getattr(cli, enumerator)
+    printed: list[str] = []
+
+    def watched_run(h, sink=None, **kw):
+        def watched(s):
+            sink(s)
+            printed.append(capsys.readouterr().out)
+
+        return real(h, watched, **kw)
+
+    monkeypatch.setattr(cli, enumerator, watched_run)
+    assert dispatch([command, pairs]) == 0
+    assert printed == [line + "\n" for line in lines]
+    # --json still collects: nothing is printed before its one line
+    printed.clear()
+    assert dispatch([command, "--json", pairs]) == 0
+    assert printed == [""] * len(lines)
+    assert len(capsys.readouterr().out.splitlines()) == 1
 
 
 def test_rank_yes_with_valid_witness(capsys, matchings):
@@ -231,6 +261,26 @@ def test_keyboard_interrupt_propagates(monkeypatch, pairs):
     monkeypatch.setattr("transversal.cli._cmd_enumerate", interrupted)
     with pytest.raises(KeyboardInterrupt):
         dispatch(["enumerate", pairs])
+
+
+def test_closed_stdout_exits_quietly(capsys, monkeypatch, tmp_path, pairs):
+    # ``enumerate ... | head -n 1``: the reader is gone, which is no error
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert dispatch(["enumerate", pairs]) == 0
+    assert capsys.readouterr().err == ""
+    # the closed pipe stops the enumeration, whose statistics still count
+    stats_path = tmp_path / "stats.json"
+    assert dispatch(["enumerate", "--stats", str(stats_path), pairs]) == 0
+    assert json.loads(stats_path.read_text())["outputs"] == 1
+    assert dispatch(["oracle", "tr", pairs]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_bench_csv(capsys, tmp_path):

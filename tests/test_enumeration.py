@@ -6,8 +6,22 @@ import pytest
 
 from transversal import Hypergraph, VertexSet
 from transversal import enumeration
-from transversal.enumeration import enumerate_incremental, enumerate_tr
-from transversal.generators import bounded_degree_instance, bounded_rank_instance
+from transversal.cliques import (
+    enumerate_maximal_cliques,
+    enumerate_maximal_hypercliques,
+    enumerate_maximal_independent_sets,
+)
+from transversal.enumeration import (
+    DelayStats,
+    StopEnumeration,
+    enumerate_incremental,
+    enumerate_tr,
+)
+from transversal.generators import (
+    bounded_degree_instance,
+    bounded_rank_instance,
+    uniform_instance,
+)
 from transversal.oracle import brute_tr
 
 from conftest import masks, random_hypergraph
@@ -186,3 +200,93 @@ def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
     for h in instances:
         enumerate_tr(h)
     assert nodes > 35_075
+
+
+# ---------------------------------------------------------------- the sink protocol
+
+PAIRS = Hypergraph(4, [(0, 1), (2, 3)])
+UNIFORM = uniform_instance(random.Random(0), 9, 40, 3)
+ENUMERATORS = [
+    (enumerate_tr, PAIRS),
+    (enumerate_incremental, PAIRS),
+    (enumerate_maximal_cliques, Hypergraph(4, [(0, 1), (1, 2), (2, 3)])),
+    (enumerate_maximal_hypercliques, UNIFORM),
+    (enumerate_maximal_independent_sets, UNIFORM),
+]
+
+
+def delivered(fn, h, sink=None, **kw):
+    """The outputs ``fn`` streamed, after checking its reported count."""
+    got: list[VertexSet] = []
+
+    def keep(t):
+        got.append(t)
+        if sink is not None:
+            sink(t)
+
+    result = fn(h, keep, **kw)
+    count = result.outputs if isinstance(result, DelayStats) else result
+    assert count == len(got)
+    return got
+
+
+@pytest.mark.parametrize("fn, h", ENUMERATORS, ids=[fn.__name__ for fn, _ in ENUMERATORS])
+def test_limit_contract(fn, h):
+    with pytest.raises(ValueError, match="limit must be non-negative"):
+        fn(h, limit=-1)
+    everything = delivered(fn, h)
+    assert len(everything) >= 3
+    assert delivered(fn, h, limit=0) == []
+    for k in (1, 2):
+        assert delivered(fn, h, limit=k) == everything[:k]
+
+
+def test_limited_run_does_no_work_after_its_last_output():
+    h = bounded_degree_instance(random.Random(1), 40, 80, 4)
+    full = enumerate_tr(h)
+    for k in (1, 2, 100):
+        limited = enumerate_tr(h, limit=k)
+        cut = full.output_call_index[k - 1]
+        assert limited.calls == full.calls[:cut]
+        assert limited.output_call_index == full.output_call_index[:k]
+
+
+def test_sink_stop_ends_a_hyperclique_call():
+    everything = delivered(enumerate_maximal_hypercliques, UNIFORM)
+
+    seen = 0
+
+    def stop_at_second(_c):
+        nonlocal seen
+        seen += 1
+        if seen == 2:
+            raise StopEnumeration
+
+    # ``delivered`` checks that the returned count is 2, the output the
+    # sink stopped on included
+    got = delivered(enumerate_maximal_hypercliques, UNIFORM, stop_at_second)
+    assert got == everything[:2]
+
+
+def test_stop_inside_verify_ends_only_the_inner_run(monkeypatch):
+    """Every stage but the last ends its verification's tree run with a
+    stop; the incremental enumeration around it runs to the end."""
+    real = enumeration.enumerate_tr
+    stops = 0
+
+    def watched_run(g, sink=None, **kw):
+        def watched(s):
+            nonlocal stops
+            try:
+                sink(s)
+            except StopEnumeration:
+                stops += 1
+                raise
+
+        return real(g, watched, **kw)
+
+    monkeypatch.setattr(enumeration, "enumerate_tr", watched_run)
+    got, stats = run(UNIFORM, method=enumerate_incremental)
+    assert stops == len(got) == stats.outputs
+    assert masks(got) == masks(brute_tr(UNIFORM))
+    assert len(masks(got)) == len(got)

@@ -174,7 +174,7 @@ class TestEdgeFamilyRoute:
     def test_fewer_edges_than_k(self):
         assert rank_at_least_bd(Hypergraph(1, [(0,)]), 3) is None
 
-    def test_table_and_recompute_paths_agree(self):
+    def test_table_and_recompute_paths_agree(self, monkeypatch):
         rng = random.Random(3)
         for _ in range(40):
             h = random_hypergraph(rng, n_max=6, m_max=8, empty_edge_p=0)
@@ -182,9 +182,11 @@ class TestEdgeFamilyRoute:
                 continue
             for k in range(0, h.n + 2):
                 a = rank_at_least_bd(h, k)
-                # every field: t, edge_family and overlap
-                assert rank_at_least_bd(h, k, max_table_entries=0) == a
-                assert rank_at_least_bd(h, k, max_table_entries=3) == a
+                for cap in (0, 3):
+                    monkeypatch.setattr(rank, "BD_TABLE_ENTRIES", cap)
+                    # every field: t, edge_family and overlap
+                    assert rank_at_least_bd(h, k) == a
+                monkeypatch.undo()
 
     def test_member_lists_built_lazily(self):
         # the exact rank's k-scan builds only the (k-1)-subfamily member

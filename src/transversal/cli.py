@@ -302,12 +302,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for i in range(args.count):
         rng = random.Random(args.seed * 1_000_003 + i)
         h = make(rng, args)
-        kstar = -1
-        has_empty_edge = any(e == 0 for e in h.edge_masks())
-        sizes: list[int] = []
-        stats = enumerate_tr(h, lambda t: sizes.append(len(t)))
-        if not has_empty_edge:
-            kstar = max(sizes, default=0)
+        largest = 0
+
+        def widest(t: VertexSet) -> None:
+            nonlocal largest
+            largest = max(largest, len(t))
+
+        stats = enumerate_tr(h, widest)
+        kstar = -1 if any(e == 0 for e in h.edge_masks()) else largest
         rows.append(
             {
                 "instance_id": f"{args.family}-{args.seed}-{i}",

@@ -25,7 +25,7 @@ from .extension import ExtensionOutcome, Sink, extend, incidence_masks, include_
 from . import verify as _verify
 
 __all__ = [
-    "DelayStats", "ExtendCallRecord", "Sink", "StopEnumeration",
+    "DelayStats", "Sink", "StopEnumeration",
     "enumerate_tr", "enumerate_incremental", "stream",
 ]
 
@@ -59,55 +59,35 @@ def stream(run: Callable[[Sink], object], sink: Sink | None, limit: int | None) 
     return count
 
 
-@dataclass(frozen=True)
-class ExtendCallRecord:
-    x_size: int
-    product_iterations: int
-
-
 @dataclass
 class DelayStats:
-    """Per-run instrumentation: output timestamps, the size of the partial
-    solution at every extension call, and product-loop totals."""
+    """Per-run instrumentation as running aggregates, in O(n) memory
+    however many nodes the run visits: the outputs, the completed
+    extension calls, the histogram of the partial solution's size at
+    those calls (at most n+1 keys), the deepest stack, and the worst gap
+    between outputs in ns and in calls, counting the lead-in before the
+    first output and the tail until termination.  ``work`` is the run's
+    work counter, handed to every extension call."""
 
     n: int
     m: int
-    started_ns: int
+    started_ns: int = field(default_factory=time.perf_counter_ns)
     finished_ns: int = 0
-    output_ns: list[int] = field(default_factory=list)
-    calls: list[ExtendCallRecord] = field(default_factory=list)
-    output_call_index: list[int] = field(default_factory=list)
+    outputs: int = 0
+    calls: int = 0
+    x_size_histogram: Counter = field(default_factory=Counter)
+    work: Counter = field(default_factory=Counter)
     max_stack_depth: int = 0
-
-    @property
-    def outputs(self) -> int:
-        return len(self.output_ns)
+    max_delay_ns: int = 0
+    max_gap_calls: int = 0
 
     @property
     def total_ns(self) -> int:
         return self.finished_ns - self.started_ns
 
     @property
-    def max_delay_ns(self) -> int:
-        """Largest gap, counting lead-in before the first output and the
-        tail until termination."""
-        if not self.output_ns:
-            return self.total_ns
-        gaps = [self.output_ns[0] - self.started_ns]
-        gaps.extend(b - a for a, b in zip(self.output_ns, self.output_ns[1:]))
-        gaps.append(self.finished_ns - self.output_ns[-1])
-        return max(gaps)
-
-    @property
-    def x_size_histogram(self) -> Counter:
-        hist: Counter = Counter()
-        for rec in self.calls:
-            hist[rec.x_size] += 1
-        return hist
-
-    @property
     def product_iterations(self) -> int:
-        return sum(rec.product_iterations for rec in self.calls)
+        return self.work["product_iterations"]
 
     def to_json(self) -> dict:
         return {
@@ -144,9 +124,9 @@ def _walk_tree(
 
     ``prune(X, Y, uncov)``, when given, is asked at every node before its
     extension call; a node it answers True for is dropped with its whole
-    subtree.  ``stats``, when given, records the stack depth and one
-    ``ExtendCallRecord`` per extension call.  ``extend`` is read from this
-    module's globals at every call.
+    subtree.  ``stats``, when given, records the stack depth and, after
+    each completed extension call, the call and |X| in its histogram.
+    ``extend`` is read from this module's globals at every call.
     """
     n = h.n
     incidence = incidence_masks(h)
@@ -158,7 +138,6 @@ def _walk_tree(
         xm, ym, uncov, crit = stack.pop()
         if prune is not None and prune(xm, ym, uncov):
             continue
-        before = counters["product_iterations"]
         outcome: ExtensionOutcome = extend(
             h,
             VertexSet(n, xm),
@@ -168,11 +147,8 @@ def _walk_tree(
             state=(uncov, crit),
         )
         if stats is not None:
-            stats.calls.append(
-                ExtendCallRecord(
-                    xm.bit_count(), counters["product_iterations"] - before
-                )
-            )
+            stats.calls += 1
+            stats.x_size_histogram[xm.bit_count()] += 1
         if outcome.continues:
             ypm = outcome.y_plus.mask
             rest = full & ~(xm | ypm)
@@ -191,16 +167,29 @@ def _walk_tree(
             stack.append((xm | vbit, ypm, child_uncov, child_crit))
 
 
-def _stamped(stats: DelayStats, sink: Sink | None) -> Sink:
-    """``sink`` behind a stamp of each output's time and call index."""
+def _stream_stats(
+    stats: DelayStats, run: Callable[[Sink], object], sink: Sink | None, limit: int | None
+) -> DelayStats:
+    """``stream(run, sink, limit)`` with each output counted in ``stats``,
+    where it ends the open gap, and the tail gap ended when ``run`` stops."""
+    gap_ns, gap_calls = stats.started_ns, 0
+
+    def end_gap(now_ns: int) -> None:
+        nonlocal gap_ns, gap_calls
+        stats.max_delay_ns = max(stats.max_delay_ns, now_ns - gap_ns)
+        stats.max_gap_calls = max(stats.max_gap_calls, stats.calls - gap_calls)
+        gap_ns, gap_calls = now_ns, stats.calls
 
     def deliver(t: VertexSet) -> None:
-        stats.output_ns.append(time.perf_counter_ns())
-        stats.output_call_index.append(len(stats.calls))
+        stats.outputs += 1
+        end_gap(time.perf_counter_ns())
         if sink is not None:
             sink(t)
 
-    return deliver
+    stream(run, deliver, limit)
+    stats.finished_ns = time.perf_counter_ns()
+    end_gap(stats.finished_ns)
+    return stats
 
 
 def enumerate_tr(
@@ -214,19 +203,15 @@ def enumerate_tr(
     An edgeless hypergraph yields the single solution {} and an empty
     edge yields nothing.
     """
-    n = h.n
-    stats = DelayStats(n=n, m=h.m, started_ns=time.perf_counter_ns())
+    stats = DelayStats(n=h.n, m=h.m)
 
     def run(out: Sink) -> None:
         if h.m == 0:
-            out(VertexSet(n))
+            out(VertexSet(h.n))
         else:
-            # one Counter for the run; each call's share is its increment
-            _walk_tree(h, out, Counter(), stats=stats)
+            _walk_tree(h, out, stats.work, stats=stats)
 
-    stream(run, _stamped(stats, sink), limit)
-    stats.finished_ns = time.perf_counter_ns()
-    return stats
+    return _stream_stats(stats, run, sink, limit)
 
 
 def enumerate_incremental(
@@ -240,7 +225,7 @@ def enumerate_incremental(
     and shrinking the complement of S yields a fresh solution.  Intended
     for inputs of small edge rank, where the verification is cheap.
     """
-    stats = DelayStats(n=h.n, m=h.m, started_ns=time.perf_counter_ns())
+    stats = DelayStats(n=h.n, m=h.m)
 
     def run(out: Sink) -> None:
         solutions: list[VertexSet] = []
@@ -256,6 +241,4 @@ def enumerate_incremental(
             solutions.append(outcome.t)
             out(outcome.t)
 
-    stream(run, _stamped(stats, sink), limit)
-    stats.finished_ns = time.perf_counter_ns()
-    return stats
+    return _stream_stats(stats, run, sink, limit)

@@ -235,6 +235,34 @@ def build_reduced_families(h: Hypergraph, x: VertexSet, y: VertexSet) -> Reduced
     )
 
 
+def _reduce(
+    h: Hypergraph, x: VertexSet, y: VertexSet, state: tuple[int, list[int]] | None,
+    sink: Sink | None,
+) -> tuple[list[int], list[int], int, list[list[int]], int] | None:
+    """The head shared by ``extend`` and ``find_higher_order``: validate,
+    classify X (or take ``state``) and reduce its families by Y into
+    ``(crit, unhit, forced, per_x, veto)``.  None means that no extension
+    of X has two more vertices: a member of X has no candidate private
+    edge, an edge lies inside Y, or X hits every edge and went to ``sink``.
+    """
+    _validate(h, x, y)
+    edges = h.edge_masks()
+    uncov, crit = _classify(edges, x.mask) if state is None else state
+    if 0 in crit:
+        return None
+    keep = ~y.mask
+    dead, unhit, forced = _reduce_unhit(edges, keep, uncov)
+    if dead is not None:
+        return None
+    if not unhit:
+        # x hits everything and each of its vertices kept a private edge
+        if sink is not None:
+            sink(x)
+        return None
+    per_x, veto = _reduce_private(edges, keep, crit)
+    return crit, unhit, forced, per_x, veto
+
+
 def _higher_order_combo(
     per_x: list[list[int]], unhit: list[int], forced: int, counters: Counter | None
 ) -> list[int] | None:
@@ -316,22 +344,10 @@ def extend(
     read.  When it is None (the CLI and direct callers) it is computed
     from all m edges.  Y does not enter it.
     """
-    _validate(h, x, y)
-    edges = h.edge_masks()
-    uncov, crit = _classify(edges, x.mask) if state is None else state
-    if 0 in crit:
-        # some member of x has no candidate private edge left
+    reduced = _reduce(h, x, y, state, sink)
+    if reduced is None:
         return _HALT
-    keep = ~y.mask
-    dead, unhit, forced = _reduce_unhit(edges, keep, uncov)
-    if dead is not None:
-        return _HALT
-    if not unhit:
-        # x hits everything and each of its vertices kept a private edge
-        if sink is not None:
-            sink(x)
-        return _HALT
-    per_x, veto = _reduce_private(edges, keep, crit)
+    _crit, unhit, forced, per_x, veto = reduced
     if sink is not None:
         n, xm = h.n, x.mask
         for b in iter_bits(forced & ~veto):
@@ -366,16 +382,10 @@ def find_higher_order(
     """
     if y is None:
         y = VertexSet(h.n)
-    _validate(h, x, y)
-    edges = h.edge_masks()
-    uncov, crit = _classify(edges, x.mask) if state is None else state
-    if 0 in crit:
+    reduced = _reduce(h, x, y, state, None)
+    if reduced is None:
         return None
-    keep = ~y.mask
-    dead, unhit, forced = _reduce_unhit(edges, keep, uncov)
-    if dead is not None or not unhit:
-        return None
-    per_x, veto = _reduce_private(edges, keep, crit)
+    crit, unhit, forced, per_x, veto = reduced
     pos = _higher_order_combo(per_x, unhit, forced, counters)
     if pos is None:
         return None

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
-from transversal import Hypergraph
+from transversal import Hypergraph, VertexSet, enumeration
 from transversal.oracle import brute_tr
 
 CORPUS_SEED = 0x5E7C0DE
@@ -56,3 +57,41 @@ def corpus_tr(corpus) -> list[list]:
 
 def masks(sets) -> set[int]:
     return {s.mask for s in sets}
+
+
+def log_extend_calls(monkeypatch) -> list[tuple[int, int, int]]:
+    """Wrap ``enumeration.extend`` while ``monkeypatch`` is active.  Each
+    completed call appends ``(X mask, Y mask, product iterations it
+    added)`` to the returned log, so ``len(log)`` read at an output is
+    the number of calls completed before it."""
+    real = enumeration.extend
+    log: list[tuple[int, int, int]] = []
+
+    def logged(h, x, y, sink=None, *, counters=None, state=None):
+        if counters is None:
+            counters = Counter()
+        before = counters["product_iterations"]
+        outcome = real(h, x, y, sink, counters=counters, state=state)
+        log.append((x.mask, y.mask, counters["product_iterations"] - before))
+        return outcome
+
+    monkeypatch.setattr(enumeration, "extend", logged)
+    return log
+
+
+def logged_run(log: list, h: Hypergraph, **kw):
+    """``enumerate_tr(h, **kw)`` under a ``log_extend_calls`` log, which it
+    clears first.  Returns the outputs, the stats and the gap windows: the
+    log cut at every output, lead-in and tail included.  An output made
+    inside call i closes its gap at i, and call i belongs to the next gap."""
+    log.clear()
+    got: list[VertexSet] = []
+    cuts = [0]
+
+    def sink(t: VertexSet) -> None:
+        got.append(t)
+        cuts.append(len(log))
+
+    stats = enumeration.enumerate_tr(h, sink, **kw)
+    cuts.append(len(log))
+    return got, stats, [log[a:b] for a, b in zip(cuts, cuts[1:])]

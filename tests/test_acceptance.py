@@ -40,7 +40,7 @@ from transversal.oracle import (
 from transversal.rank import rank_at_least_bd, rank_at_least_lookahead
 from transversal.verify import MissingSolution, NotSubset, verify_tr
 
-from conftest import masks
+from conftest import log_extend_calls, logged_run, masks
 
 
 def has_empty_edge(h: Hypergraph) -> bool:
@@ -49,13 +49,11 @@ def has_empty_edge(h: Hypergraph) -> bool:
 
 @pytest.fixture(scope="module")
 def enum_runs(corpus):
-    """One streamed enumeration per corpus instance, with its statistics."""
-    runs = []
-    for h in corpus:
-        got: list[VertexSet] = []
-        stats = enumerate_tr(h, got.append)
-        runs.append((got, stats))
-    return runs
+    """One streamed enumeration per corpus instance: its outputs, its
+    statistics and its extend calls cut into gap windows (``logged_run``)."""
+    with pytest.MonkeyPatch.context() as mp:
+        log = log_extend_calls(mp)
+        return [logged_run(log, h) for h in corpus]
 
 
 def test_c01_enumeration_correctness(corpus):
@@ -79,7 +77,7 @@ def test_c01_enumeration_correctness(corpus):
 
 def test_c02_lookahead_depth_bound(corpus, corpus_tr, enum_runs):
     checked = 0
-    for h, tr, (_got, stats) in zip(corpus, corpus_tr, enum_runs):
+    for h, tr, (_got, stats, _windows) in zip(corpus, corpus_tr, enum_runs):
         if h.m == 0 or has_empty_edge(h):
             continue
         kstar = max(len(t) for t in tr)
@@ -316,11 +314,12 @@ def test_c08_clique_bijection_and_count_independence():
 def test_c09_iteration_budgets(corpus, enum_runs):
     rng = random.Random(0xB4D6E7)
     product_calls = bd_checks = minimize_checks = 0
-    for h, (_got, stats) in zip(corpus, enum_runs):
+    for h, (_got, _stats, windows) in zip(corpus, enum_runs):
         delta = h.max_degree
-        for rec in stats.calls:
-            assert rec.product_iterations <= max(1, delta) ** rec.x_size, h
-            product_calls += 1
+        for window in windows:
+            for xm, _ym, iterations in window:
+                assert iterations <= max(1, delta) ** xm.bit_count(), h
+                product_calls += 1
     for h in corpus:
         if h.m == 0 or has_empty_edge(h) or h.n > 7:
             continue
@@ -343,7 +342,7 @@ def test_c09_iteration_budgets(corpus, enum_runs):
     )
 
 
-def test_c10_delay_trend_at_stated_parameters():
+def test_c10_delay_trend_at_stated_parameters(monkeypatch):
     """The delay bound O(Delta^(k*-1) * m * n^2) on the degree sweep
     n = 18, k* = 3, Delta in {2, 4, 8}, checked in work counts.
 
@@ -363,6 +362,7 @@ def test_c10_delay_trend_at_stated_parameters():
     these instances.  Wall time is printed, not asserted.
     """
     n, kstar = 18, 3
+    log = log_extend_calls(monkeypatch)
     report = []
     for m, delta in [(kstar * d, d) for d in (2, 4, 8)] + [(40, 14)]:
         h = delay_trend_instance(n, m, kstar, delta)
@@ -373,23 +373,18 @@ def test_c10_delay_trend_at_stated_parameters():
         assert len(witness.t) >= kstar
         assert rank_at_least_bd(h, kstar + 1) is None
 
-        got: list[VertexSet] = []
-        stats = enumerate_tr(h, got.append)
+        got, stats, windows = logged_run(log, h)
         assert len(got) == len(masks(got)) == 2**kstar, h
         assert all(len(t) == kstar and is_minimal_hitting_set(h, t) for t in got)
-        assert all(rec.x_size <= kstar - 1 for rec in stats.calls)
+        assert max(stats.x_size_histogram) <= kstar - 1
+        assert stats.max_gap_calls <= 3 * (n + 1), (delta, stats.max_gap_calls)
 
-        # call windows between outputs: an output made inside call i closes
-        # the gap at i, and the rest of call i belongs to the next gap
-        cuts = [0, *stats.output_call_index, len(stats.calls)]
         gaps = []
-        for a, b in zip(cuts, cuts[1:]):
-            window = stats.calls[a:b]
-            iterations = sum(rec.product_iterations for rec in window)
-            budget = sum(max(1, delta) ** rec.x_size for rec in window)
-            assert b - a <= 3 * (n + 1), (delta, b - a)
+        for window in windows:
+            iterations = sum(it for _xm, _ym, it in window)
+            budget = sum(max(1, delta) ** xm.bit_count() for xm, _ym, _it in window)
             assert iterations <= budget, (delta, iterations, budget)
-            gaps.append((b - a, iterations, budget))
+            gaps.append((len(window), iterations, budget))
         calls, iterations, budget = max(gaps)
         report.append(
             f"Delta={delta} m={m}: {calls} calls, {iterations}/{budget} iterations, "

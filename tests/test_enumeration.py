@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -24,7 +26,9 @@ from transversal.generators import (
 )
 from transversal.oracle import brute_tr
 
-from conftest import masks, random_hypergraph
+from conftest import log_extend_calls, logged_run, masks, random_hypergraph
+
+BD40 = bounded_degree_instance(random.Random(1), 40, 80, 4)
 
 
 def run(h, method=enumerate_tr, **kw):
@@ -102,22 +106,44 @@ def test_depth_never_reaches_largest_solution(corpus, corpus_tr):
         assert max(stats.x_size_histogram) <= max(0, kstar - 1)
 
 
+def gap_instances() -> list[Hypergraph]:
+    rng = random.Random(55)
+    instances = [random_hypergraph(rng, empty_edge_p=0) for _ in range(120)]
+    return [h for h in instances if h.m]
+
+
 def test_bounded_gap_between_outputs():
     # The tree search visits O(n) nodes between consecutive outputs; the
     # constant here is 3 per level (observed maximum is 1.5n).
-    rng = random.Random(55)
-    for _ in range(120):
-        h = random_hypergraph(rng, empty_edge_p=0)
-        if h.m == 0:
-            continue
+    for h in gap_instances():
         _, stats = run(h)
-        total = len(stats.calls)
-        idx = stats.output_call_index
-        gaps = [idx[0]] if idx else [total]
-        gaps.extend(b - a for a, b in zip(idx, idx[1:]))
-        if idx:
-            gaps.append(total - idx[-1])
-        assert max(gaps) <= 3 * (h.n + 1)
+        assert stats.max_gap_calls <= 3 * (h.n + 1)
+
+
+def test_online_stats_match_the_extend_call_log(monkeypatch):
+    """The running aggregates equal what a wrapper of ``extend`` counts:
+    the calls, the worst gap in calls, the |X| histogram and the product
+    iterations."""
+    log = log_extend_calls(monkeypatch)
+    for h in gap_instances() + [BD40]:
+        _, stats, windows = logged_run(log, h)
+        assert stats.calls == len(log)
+        assert stats.max_gap_calls == max(len(w) for w in windows)
+        assert stats.x_size_histogram == Counter(xm.bit_count() for xm, _, _ in log)
+        assert len(stats.x_size_histogram) <= h.n + 1
+        assert stats.product_iterations == sum(it for _, _, it in log)
+
+
+def test_tree_run_memory_stays_bounded():
+    # nothing the run keeps grows with the 35,075 nodes it visits
+    tracemalloc.start()
+    try:
+        stats = enumerate_tr(BD40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stats.outputs == 4059
+    assert peak < 64 * 1024, peak
 
 
 def test_live_state_is_one_root_to_leaf_path():
@@ -130,9 +156,9 @@ def test_live_state_is_one_root_to_leaf_path():
 
 def test_stats_timestamps_monotone():
     _, stats = run(Hypergraph(4, [(0, 1), (2, 3)]))
-    assert stats.output_ns == sorted(stats.output_ns)
     assert stats.started_ns <= stats.finished_ns
-    assert stats.max_delay_ns >= 0
+    # the outputs + 1 gaps sum to the total
+    assert stats.max_delay_ns * (stats.outputs + 1) >= stats.total_ns >= stats.max_delay_ns
     payload = stats.to_json()
     assert set(payload) >= {"outputs", "max_delay_ns", "extend_call_histogram"}
 
@@ -146,16 +172,16 @@ def test_br30_product_work_stays_pruned():
     # high-degree instance whose unpruned candidate product took millions of steps
     got, stats = run(bounded_rank_instance(random.Random(2), 30, 60, 3))
     assert len(got) == 8
-    assert len(stats.calls) == 209
+    assert stats.calls == 209
     assert stats.product_iterations <= 20_000
 
 
 def test_bd40_tree_work_counts():
     # sparse bounded-degree instance: pins the search tree the carried
     # edge classification walks, and the product work inside it
-    got, stats = run(bounded_degree_instance(random.Random(1), 40, 80, 4))
+    got, stats = run(BD40)
     assert len(got) == 4059
-    assert len(stats.calls) == 35_075
+    assert stats.calls == 35_075
     assert stats.product_iterations == 63_285
     assert stats.max_stack_depth == 9
 
@@ -196,7 +222,7 @@ def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
         return outcome
 
     monkeypatch.setattr(enumeration, "extend", checked)
-    instances = list(corpus) + [bounded_degree_instance(random.Random(1), 40, 80, 4)]
+    instances = list(corpus) + [BD40]
     for h in instances:
         enumerate_tr(h)
     assert nodes > 35_075
@@ -241,14 +267,15 @@ def test_limit_contract(fn, h):
         assert delivered(fn, h, limit=k) == everything[:k]
 
 
-def test_limited_run_does_no_work_after_its_last_output():
-    h = bounded_degree_instance(random.Random(1), 40, 80, 4)
-    full = enumerate_tr(h)
+def test_limited_run_does_no_work_after_its_last_output(monkeypatch):
+    # the same extend calls, (X, Y) and product work, up to the k-th
+    # output, and none after it
+    log = log_extend_calls(monkeypatch)
+    _, _, full = logged_run(log, BD40)
     for k in (1, 2, 100):
-        limited = enumerate_tr(h, limit=k)
-        cut = full.output_call_index[k - 1]
-        assert limited.calls == full.calls[:cut]
-        assert limited.output_call_index == full.output_call_index[:k]
+        _, stats, limited = logged_run(log, BD40, limit=k)
+        assert limited == full[:k] + [[]]
+        assert stats.calls == len(log)
 
 
 def test_sink_stop_ends_a_hyperclique_call():

@@ -38,7 +38,7 @@ from .core import (
 from .enumeration import StopEnumeration, enumerate_incremental, enumerate_tr
 from .generators import bounded_degree_instance, bounded_rank_instance, uniform_instance
 from .hitting import minimize
-from .rank import rank_at_least, transversal_rank
+from .rank import RankWitness, _reject_empty_edge, rank_at_least, transversal_rank
 from .verify import Equal, MissingSolution, NotSubset, verify_tr
 
 EXIT_OK = 0
@@ -155,15 +155,25 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     h = _load(args.path)
+    if not args.exact and args.k is None:
+        raise ValueError("rank needs --k K or --exact")
+    if args.method == "oracle":
+        # the brute force under TRANSVERSAL_ORACLE_CAP, as `oracle` runs it
+        _reject_empty_edge(h)
+        ts = oracle_mod.brute_tr(h, cap=_oracle_cap())
     if args.exact:
-        kstar = transversal_rank(h, method=args.method or "tree")
+        if args.method == "oracle":
+            kstar = max(map(len, ts), default=0)
+        else:
+            kstar = transversal_rank(h, method=args.method or "tree")
         _respond(args, kstar, lines=[str(kstar)])
         return EXIT_OK
-    if args.k is None:
-        raise ValueError("rank needs --k K or --exact")
     if args.method == "tree":
         raise ValueError("--method tree computes the rank itself; use it with --exact")
-    witness = rank_at_least(h, args.k, method=args.method or "lookahead")
+    if args.method == "oracle":
+        witness = next((RankWitness(t=t) for t in ts if len(t) >= args.k), None)
+    else:
+        witness = rank_at_least(h, args.k, method=args.method or "lookahead")
     if witness is None:
         _respond(args, "no", lines=["no"])
         return EXIT_NO

@@ -144,8 +144,14 @@ class VertexSet:
 
 
 def _valid_token(tok: str) -> bool:
-    return bool(tok) and not tok.startswith("!") and tok != "{}" and not any(
-        c.isspace() for c in tok
+    # "#" would start a comment in the .hg format, so a name holding it
+    # could not be read back
+    return (
+        bool(tok)
+        and not tok.startswith("!")
+        and tok != "{}"
+        and "#" not in tok
+        and not any(c.isspace() for c in tok)
     )
 
 

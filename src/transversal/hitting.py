@@ -1,10 +1,10 @@
-"""Hitting-set predicates and linear-pass minimization of a hitting set."""
+"""Hitting-set predicates and minimization of a hitting set, on edge masks."""
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 
-from .core import Hypergraph, VertexSet, iter_bits
+from .core import Hypergraph, VertexSet
 
 __all__ = [
     "is_hitting_set",
@@ -45,91 +45,44 @@ def minimize(
 ) -> VertexSet:
     """Shrink the hitting set ``s`` to a minimal hitting set ``T ⊆ s``.
 
-    Two-phase sweep over the bipartite incidence graph between ``s`` and
-    the edges: a vertex joins ``T`` only when it is the unique live
-    neighbor of some live edge, which forces a private edge for it.
-    Tie-breaks are fixed (edges in input order, then lowest-index live
-    edge and its lowest-index live vertex) so the result is
-    deterministic.  Total adjacency work is O(m * |s|); when ``counters``
-    is given, every adjacency-entry visit bumps ``adjacency_touches``.
+    A two-phase sweep over the edge masks.  Phase 1 puts into ``T`` every
+    vertex that is the only one of ``s`` in some edge.  Phase 2 takes the
+    edges in input order; while ``T`` misses the edge, it drops the edge's
+    lowest live vertex (in ``s``, not yet taken or dropped), then scans
+    the edges containing the dropped vertex in input order, and each one
+    that ``T`` still misses and that now holds a single live vertex gives
+    that vertex to ``T``.  A vertex thus joins ``T`` only with a private
+    edge, so the result is minimal, and every tie-break is fixed.
+
+    The work is O(m * |s|) edge-mask reads: m for phase 1, m for the
+    phase-2 scan and m per dropped vertex.  When ``counters`` is given,
+    they are tallied under ``adjacency_touches``.
     """
     masks = h.edge_masks()
     if not hits_all_masks(masks, s.mask):
         raise ValueError("input is not a hitting set")
-    n = h.n
     m = len(masks)
-
-    def bump(amount: int = 1) -> None:
-        if counters is not None:
-            counters["adjacency_touches"] += amount
-
-    # Incidence lists restricted to s, plus live flags and degree counts.
-    edge_vertices: list[list[int]] = []
-    vertex_edges: dict[int, list[int]] = {v: [] for v in iter_bits(s.mask)}
-    degree = [0] * m
-    for idx, e in enumerate(masks):
-        inc = list(iter_bits(e & s.mask))
-        bump(len(inc))
-        edge_vertices.append(inc)
-        degree[idx] = len(inc)
-        for v in inc:
-            vertex_edges[v].append(idx)
-
-    edge_alive = [True] * m
-    vertex_alive = {v: True for v in vertex_edges}
-    cursor = [0] * m  # per-edge scan position; removed vertices never revive
-    t_mask = 0
-
-    def first_alive_vertex(idx: int) -> int:
-        inc = edge_vertices[idx]
-        pos = cursor[idx]
-        while not vertex_alive[inc[pos]]:
-            bump()
-            pos += 1
-        bump()
-        cursor[idx] = pos
-        return inc[pos]
-
-    def take(v: int) -> None:
-        # v gets a private edge: put it in T, drop v and every edge it hits.
-        nonlocal t_mask
-        t_mask |= 1 << v
-        vertex_alive[v] = False
-        for idx in vertex_edges[v]:
-            bump()
-            edge_alive[idx] = False
-
-    pending: deque[int] = deque()
-
-    def drop_vertex(v: int) -> None:
-        vertex_alive[v] = False
-        for idx in vertex_edges[v]:
-            bump()
-            if edge_alive[idx]:
-                degree[idx] -= 1
-                if degree[idx] == 1:
-                    pending.append(idx)
-
-    def flush_pending() -> None:
-        while pending:
-            idx = pending.popleft()
-            if edge_alive[idx]:
-                take(first_alive_vertex(idx))
-
-    # Phase 1: edges already owned by a single vertex of s.
-    for idx in range(m):
-        if edge_alive[idx] and degree[idx] == 1:
-            take(first_alive_vertex(idx))
-
-    # Phase 2: peel an arbitrary (lowest-index) vertex off the lowest live
-    # edge until the degree-1 rule covers everything.
-    scan = 0
-    while True:
-        while scan < m and not edge_alive[scan]:
-            scan += 1
-        if scan == m:
-            break
-        drop_vertex(first_alive_vertex(scan))
-        flush_pending()
-
-    return VertexSet(n, t_mask)
+    t = 0
+    for e in masks:
+        es = e & s.mask
+        if es & (es - 1) == 0:  # s meets e in one vertex: a private edge
+            t |= es
+    live = s.mask & ~t
+    # from here on every edge that T misses holds two or more live
+    # vertices between drops, so ``low`` and ``rest`` are never 0
+    drops = 0
+    for e in masks:
+        while not e & t:
+            low = e & live
+            low &= -low
+            live ^= low
+            drops += 1
+            for f in masks:
+                if f & low and not f & t:
+                    rest = f & live
+                    if rest & (rest - 1) == 0:
+                        t |= rest
+                        live ^= rest
+    if counters is not None:
+        counters["adjacency_touches"] += m * (2 + drops)
+    return VertexSet(h.n, t)

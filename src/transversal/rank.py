@@ -14,8 +14,9 @@ first, carrying the prefix's edge classification (``uncov``/``crit``, see
 ``extension.extend``), drops every seed below a prefix in which some
 vertex has lost its last private edge (no such seed extends), and hands
 each surviving seed's classification to ``find_higher_order``.  The
-edge-family route builds a (k-1)-subfamily's member list only when a
-k-family first reads it.
+edge-family route keeps each (k-1)-subfamily's members (the edges inside
+its union) as an edge-index mask, built only when a k-family first reads
+it; a k-family certifies when the AND of its k member masks is 0.
 
 The exact rank defaults to a third route: one walk of ``enumerate_tr``'s
 search tree, keeping the largest solution and pruning each node whose
@@ -45,8 +46,8 @@ __all__ = [
     "transversal_rank",
 ]
 
-# Most (k-1)-subfamily member lists ``rank_at_least_bd`` keeps per call;
-# any other list is rebuilt at every read (slower, same answers).
+# Most (k-1)-subfamily member masks ``rank_at_least_bd`` keeps per call;
+# any other mask is rebuilt at every read (slower, same answers).
 BD_TABLE_ENTRIES = 1 << 20
 
 
@@ -166,51 +167,6 @@ def rank_at_least_lookahead(
     return None
 
 
-def _sorted_lists_intersect(
-    lists: list[tuple[int, ...]], counters: Counter | None
-) -> bool:
-    """Whether k ascending index lists share an element, by merging.
-
-    Every list entry is read at most once; reads are tallied under
-    ``bd_entries_touched`` (and the per-call maximum under
-    ``bd_entries_touched_max``).
-    """
-    touched = 0
-    found = False
-    heads: list[int] | None = []
-    pos = [0] * len(lists)
-    for lst in lists:
-        if not lst:
-            heads = None
-            break
-        heads.append(lst[0])
-        touched += 1
-    if heads is not None:
-        while True:
-            hi = max(heads)
-            if min(heads) == hi:
-                found = True
-                break
-            exhausted = False
-            for i, lst in enumerate(lists):
-                while heads[i] < hi:
-                    pos[i] += 1
-                    if pos[i] == len(lst):
-                        exhausted = True
-                        break
-                    heads[i] = lst[pos[i]]
-                    touched += 1
-                if exhausted:
-                    break
-            if exhausted:
-                break
-    if counters is not None:
-        counters["bd_entries_touched"] += touched
-        if touched > counters["bd_entries_touched_max"]:
-            counters["bd_entries_touched_max"] = touched
-    return found
-
-
 def rank_at_least_bd(
     h: Hypergraph, k: int, *, counters: Counter | None = None
 ) -> RankWitness | None:
@@ -220,10 +176,15 @@ def rank_at_least_bd(
     complement of the overlap set is then a hitting set whose minimization
     has at least k vertices.
 
-    The member list of a (k-1)-subfamily (the edges inside its union) is
-    built the first time a k-family reads it and kept for later reads.
-    At most ``BD_TABLE_ENTRIES`` lists are kept; any other is rebuilt at
-    every read.  Lists built are tallied under ``bd_member_lists``.
+    The members of a (k-1)-subfamily (the edges inside its union) form
+    an edge-index mask, built the first time a k-family reads it and kept
+    for later reads.  At most ``BD_TABLE_ENTRIES`` masks are kept; any
+    other is rebuilt at every read.  A k-family certifies when the AND of
+    its k member masks is 0 (every edge of the family is in k-1 of them,
+    so no smaller AND can be 0).  Masks built are tallied under
+    ``bd_member_lists``, and masks ANDed, k per family, under
+    ``bd_entries_touched`` (the most per family under
+    ``bd_entries_touched_max``).
 
     A "yes" stops at the first certifying family, but a "no" reads all
     C(m', k) k-families of the m' minimal edges, so the failing k of an
@@ -239,25 +200,31 @@ def rank_at_least_bd(
         return None
     full = (1 << h.n) - 1
 
-    table: dict[tuple[int, ...], tuple[int, ...]] = {}
+    table: dict[tuple[int, ...], int] = {}
 
-    def member_list(family: tuple[int, ...]) -> tuple[int, ...]:
+    def member_mask(family: tuple[int, ...]) -> int:
         found = table.get(family)
         if found is not None:
             return found
         union = 0
         for i in family:
             union |= masks[i]
-        found = tuple(j for j, e in enumerate(masks) if e & ~union == 0)
+        found = sum(1 << j for j, e in enumerate(masks) if e & ~union == 0)
         if counters is not None:
             counters["bd_member_lists"] += 1
         if len(table) < BD_TABLE_ENTRIES:
             table[family] = found
         return found
 
+    if counters is not None:
+        counters["bd_entries_touched_max"] = max(counters["bd_entries_touched_max"], k)
     for family in colex_combinations(ms, k):
-        lists = [member_list(family[:drop] + family[drop + 1 :]) for drop in range(k)]
-        if _sorted_lists_intersect(lists, counters):
+        shared = -1
+        for drop in range(k):
+            shared &= member_mask(family[:drop] + family[drop + 1 :])
+        if counters is not None:
+            counters["bd_entries_touched"] += k
+        if shared:
             continue
         overlap = 0
         for a, b in itertools.combinations(family, 2):

@@ -236,6 +236,8 @@ def test_oracle_cap_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TRANSVERSAL_ORACLE_CAP", "22")
     code, out, _ = run(capsys, "oracle", "rank", str(big))
     assert code == 0 and out.strip() == "1"
+    code, out, _ = run(capsys, "rank", "--exact", "--method", "oracle", str(big))
+    assert code == 0 and out.strip() == "1"
 
 
 def test_unknown_flag_is_usage_error(capsys, pairs):

@@ -73,6 +73,11 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph(2, [(0, 2)])
 
+    def test_name_with_comment_mark_rejected(self):
+        # parse cuts each line at "#", so such a name could not round-trip
+        with pytest.raises(ValueError):
+            Hypergraph(2, [(0,), (0, 1)], names=("a#b", "c"))
+
 
 class TestParse:
     def test_numbered_by_first_appearance(self):

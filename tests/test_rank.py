@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -14,7 +16,7 @@ from transversal.generators import (
     bounded_rank_instance,
     uniform_instance,
 )
-from transversal.hitting import is_minimal_hitting_set, minimize
+from transversal.hitting import is_hitting_set, is_minimal_hitting_set, minimize
 from transversal.rank import (
     _irredundant_seeds,
     colex_combinations,
@@ -25,7 +27,7 @@ from transversal.rank import (
 )
 from transversal.oracle import brute_rank
 
-from conftest import random_hypergraph
+from conftest import build_corpus, random_hypergraph
 
 MATCHING3 = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])
 
@@ -213,6 +215,7 @@ class TestEdgeFamilyRoute:
                 counters: Counter = Counter()
                 rank_at_least_bd(h, k, counters=counters)
                 assert counters["bd_entries_touched_max"] <= k * h.m
+                assert counters["bd_entries_touched_max"] <= k
 
     def test_family_traps_no_edge(self):
         rng = random.Random(13)
@@ -335,3 +338,49 @@ def test_decider_scan_jumps_past_each_witness(monkeypatch):
     assert transversal_rank(h, method="lookahead") == 11
     # the plain scan asked k = 1, 2, ..., 12
     assert asked == [1, 10, 12]
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(repr(values).encode()).hexdigest()[:16]
+
+
+def _witness_fields(w):
+    """Every field of a witness in declaration order, each set as its mask
+    and each tuple of sets as a tuple of masks."""
+    if w is None:
+        return None
+    out = []
+    for f in fields(w):
+        v = getattr(w, f.name)
+        if isinstance(v, VertexSet):
+            v = v.mask
+        elif v is not None:
+            v = tuple(e.mask for e in v)
+        out.append(v)
+    return tuple(out)
+
+
+def test_golden_outputs_over_the_corpus():
+    # pinned results of minimize and of both deciders, tie-breaks and
+    # witness fields included, so a rewrite of either core keeps them
+    rng = random.Random(2026)
+    minimized, witnesses = [], []
+    for h in build_corpus():
+        if h.m == 0 or any(e == 0 for e in h.edge_masks()):
+            continue
+        for _ in range(4):
+            s = VertexSet(h.n, rng.getrandbits(h.n))
+            if not is_hitting_set(h, s):
+                s = VertexSet.full(h.n)
+            minimized.append(minimize(h, s).mask)
+        for k in range(2, h.n + 2):
+            witnesses.append(
+                (
+                    _witness_fields(rank_at_least_bd(h, k)),
+                    _witness_fields(rank_at_least_lookahead(h, k)),
+                )
+            )
+    assert len(minimized) == 1_512
+    assert _digest(minimized) == "66504e0c58a4ec7c"
+    assert len(witnesses) == 1_713
+    assert _digest(witnesses) == "c7e1294db668056c"

@@ -104,11 +104,14 @@ def enumerate_maximal_hypercliques(
     r: int | None = None,
 ) -> int:
     """Emit the maximal hypercliques (>= r vertices, every r-subset an
-    edge) of an r-uniform hypergraph, r >= 2, via the complement's
-    minimal hitting sets.  Complements smaller than r are discarded."""
+    edge) of an r-uniform hypergraph: a graph's (r = 2) by
+    ``enumerate_maximal_cliques``, and for r >= 3 via the complement's
+    minimal hitting sets, discarding complements smaller than r."""
     r = _uniform_rank(h, r)
     if r < 2:
         raise ValueError("hypercliques need arity at least 2")
+    if r == 2:
+        return enumerate_maximal_cliques(h, sink, limit=limit)
     non_edges = uniform_complement(h, r)
     full = (1 << h.n) - 1
 

@@ -8,15 +8,16 @@ k-tuples of minimal edges whose pairwise overlaps trap no edge.  These
 are the paper's algorithms and carry its bounds for fixed k.  A
 brute-force oracle route is available for cross-checking.
 
-Both scans keep their order, so their first hit, and save work only
-where it cannot matter.  The look-ahead walks the seeds top element
-first, carrying the prefix's edge classification (``uncov``/``crit``, see
-``extension.extend``), drops every seed below a prefix in which some
-vertex has lost its last private edge (no such seed extends), and hands
-each surviving seed's classification to ``find_higher_order``.  The
-edge-family route keeps each (k-1)-subfamily's members (the edges inside
-its union) as an edge-index mask, built only when a k-family first reads
-it; a k-family certifies when the AND of its k member masks is 0.
+Both scans walk their subsets by one colex walk (``_colex_walk``), top
+element first, and cut a prefix only when no completion can hit, so
+each keeps the full scan's first hit.  The look-ahead cuts a prefix in
+which some vertex has lost its last private edge (no seed below it
+extends) and hands each surviving seed's edge classification
+(``uncov``/``crit``, see ``extension.extend``) to ``find_higher_order``.
+The edge-family route cuts a prefix whose overlap (the vertices in two
+or more of its edges) already holds a minimal edge, since the overlap
+only grows; it makes at most Σ_{i<=k} C(m', i) overlap tests of m'
+edge reads each, the paper's O(m^{k+1}·n) for a "no".
 
 The exact rank defaults to a third route: one walk of ``enumerate_tr``'s
 search tree, keeping the largest solution and pruning each node whose
@@ -27,7 +28,6 @@ failing k, which dominates the deciders' ascending scan.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
@@ -36,6 +36,7 @@ from .core import Hypergraph, VertexSet, minimize_edges
 from .enumeration import _walk_tree
 from .extension import find_higher_order, incidence_masks, include_vertex
 from .hitting import minimize
+from .oracle import brute_rank, brute_tr
 
 __all__ = [
     "RankWitness",
@@ -45,10 +46,6 @@ __all__ = [
     "rank_at_least",
     "transversal_rank",
 ]
-
-# Most (k-1)-subfamily member masks ``rank_at_least_bd`` keeps per call;
-# any other mask is rebuilt at every read (slower, same answers).
-BD_TABLE_ENTRIES = 1 << 20
 
 
 def colex_combinations(n: int, size: int) -> Iterator[tuple[int, ...]]:
@@ -63,6 +60,27 @@ def colex_combinations(n: int, size: int) -> Iterator[tuple[int, ...]]:
             yield rest + (top,)
 
 
+def _colex_walk(n: int, size: int, root, grow) -> Iterator[tuple]:
+    """The size-subsets of range(n) in colex order, each with its state,
+    minus every subset below a prefix that ``grow`` cuts.
+
+    Each subset's top element is picked first, so a prefix is a set of
+    high elements; ``grow(state, v)`` gives the prefix's state after v
+    joins, or None to skip the whole colex block below it.
+    """
+
+    def walk(below: int, left: int, state, suffix: tuple):
+        if left == 0:
+            yield suffix, state
+            return
+        for v in range(left - 1, below):
+            child = grow(state, v)
+            if child is not None:
+                yield from walk(v, left - 1, child, (v,) + suffix)
+
+    return walk(n, size, root, ())
+
+
 def _irredundant_seeds(
     h: Hypergraph, size: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, list[int]]]]:
@@ -71,25 +89,22 @@ def _irredundant_seeds(
     with its edge classification ``(uncov, crit)`` (``crit`` ascending by
     member, as ``extend`` takes it).
 
-    The walk picks each seed's top element first, so a prefix is a set of
-    high vertices, and carries the prefix's ``uncov``/``crit`` edge masks,
-    updated by ``include_vertex`` as each vertex joins.  Masks only shrink
-    as vertices join, so once one is 0 the whole colex block below the
-    prefix is skipped.
+    The walk carries the prefix's ``uncov``/``crit`` masks (see
+    ``include_vertex``); they only shrink as vertices join, so once one
+    is 0 the colex block below the prefix is skipped.
     """
     incidence = incidence_masks(h)
 
-    def walk(below: int, left: int, uncov: int, crit: list[int], suffix: tuple):
-        if left == 0:
-            # members joined top first, so their masks are descending
-            yield suffix, (uncov, crit[::-1])
-            return
-        for v in range(left - 1, below):
-            child_uncov, child_crit = include_vertex(uncov, crit, incidence[v])
-            if 0 not in child_crit:
-                yield from walk(v, left - 1, child_uncov, child_crit, (v,) + suffix)
+    def grow(state: tuple[int, list[int]], v: int) -> tuple[int, list[int]] | None:
+        ev = incidence[v]
+        if not state[0] & ev:
+            return None  # v meets no uncovered edge, so it has no private one
+        child = include_vertex(*state, ev)
+        return None if 0 in child[1] else child
 
-    return walk(h.n, size, (1 << h.m) - 1, [], ())
+    for seed, (uncov, crit) in _colex_walk(h.n, size, ((1 << h.m) - 1, []), grow):
+        # members joined top first, so their masks are descending
+        yield seed, (uncov, crit[::-1])
 
 
 @dataclass(frozen=True)
@@ -171,69 +186,49 @@ def rank_at_least_bd(
     h: Hypergraph, k: int, *, counters: Counter | None = None
 ) -> RankWitness | None:
     """Edge-family decider: after reducing to the inclusion-minimal edges,
-    look for k of them such that no edge lies inside the union of any k-1
-    (equivalently, no edge survives inside their pairwise overlaps); the
-    complement of the overlap set is then a hitting set whose minimization
-    has at least k vertices.
+    look for k of them whose pairwise overlaps (the vertices in two or
+    more of them) hold no edge; the complement of that overlap is then a
+    hitting set whose minimization has at least k vertices.
 
-    The members of a (k-1)-subfamily (the edges inside its union) form
-    an edge-index mask, built the first time a k-family reads it and kept
-    for later reads.  At most ``BD_TABLE_ENTRIES`` masks are kept; any
-    other is rebuilt at every read.  A k-family certifies when the AND of
-    its k member masks is 0 (every edge of the family is in k-1 of them,
-    so no smaller AND can be 0).  Masks built are tallied under
-    ``bd_member_lists``, and masks ANDed, k per family, under
-    ``bd_entries_touched`` (the most per family under
-    ``bd_entries_touched_max``).
+    A vertex lies in the union of every k-1 members exactly when it lies
+    in two or more, so this is the paper's test that no edge lies inside
+    the union of any k-1 of them.  The k-families are walked in colex
+    order, top member first, carrying the prefix's union ``once`` and
+    overlap ``twice`` (a new member e adds ``once & e``).  A prefix is cut
+    as soon as some minimal edge lies inside ``twice``: the overlap only
+    grows as members join, so no completion certifies, and the first
+    certifying family is the full colex scan's.
 
-    A "yes" stops at the first certifying family, but a "no" reads all
-    C(m', k) k-families of the m' minimal edges, so the failing k of an
-    exact-rank scan can cost far more than every "yes" before it.
+    Each prefix whose overlap grew reads the m' minimal edges once; these
+    overlap tests are tallied under ``bd_entries_touched``.  There is at
+    most one per prefix of the unpruned walk, Σ_{i<=k} C(m', i) in all,
+    so a "no" can still cost the paper's O(m^{k+1}·n).
     """
     _reject_empty_edge(h)
     if h.m == 0 or k <= 1:
         return _small_k(h, k)
     hs = minimize_edges(h)
     masks = hs.edge_masks()
-    ms = len(masks)
-    if k > ms:
+    if k > len(masks):
         return None
-    full = (1 << h.n) - 1
 
-    table: dict[tuple[int, ...], int] = {}
+    def grow(state: tuple[int, int], i: int) -> tuple[int, int] | None:
+        once, twice = state
+        e = masks[i]
+        grown = twice | (once & e)
+        if grown != twice:
+            if counters is not None:
+                counters["bd_entries_touched"] += 1
+            if any(f & ~grown == 0 for f in masks):
+                return None
+        return once | e, grown
 
-    def member_mask(family: tuple[int, ...]) -> int:
-        found = table.get(family)
-        if found is not None:
-            return found
-        union = 0
-        for i in family:
-            union |= masks[i]
-        found = sum(1 << j for j, e in enumerate(masks) if e & ~union == 0)
-        if counters is not None:
-            counters["bd_member_lists"] += 1
-        if len(table) < BD_TABLE_ENTRIES:
-            table[family] = found
-        return found
-
-    if counters is not None:
-        counters["bd_entries_touched_max"] = max(counters["bd_entries_touched_max"], k)
-    for family in colex_combinations(ms, k):
-        shared = -1
-        for drop in range(k):
-            shared &= member_mask(family[:drop] + family[drop + 1 :])
-        if counters is not None:
-            counters["bd_entries_touched"] += k
-        if shared:
-            continue
-        overlap = 0
-        for a, b in itertools.combinations(family, 2):
-            overlap |= masks[a] & masks[b]
-        t = minimize(h, VertexSet(h.n, full & ~overlap))
+    for family, (_, twice) in _colex_walk(len(masks), k, (0, 0), grow):
+        overlap = VertexSet(h.n, twice)
         return RankWitness(
-            t=t,
+            t=minimize(h, overlap.complement()),
             edge_family=tuple(hs.edges[i] for i in family),
-            overlap=VertexSet(h.n, overlap),
+            overlap=overlap,
         )
     return None
 
@@ -250,8 +245,6 @@ def rank_at_least(
     if method == "bd":
         return rank_at_least_bd(h, k, counters=counters)
     if method == "oracle":
-        from .oracle import brute_tr
-
         _reject_empty_edge(h)
         for t in brute_tr(h):
             if len(t) >= k:
@@ -321,16 +314,19 @@ def transversal_rank(
     The default ``method="tree"`` walks the search tree once with a
     private-edge bound (``_largest_by_tree``).  It has no polynomial
     bound: in the worst case it visits the whole tree.  The deciders
-    (``"lookahead"``, ``"bd"``, ``"oracle"``), which carry the paper's
-    bounds for fixed k, are instead asked for k = 1, 2, ...; after a
-    witness t the next question is k = |t|+1, and the first "no" ends
-    the scan.  ``counters`` receives the chosen route's work counts.
+    (``"lookahead"``, ``"bd"``), which carry the paper's bounds for fixed
+    k, are instead asked for k = 1, 2, ...; after a witness t the next
+    question is k = |t|+1, and the first "no" ends the scan.
+    ``"oracle"`` reads the largest size off one brute-force list.
+    ``counters`` receives the chosen route's work counts.
     """
     _reject_empty_edge(h)
     if counters is None:
         counters = Counter()
     if method == "tree":
         return len(_largest_by_tree(h, counters).t)
+    if method == "oracle":
+        return brute_rank(h)
     best = 0
     k = 1
     while k <= h.n:

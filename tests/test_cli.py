@@ -70,7 +70,7 @@ def test_enumerate_json_schema(capsys, pairs):
     "command, enumerator, lines",
     [
         ("enumerate", "enumerate_tr", ["1 3", "1 4", "2 3", "2 4"]),
-        ("cliques", "enumerate_maximal_hypercliques", ["3 4", "1 2"]),
+        ("cliques", "enumerate_maximal_hypercliques", ["1 2", "3 4"]),
     ],
 )
 def test_plain_mode_prints_each_set_as_it_arrives(

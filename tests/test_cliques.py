@@ -78,7 +78,8 @@ class TestHypercliques:
     def test_path_via_complement(self):
         h = Hypergraph(3, [(0, 1), (1, 2)])
         got = collect(enumerate_maximal_hypercliques, h)
-        assert [c.members() for c in got] == [(1, 2), (0, 1)]
+        # graphs take the clique enumerator's order
+        assert [c.members() for c in got] == [(0, 1), (1, 2)]
 
     def test_complete_3_uniform(self):
         h = Hypergraph(4, list(itertools.combinations(range(4), 3)))

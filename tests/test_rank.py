@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import random
 from collections import Counter
 from dataclasses import fields
+from math import comb
 
 import pytest
 
-from transversal import Hypergraph, VertexSet, edge_complement
-from transversal import rank
+from transversal import Hypergraph, VertexSet, edge_complement, minimize_edges
+from transversal import oracle, rank
 from transversal.conformal import conformal_degree
 from transversal.extension import find_higher_order
 from transversal.generators import (
@@ -18,6 +20,7 @@ from transversal.generators import (
 )
 from transversal.hitting import is_hitting_set, is_minimal_hitting_set, minimize
 from transversal.rank import (
+    RankWitness,
     _irredundant_seeds,
     colex_combinations,
     rank_at_least,
@@ -176,34 +179,46 @@ class TestEdgeFamilyRoute:
     def test_fewer_edges_than_k(self):
         assert rank_at_least_bd(Hypergraph(1, [(0,)]), 3) is None
 
-    def test_table_and_recompute_paths_agree(self, monkeypatch):
+    def test_first_family_of_the_colex_scan(self):
+        """The pruned walk certifies the first family of the plain colex
+        scan whose pairwise overlaps hold no minimal edge."""
         rng = random.Random(3)
         for _ in range(40):
             h = random_hypergraph(rng, n_max=6, m_max=8, empty_edge_p=0)
             if h.m == 0:
                 continue
-            for k in range(0, h.n + 2):
-                a = rank_at_least_bd(h, k)
-                for cap in (0, 3):
-                    monkeypatch.setattr(rank, "BD_TABLE_ENTRIES", cap)
-                    # every field: t, edge_family and overlap
-                    assert rank_at_least_bd(h, k) == a
-                monkeypatch.undo()
+            hs = minimize_edges(h)
+            masks = hs.edge_masks()
+            for k in range(2, h.n + 2):
+                want = None
+                for family in colex_combinations(hs.m, k):
+                    overlap = 0
+                    for a, b in itertools.combinations(family, 2):
+                        overlap |= masks[a] & masks[b]
+                    if not any(e & ~overlap == 0 for e in masks):
+                        overlap_set = VertexSet(h.n, overlap)
+                        want = RankWitness(
+                            t=minimize(h, overlap_set.complement()),
+                            edge_family=tuple(hs.edges[i] for i in family),
+                            overlap=overlap_set,
+                        )
+                        break
+                # every field: t, edge_family and overlap
+                assert rank_at_least_bd(h, k) == want, (h, k)
 
-    def test_member_lists_built_lazily(self):
-        # the exact rank's k-scan builds only the (k-1)-subfamily member
-        # lists its families read; building them all up front took 65,534
-        # lists on br20 and 7,813 on bd40
-        for h, want_rank, want_lists in (
-            (bounded_rank_instance(random.Random(0), 20, 40, 3), 15, 309),
-            (bounded_degree_instance(random.Random(1), 40, 80, 4), 9, 993),
+    def test_exact_rank_scan_work_counts(self):
+        # the exact rank's k-scan, in overlap tests; the unpruned walk's
+        # bound is the sum over i <= k of C(m', i)
+        for h, want_rank, want_tests in (
+            (bounded_rank_instance(random.Random(0), 20, 40, 3), 15, 47),
+            (bounded_degree_instance(random.Random(1), 40, 80, 4), 9, 646),
         ):
             counters: Counter = Counter()
             k = 1
             while rank_at_least_bd(h, k, counters=counters) is not None:
                 k += 1
             assert k - 1 == want_rank
-            assert counters["bd_member_lists"] == want_lists
+            assert counters["bd_entries_touched"] == want_tests
 
     def test_intersection_budget(self):
         rng = random.Random(9)
@@ -211,11 +226,12 @@ class TestEdgeFamilyRoute:
             h = random_hypergraph(rng, n_max=7, m_max=9, empty_edge_p=0)
             if h.m == 0:
                 continue
+            ms = minimize_edges(h).m
             for k in range(2, h.n + 2):
                 counters: Counter = Counter()
                 rank_at_least_bd(h, k, counters=counters)
-                assert counters["bd_entries_touched_max"] <= k * h.m
-                assert counters["bd_entries_touched_max"] <= k
+                bound = sum(comb(ms, i) for i in range(1, k + 1))
+                assert counters["bd_entries_touched"] <= bound
 
     def test_family_traps_no_edge(self):
         rng = random.Random(13)
@@ -254,6 +270,21 @@ def test_transversal_rank_examples():
     assert transversal_rank(MATCHING3, method="oracle") == 3
     with pytest.raises(ValueError):
         transversal_rank(Hypergraph(2, [(), (0,)]))
+
+
+def test_oracle_rank_runs_one_brute_force(monkeypatch):
+    calls = 0
+    real = oracle.brute_tr
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "brute_tr", counted)
+    h = uniform_instance(random.Random(0), 16, 40, 3)
+    assert transversal_rank(h, method="oracle") == 11
+    assert calls == 1
 
 
 def test_rank_at_least_unknown_method():
@@ -297,8 +328,9 @@ class TestTreeRank:
 
     def test_matches_deciders(self):
         # each decider where it answers within seconds: on uniform_instance
-        # the edge-family route's k = 10 runs for minutes, and on br30 the
-        # look-ahead's k = 18 alone takes about 25 s
+        # the edge-family route answers k = 10 in 0.2 s but its k = 12 "no"
+        # takes about 9 s, and on br30 the look-ahead's k = 18 alone takes
+        # about 25 s
         for s, want in zip(range(4), [11, 10, 10, 11]):
             h = uniform_instance(random.Random(s), 16, 40, 3)
             assert self.check(h) == want

@@ -5,7 +5,9 @@ a time and walks the resulting tree of maximal cliques; its delay depends
 only on the graph size, never on how many cliques were already produced.
 Uniform hypergraphs of higher arity go through the complement: maximal
 hypercliques are exactly the complements of the minimal hitting sets of
-the non-edges.
+the non-edges.  A graph's maximal independent sets are the maximal
+cliques of its complement graph (plus the vertices adjacent to all
+others, alone), so they take the graph enumerator too.
 
 Every enumerator here follows the sink protocol of ``enumeration``: a
 sink may raise ``StopEnumeration`` to end the call, ``limit=N`` stops
@@ -136,9 +138,24 @@ def enumerate_maximal_independent_sets(
 ) -> int:
     """Emit the maximal sets containing no edge of a uniform hypergraph;
     these are exactly the complements of its minimal hitting sets, with
-    no size floor."""
-    if h.edge_masks():
-        _uniform_rank(h, r)
+    no size floor.
+
+    A graph (2-uniform, at least one edge) takes the polynomial-delay
+    route: first each vertex adjacent to all others, alone, then the
+    maximal cliques of the complement graph, which has no edge at such a
+    vertex.  Any other input streams the complements of ``enumerate_tr``'s
+    outputs; an edgeless one gives the whole universe."""
+    if h.edge_masks() and _uniform_rank(h, r) == 2:
+
+        def run(out: Sink) -> None:
+            for v in range(h.n):
+                if h.degree(v) == h.n - 1:
+                    out(VertexSet(h.n, 1 << v))
+            # a stop raised by ``out`` ends this clique run, and with it the call
+            enumerate_maximal_cliques(uniform_complement(h, 2), out)
+
+        return stream(run, sink, limit)
+
     full = (1 << h.n) - 1
 
     def complement(t: VertexSet) -> None:

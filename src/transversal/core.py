@@ -9,7 +9,6 @@ intersection, containment tests) are plain integer arithmetic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -171,7 +170,6 @@ class Hypergraph:
         "_masks",
         "_degrees",
         "_rank",
-        "_sperner",
     )
 
     def __init__(
@@ -205,18 +203,23 @@ class Hypergraph:
                 continue
             seen.add(mask)
             masks.append(mask)
+        self._fill(n, names, masks, dropped)
+
+    def _fill(self, n: int, names, masks: list[int], dropped: int) -> None:
         self.n = n
         self.names = names
         self.duplicates_dropped = dropped
         self._masks = tuple(masks)
         self.edges = tuple(VertexSet(n, m) for m in masks)
-        degrees = [0] * n
-        for m in masks:
-            for v in iter_bits(m):
-                degrees[v] += 1
-        self._degrees = tuple(degrees)
+        self._degrees: tuple[int, ...] | None = None  # counted on first use
         self._rank = max((m.bit_count() for m in masks), default=0)
-        self._sperner: bool | None = None
+
+    def _with_edges(self, masks: list[int]) -> "Hypergraph":
+        """This universe and name table with some of this hypergraph's
+        edges, which need no second check."""
+        h = Hypergraph.__new__(Hypergraph)
+        h._fill(self.n, self.names, masks, 0)
+        return h
 
     @property
     def m(self) -> int:
@@ -228,14 +231,20 @@ class Hypergraph:
 
     @property
     def max_degree(self) -> int:
-        return max(self._degrees, default=0)
+        return max(self.degrees, default=0)
 
     @property
     def degrees(self) -> tuple[int, ...]:
+        if self._degrees is None:
+            degrees = [0] * self.n
+            for m in self._masks:
+                for v in iter_bits(m):
+                    degrees[v] += 1
+            self._degrees = tuple(degrees)
         return self._degrees
 
     def degree(self, v: int) -> int:
-        return self._degrees[v]
+        return self.degrees[v]
 
     def edge_masks(self) -> tuple[int, ...]:
         return self._masks
@@ -245,14 +254,7 @@ class Hypergraph:
 
     def is_sperner(self) -> bool:
         """True when no edge contains another (duplicates cannot occur)."""
-        if self._sperner is None:
-            ok = True
-            for a, b in itertools.combinations(self._masks, 2):
-                if a & ~b == 0 or b & ~a == 0:
-                    ok = False
-                    break
-            self._sperner = ok
-        return self._sperner
+        return minimize_edges(self) is self
 
     def token(self, v: int) -> str:
         if self.names is not None:
@@ -364,14 +366,33 @@ def serialize(h: Hypergraph) -> str:
 
 
 def minimize_edges(h: Hypergraph) -> Hypergraph:
-    """Keep only the inclusion-wise minimal edges, in their input order."""
+    """Keep only the inclusion-wise minimal edges, in their input order;
+    ``h`` itself when every edge is minimal.
+
+    The edges are packed into one integer, edge i in the (n+1)-bit lane
+    starting at bit i(n+1).  For an edge e, ``packed & ~(e * ones)``
+    leaves in each lane the part of that edge outside e, and adding
+    2^n - 1 to every lane sets a lane's top bit exactly when that part is
+    nonempty.  Edges are distinct, so e is minimal exactly when its own
+    lane is the only one left without its top bit: a few whole-integer
+    operations per edge.
+    """
     masks = h.edge_masks()
-    keep = []
+    if len({e.bit_count() for e in masks}) <= 1:
+        return h  # distinct edges of one size contain no other
+    width = h.n + 1
+    packed = ones = 0
     for i, e in enumerate(masks):
-        if any(f != e and f & ~e == 0 for f in masks):
-            continue
-        keep.append(e)
-    return Hypergraph(h.n, (VertexSet(h.n, m) for m in keep), names=h.names)
+        packed |= e << (i * width)
+        ones |= 1 << (i * width)
+    low = ones * ((1 << h.n) - 1)
+    top = ones << h.n
+    keep = [
+        e
+        for i, e in enumerate(masks)
+        if (((packed & ~(e * ones)) + low) & top) | (1 << (i * width + h.n)) == top
+    ]
+    return h if len(keep) == len(masks) else h._with_edges(keep)
 
 
 def edge_complement(h: Hypergraph) -> Hypergraph:

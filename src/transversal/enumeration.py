@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Hypergraph, VertexSet
+from .core import Hypergraph, VertexSet, minimize_edges
 from .extension import ExtensionOutcome, Sink, extend, incidence_masks, include_vertex
 from . import verify as _verify
 
@@ -200,6 +200,13 @@ def enumerate_tr(
     node carries its edge classification, so it reduces only the edges
     that classification names instead of scanning all m.
 
+    The walk runs on the inclusion-minimal edges (``minimize_edges``):
+    Tr(H) = Tr(min H), and an edge containing another is unhit only
+    while the edge inside it is, and private to a member of a solution
+    only where that edge is too, so dropping it once up front changes
+    neither the outputs nor their order.  The stats keep the input's n
+    and m.
+
     An edgeless hypergraph yields the single solution {} and an empty
     edge yields nothing.
     """
@@ -209,7 +216,7 @@ def enumerate_tr(
         if h.m == 0:
             out(VertexSet(h.n))
         else:
-            _walk_tree(h, out, stats.work, stats=stats)
+            _walk_tree(minimize_edges(h), out, stats.work, stats=stats)
 
     return _stream_stats(stats, run, sink, limit)
 
@@ -224,6 +231,10 @@ def enumerate_incremental(
     hands back a minimal hitting set S of G that is no edge of the input,
     and shrinking the complement of S yields a fresh solution.  Intended
     for inputs of small edge rank, where the verification is cheap.
+
+    ``stats.work`` sums the verifications' counters, the product
+    iterations of their tree searches included; the call histogram stays
+    empty, since those searches run on G, not on the input.
     """
     stats = DelayStats(n=h.n, m=h.m)
 
@@ -231,7 +242,7 @@ def enumerate_incremental(
         solutions: list[VertexSet] = []
         while True:
             g = Hypergraph(h.n, solutions, names=h.names)
-            outcome = _verify.verify_tr(g, h)
+            outcome = _verify.verify_tr(g, h, counters=stats.work)
             if isinstance(outcome, _verify.Equal):
                 return
             if isinstance(outcome, _verify.NotSubset):

@@ -265,13 +265,15 @@ def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
     and r the free vertices (outside X and Y) meeting one of them; the
     node is pruned when that is at most the best size so far.  Extension
     calls are tallied under ``tree_nodes`` and pruned nodes under
-    ``tree_pruned``.
+    ``tree_pruned``.  Like ``enumerate_tr``, the walk and the prune both
+    run on the inclusion-minimal edges.
     """
     n = h.n
     best = VertexSet(n)
     best_size = 0
     if h.m == 0:
         return RankWitness(t=best)
+    h = minimize_edges(h)
     incidence = incidence_masks(h)
     full = (1 << n) - 1
 

@@ -83,7 +83,8 @@ def verify_tr(
 ) -> VerifyOutcome:
     """``Equal`` when G is exactly the transversal hypergraph of H, else the
     first failing check's witness.  ``counters`` tallies the minimal
-    hitting sets of G examined under ``verify_g_outputs``."""
+    hitting sets of G examined under ``verify_g_outputs``, plus the work
+    of the tree search that found them (``product_iterations``)."""
     if g.n != h.n:
         raise ValueError("both hypergraphs must share the universe")
     h_masks = h.edge_masks()
@@ -105,5 +106,7 @@ def verify_tr(
             misses.append(s)
             raise enumeration.StopEnumeration
 
-    enumeration.enumerate_tr(g, check)
+    run = enumeration.enumerate_tr(g, check)
+    if counters is not None:
+        counters.update(run.work)
     return _extract(h, misses[0]) if misses else Equal()

@@ -79,11 +79,24 @@ def log_extend_calls(monkeypatch) -> list[tuple[int, int, int]]:
     return log
 
 
-def logged_run(log: list, h: Hypergraph, **kw):
-    """``enumerate_tr(h, **kw)`` under a ``log_extend_calls`` log, which it
-    clears first.  Returns the outputs, the stats and the gap windows: the
-    log cut at every output, lead-in and tail included.  An output made
-    inside call i closes its gap at i, and call i belongs to the next gap."""
+def walk_raw_edges(h: Hypergraph, sink=None) -> enumeration.DelayStats:
+    """``enumerate_tr(h, sink)`` without its minimal-edge pass: the same
+    tree walk and the same ``DelayStats``, but over every edge of ``h``
+    (at least one), so edges containing others still reach ``extend``."""
+    stats = enumeration.DelayStats(n=h.n, m=h.m)
+
+    def run(out) -> None:
+        enumeration._walk_tree(h, out, stats.work, stats=stats)
+
+    return enumeration._stream_stats(stats, run, sink, None)
+
+
+def logged_run(log: list, h: Hypergraph, run=None, **kw):
+    """``enumerate_tr(h, **kw)`` (or ``run(h, sink, **kw)``) under a
+    ``log_extend_calls`` log, which it clears first.  Returns the outputs,
+    the stats and the gap windows: the log cut at every output, lead-in
+    and tail included.  An output made inside call i closes its gap at i,
+    and call i belongs to the next gap."""
     log.clear()
     got: list[VertexSet] = []
     cuts = [0]
@@ -92,6 +105,6 @@ def logged_run(log: list, h: Hypergraph, **kw):
         got.append(t)
         cuts.append(len(log))
 
-    stats = enumeration.enumerate_tr(h, sink, **kw)
+    stats = (run or enumeration.enumerate_tr)(h, sink, **kw)
     cuts.append(len(log))
     return got, stats, [log[a:b] for a, b in zip(cuts, cuts[1:])]

@@ -41,7 +41,7 @@ from transversal.oracle import (
 from transversal.rank import rank_at_least_bd, rank_at_least_lookahead
 from transversal.verify import MissingSolution, NotSubset, verify_tr
 
-from conftest import log_extend_calls, logged_run, masks
+from conftest import log_extend_calls, logged_run, masks, walk_raw_edges
 
 
 def has_empty_edge(h: Hypergraph) -> bool:
@@ -363,6 +363,12 @@ def test_c10_delay_trend_at_stated_parameters(monkeypatch):
     |X| <= k* - 1 throughout.  The worst gap may then grow no faster than
     Delta^(k*-1); the prefix-pruned product search in fact stays flat on
     these instances.  Wall time is printed, not asserted.
+
+    Every padding edge of these block families contains a core pair, so
+    ``enumerate_tr``, which walks the inclusion-minimal edges, would meet
+    Delta = 1 only.  The sweep therefore walks the raw family
+    (``walk_raw_edges``), and ``enumerate_tr`` must give the same outputs
+    in the same order.
     """
     n, kstar = 18, 3
     log = log_extend_calls(monkeypatch)
@@ -376,7 +382,10 @@ def test_c10_delay_trend_at_stated_parameters(monkeypatch):
         assert len(witness.t) >= kstar
         assert rank_at_least_bd(h, kstar + 1) is None
 
-        got, stats, windows = logged_run(log, h)
+        got, stats, windows = logged_run(log, h, run=walk_raw_edges)
+        in_order: list[VertexSet] = []
+        enumerate_tr(h, in_order.append)
+        assert [t.mask for t in got] == [t.mask for t in in_order], h
         assert len(got) == len(masks(got)) == 2**kstar, h
         assert all(len(t) == kstar and is_minimal_hitting_set(h, t) for t in got)
         assert max(stats.x_size_histogram) <= kstar - 1

@@ -2,15 +2,17 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 import subprocess
 import sys
 
 import pytest
 
-from transversal import cli, parse, rank
+from transversal import cli, parse, rank, serialize
 from transversal.cli import BENCH_COLUMNS, EXIT_INTERNAL, dispatch
 from transversal.hitting import is_minimal_hitting_set
 from transversal.core import VertexSet
+from transversal.generators import uniform_instance
 
 
 @pytest.fixture
@@ -55,6 +57,22 @@ def test_enumerate_incremental_and_stats(capsys, tmp_path, pairs):
     payload = json.loads(stats_path.read_text())
     assert payload["outputs"] == 4
     assert "max_delay_ns" in payload and "extend_call_histogram" in payload
+
+
+def test_incremental_stats_report_the_search_work(capsys, tmp_path):
+    # the tree searches inside each stage's verification count; the
+    # histogram stays empty, as those searches run on the found solutions
+    path = tmp_path / "uni12.hg"
+    path.write_text(serialize(uniform_instance(random.Random(0), 12, 30, 3)))
+    stats_path = tmp_path / "stats.json"
+    code, out, _ = run(
+        capsys, "enumerate", "--method", "incremental", "--stats", str(stats_path), str(path)
+    )
+    assert code == 0
+    payload = json.loads(stats_path.read_text())
+    assert payload["outputs"] == len(out.splitlines()) == 64
+    assert payload["product_iterations"] > 0
+    assert payload["extend_call_histogram"] == {}
 
 
 def test_enumerate_json_schema(capsys, pairs):

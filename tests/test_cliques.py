@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from transversal import Hypergraph, VertexSet
+from transversal import Hypergraph, VertexSet, cliques, k_section
 from transversal.cliques import (
     enumerate_maximal_cliques,
     enumerate_maximal_hypercliques,
@@ -116,7 +116,8 @@ class TestIndependentSets:
     def test_triangle(self):
         h = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])
         got = collect(enumerate_maximal_independent_sets, h)
-        assert [c.members() for c in got] == [(2,), (1,), (0,)]
+        # a graph streams its vertices adjacent to all others first
+        assert [c.members() for c in got] == [(0,), (1,), (2,)]
 
     def test_edgeless_gives_whole_universe(self):
         got = collect(enumerate_maximal_independent_sets, Hypergraph(3, []))
@@ -136,6 +137,25 @@ class TestIndependentSets:
             got = collect(enumerate_maximal_independent_sets, h, r=r)
             full = (1 << n) - 1
             assert masks(got) == {full & ~t.mask for t in brute_tr(h)}
+
+    def test_graphs_match_the_complements_of_minimal_hitting_sets(self, corpus):
+        # the graph route (with its single vertices) on the 2-section of
+        # every corpus instance, edgeless and n <= 1 ones included
+        extra = [Hypergraph(0, []), Hypergraph(1, []), Hypergraph(2, [(0, 1)])]
+        for h in extra + [k_section(h, 2) for h in corpus]:
+            for r in (None, 2):
+                got = collect(enumerate_maximal_independent_sets, h, r=r)
+                full = (1 << h.n) - 1
+                assert len(got) == len(masks(got)), h
+                assert masks(got) == {full & ~t.mask for t in brute_tr(h)}, h
+
+    def test_graph_takes_the_clique_route(self, monkeypatch):
+        monkeypatch.setattr(cliques, "enumerate_tr", None)
+        h = Hypergraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
+        got = collect(enumerate_maximal_independent_sets, h)
+        assert [c.members() for c in got] == [(0,), (2, 3), (1, 3)]
+        assert collect(enumerate_maximal_independent_sets, h, limit=1) == got[:1]
+        assert collect(enumerate_maximal_independent_sets, h, limit=2) == got[:2]
 
     def test_rejects_non_uniform(self):
         with pytest.raises(ValueError):

@@ -143,6 +143,34 @@ class TestMinimizeEdges:
             [VertexSet.of(3, 0, 1), VertexSet.of(3, 1, 2)]
         )
 
+    @staticmethod
+    def quadratic(h):
+        """The definition: every edge no other edge lies inside."""
+        es = h.edge_masks()
+        return [e for e in es if not any(f != e and f & ~e == 0 for f in es)]
+
+    def test_lane_pass_matches_the_definition(self, corpus):
+        rng = random.Random(12)
+        extra = [
+            Hypergraph(0, []),
+            Hypergraph(0, [()]),
+            Hypergraph(5, [(), (0, 1), (2,)]),  # the empty edge is inside all
+            Hypergraph(5, [(0, 1, 2, 3, 4), (0,), (4,)]),
+            uniform_complement(Hypergraph(6, [(0, 1, 2)]), 3),
+        ] + [random_hypergraph(rng, n_max=20, m_max=40) for _ in range(200)]
+        for h in list(corpus) + extra:
+            got = minimize_edges(h)
+            keep = self.quadratic(h)
+            assert list(got.edge_masks()) == keep, h
+            assert got.names == h.names
+            # nothing dropped (Sperner inputs, uniform ones among them)
+            # hands back the input itself
+            assert (got is h) == (len(keep) == h.m) == h.is_sperner(), h
+
+    def test_uniform_input_is_returned_itself(self):
+        h = uniform_complement(Hypergraph(7, [(0, 1, 2), (3, 4, 5)]), 3)
+        assert minimize_edges(h) is h
+
     def test_idempotent_sperner_and_tr_preserving(self):
         rng = random.Random(17)
         for _ in range(40):

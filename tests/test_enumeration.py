@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -26,7 +27,7 @@ from transversal.generators import (
 )
 from transversal.oracle import brute_tr
 
-from conftest import log_extend_calls, logged_run, masks, random_hypergraph
+from conftest import log_extend_calls, logged_run, masks, random_hypergraph, walk_raw_edges
 
 BD40 = bounded_degree_instance(random.Random(1), 40, 80, 4)
 
@@ -72,6 +73,32 @@ def test_matches_oracle_without_duplicates(corpus, corpus_tr):
         got, _ = run(h)
         assert masks(got) == masks(want)
         assert len(got) == len(masks(got))
+
+
+def test_golden_output_order_over_the_corpus(corpus):
+    # the order every corpus instance streams in, pinned so a change to
+    # the walk or to the edges it walks keeps it
+    orders = []
+    for h in corpus:
+        got, _ = run(h)
+        orders.append(tuple(t.mask for t in got))
+    assert sum(map(len, orders)) == 997
+    assert hashlib.sha256(repr(orders).encode()).hexdigest()[:16] == "48969ee402304c8b"
+
+
+def test_minimal_edge_walk_keeps_the_raw_walk_order(corpus):
+    # enumerate_tr walks the inclusion-minimal edges; the walk over every
+    # raw edge must give the same outputs in the same order
+    checked = 0
+    for h in corpus:
+        if h.is_sperner():
+            continue
+        raw: list[VertexSet] = []
+        walk_raw_edges(h, raw.append)
+        got, _ = run(h)
+        assert [t.mask for t in got] == [t.mask for t in raw], h
+        checked += 1
+    assert checked == 356
 
 
 def test_incremental_examples():
@@ -172,18 +199,22 @@ def test_br30_product_work_stays_pruned():
     # high-degree instance whose unpruned candidate product took millions of steps
     got, stats = run(bounded_rank_instance(random.Random(2), 30, 60, 3))
     assert len(got) == 8
-    assert stats.calls == 209
-    assert stats.product_iterations <= 20_000
+    assert stats.calls == 203
+    assert stats.product_iterations == 101
 
 
 def test_bd40_tree_work_counts():
     # sparse bounded-degree instance: pins the search tree the carried
-    # edge classification walks, and the product work inside it
+    # edge classification walks over the 13 minimal edges of 17, and the
+    # product work inside it
     got, stats = run(BD40)
     assert len(got) == 4059
-    assert stats.calls == 35_075
-    assert stats.product_iterations == 63_285
+    assert stats.calls == 32_427
+    assert stats.product_iterations == 33_875
     assert stats.max_stack_depth == 9
+    assert stats.x_size_histogram == {
+        0: 6, 1: 30, 2: 191, 3: 1261, 4: 5014, 5: 10488, 6: 10077, 7: 4434, 8: 926
+    }
 
 
 def _fresh_state(h, xm):
@@ -225,7 +256,7 @@ def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
     instances = list(corpus) + [BD40]
     for h in instances:
         enumerate_tr(h)
-    assert nodes > 35_075
+    assert nodes > 32_427
 
 
 # ---------------------------------------------------------------- the sink protocol

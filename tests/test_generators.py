@@ -15,6 +15,8 @@ from transversal.generators import (
     uniform_instance,
 )
 
+from conftest import walk_raw_edges
+
 
 def kstar_of(h):
     sizes = []
@@ -82,7 +84,11 @@ def test_delay_trend_supplementary_monotone_in_degree(monkeypatch):
     X or private to one member of X): no edge here ever holds two members
     of X, so that is all m edges at every call, 13 * m in all.  Wall time
     (the worst gap, which is the lead-in before the first output) is
-    printed only."""
+    printed only.
+
+    Every padding edge contains its core pair, so the sweep walks the raw
+    family (``walk_raw_edges``): ``enumerate_tr`` drops those edges first
+    and must give the same outputs in the same order."""
     real = enumeration.extend
     work: Counter = Counter()
 
@@ -97,8 +103,11 @@ def test_delay_trend_supplementary_monotone_in_degree(monkeypatch):
         h = block_family((delta,) * 3, 18)
         work.clear()
         outputs: list = []
-        stats = enumerate_tr(h, outputs.append)
+        stats = walk_raw_edges(h, outputs.append)
         assert h.m == 3 * delta
         assert (work["calls"], len(outputs), stats.product_iterations) == (13, 8, 6)
         assert work["edges_reduced"] == 13 * h.m
+        in_order: list = []
+        enumerate_tr(h, in_order.append)
+        assert [t.mask for t in in_order] == [t.mask for t in outputs]
         print(f"\n[delay trend] degree {delta}: max delay {stats.max_delay_ns} ns")

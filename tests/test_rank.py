@@ -346,8 +346,8 @@ class TestTreeRank:
     def test_work_counts(self):
         conf16 = edge_complement(bounded_degree_instance(random.Random(3), 16, 30, 3))
         for h, want, nodes, pruned in (
-            (bd40(), 9, 2_290, 1_049),
-            (br30(), 18, 141, 26),
+            (bd40(), 9, 1_198, 551),
+            (br30(), 18, 34, 17),
             # the tree conformal_degree(conf16) walks
             (edge_complement(conf16), 5, 177, 84),
         ):

@@ -159,15 +159,17 @@ class Hypergraph:
 
     Edge order is the construction order with duplicates dropped (the
     number dropped is recorded in ``duplicates_dropped``).  Instances are
-    immutable after construction and safe to share across workers.
+    immutable after construction and safe to share across workers.  The
+    edges are stored as int masks (``edge_masks``); the ``VertexSet``
+    tuple ``edges`` is built on first read.
     """
 
     __slots__ = (
         "n",
-        "edges",
         "names",
         "duplicates_dropped",
         "_masks",
+        "_edges",
         "_degrees",
         "_rank",
     )
@@ -190,36 +192,41 @@ class Hypergraph:
                 if not _valid_token(tok):
                     raise ValueError(f"invalid vertex name {tok!r}")
         masks: list[int] = []
-        seen: set[int] = set()
-        dropped = 0
         for e in edges:
-            mask = e.mask if isinstance(e, VertexSet) else _mask_of(e, n)
-            if isinstance(e, VertexSet) and e.n != n:
-                raise ValueError("edge lives in a different universe")
-            if mask >> n:
-                raise ValueError("edge has vertices outside the universe")
-            if mask in seen:
-                dropped += 1
-                continue
-            seen.add(mask)
-            masks.append(mask)
-        self._fill(n, names, masks, dropped)
+            if isinstance(e, VertexSet):
+                if e.n != n:
+                    raise ValueError("edge lives in a different universe")
+                masks.append(e.mask)
+            else:
+                masks.append(_mask_of(e, n))
+        self._fill(n, names, masks)
 
-    def _fill(self, n: int, names, masks: list[int], dropped: int) -> None:
+    @classmethod
+    def _from_masks(
+        cls, n: int, names: tuple[str, ...] | None, masks: list[int]
+    ) -> "Hypergraph":
+        """Trusted construction: ``masks`` must be subsets of range(n) and
+        ``names`` None or a valid name table, and neither is checked again.
+        Duplicates are dropped and counted, as by the public constructor."""
+        h = cls.__new__(cls)
+        h._fill(n, names, masks)
+        return h
+
+    def _fill(self, n: int, names, masks: list[int]) -> None:
+        kept = tuple(dict.fromkeys(masks))
         self.n = n
         self.names = names
-        self.duplicates_dropped = dropped
-        self._masks = tuple(masks)
-        self.edges = tuple(VertexSet(n, m) for m in masks)
+        self.duplicates_dropped = len(masks) - len(kept)
+        self._masks = kept
+        self._edges: tuple[VertexSet, ...] | None = None  # built on first read
         self._degrees: tuple[int, ...] | None = None  # counted on first use
-        self._rank = max((m.bit_count() for m in masks), default=0)
+        self._rank = max(map(int.bit_count, kept), default=0)
 
-    def _with_edges(self, masks: list[int]) -> "Hypergraph":
-        """This universe and name table with some of this hypergraph's
-        edges, which need no second check."""
-        h = Hypergraph.__new__(Hypergraph)
-        h._fill(self.n, self.names, masks, 0)
-        return h
+    @property
+    def edges(self) -> tuple[VertexSet, ...]:
+        if self._edges is None:
+            self._edges = tuple(VertexSet(self.n, m) for m in self._masks)
+        return self._edges
 
     @property
     def m(self) -> int:
@@ -289,7 +296,9 @@ class Hypergraph:
         return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
-        inner = ", ".join("{" + " ".join(map(str, e)) + "}" for e in self.edges)
+        inner = ", ".join(
+            "{" + " ".join(map(str, iter_bits(e))) + "}" for e in self._masks
+        )
         return f"Hypergraph(n={self.n}, edges=[{inner}])"
 
 
@@ -301,106 +310,122 @@ def parse(text: str | bytes) -> Hypergraph:
     following non-comment line is one edge of whitespace-separated
     tokens, ``#`` starts a comment, and a literal ``{}`` alone on a line
     is the empty edge.  Blank lines are skipped.
+
+    One pass reads each edge straight into its mask.  A token is checked
+    only the first time it appears, when it gets its vertex's bit.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    header: list[str] | None = None
-    order: dict[str, int] = {}
-    raw_edges: list[list[str]] = []
+    bit: dict[str, int] = {}  # token -> the bit of its vertex
+    header = False
     saw_content = False
+    masks: list[int] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        tokens = line.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = body.split()
         if tokens[0].startswith("!"):
             if tokens[0] != "!vertices":
                 raise HypergraphFormatError(
                     f"line {lineno}: unknown directive {tokens[0]!r}"
                 )
-            if header is not None:
+            if header:
                 raise HypergraphFormatError(f"line {lineno}: duplicate !vertices header")
             if saw_content:
                 raise HypergraphFormatError(
                     f"line {lineno}: !vertices header must come before the edges"
                 )
-            header = tokens[1:]
-            for tok in header:
+            header = saw_content = True
+            for tok in tokens[1:]:
                 if not _valid_token(tok):
                     raise HypergraphFormatError(
                         f"line {lineno}: malformed vertex token {tok!r}"
                     )
-                if tok in order:
+                if tok in bit:
                     raise HypergraphFormatError(
                         f"line {lineno}: duplicate vertex {tok!r} in header"
                     )
-                order[tok] = len(order)
-            saw_content = True
+                bit[tok] = 1 << len(bit)
             continue
         saw_content = True
-        if tokens == ["{}"]:
-            raw_edges.append([])
-            continue
-        for tok in tokens:
-            if not _valid_token(tok):
-                raise HypergraphFormatError(f"line {lineno}: malformed token {tok!r}")
-            if header is not None and tok not in order:
-                raise HypergraphFormatError(
-                    f"line {lineno}: vertex {tok!r} not listed in header"
-                )
-            if header is None and tok not in order:
-                order[tok] = len(order)
-        raw_edges.append(tokens)
-    n = len(order)
-    names = tuple(sorted(order, key=order.get))
-    edges = [[order[t] for t in toks] for toks in raw_edges]
-    return Hypergraph(n, edges, names=names if n else None)
+        mask = 0
+        if tokens != ["{}"]:
+            for tok in tokens:
+                b = bit.get(tok)
+                if b is None:
+                    if not _valid_token(tok):
+                        raise HypergraphFormatError(
+                            f"line {lineno}: malformed token {tok!r}"
+                        )
+                    if header:
+                        raise HypergraphFormatError(
+                            f"line {lineno}: vertex {tok!r} not listed in header"
+                        )
+                    b = bit[tok] = 1 << len(bit)
+                mask |= b
+        masks.append(mask)
+    n = len(bit)
+    return Hypergraph._from_masks(n, tuple(bit) if n else None, masks)
 
 
 def serialize(h: Hypergraph) -> str:
     """Inverse of :func:`parse`; vertices within an edge sorted ascending."""
-    lines = ["!vertices " + " ".join(h.token(v) for v in range(h.n)) if h.n else "!vertices"]
-    for e in h.edges:
-        lines.append(" ".join(h.token(v) for v in e) if e else "{}")
+    tokens = [h.token(v) for v in range(h.n)]
+    lines = ["!vertices " + " ".join(tokens) if h.n else "!vertices"]
+    for e in h.edge_masks():
+        lines.append(" ".join(tokens[v] for v in iter_bits(e)) if e else "{}")
     return "\n".join(lines) + "\n"
+
+
+def _pack_lanes(masks: Iterable[int], n: int) -> tuple[int, int, int, int]:
+    """Pack ``masks`` (subsets of range(n)) into one integer, mask i in the
+    (n+1)-bit lane starting at bit i(n+1), and return ``(packed, ones,
+    low, top)``: ``ones`` holds bit 0 of every lane, ``low`` the value
+    2^n - 1 in every lane and ``top`` every lane's top bit.
+
+    For a set y, ``((packed & ~(y * ones)) + low) & top`` then has the top
+    bit of exactly the lanes whose mask has a vertex outside y: each lane
+    keeps its mask's part outside y, and adding 2^n - 1 carries into the
+    top bit exactly when that part is nonempty, never into the next lane.
+    """
+    width = n + 1
+    packed = ones = 0
+    for i, e in enumerate(masks):
+        packed |= e << (i * width)
+        ones |= 1 << (i * width)
+    return packed, ones, ones * ((1 << n) - 1), ones << n
 
 
 def minimize_edges(h: Hypergraph) -> Hypergraph:
     """Keep only the inclusion-wise minimal edges, in their input order;
     ``h`` itself when every edge is minimal.
 
-    The edges are packed into one integer, edge i in the (n+1)-bit lane
-    starting at bit i(n+1).  For an edge e, ``packed & ~(e * ones)``
-    leaves in each lane the part of that edge outside e, and adding
-    2^n - 1 to every lane sets a lane's top bit exactly when that part is
-    nonempty.  Edges are distinct, so e is minimal exactly when its own
-    lane is the only one left without its top bit: a few whole-integer
-    operations per edge.
+    The edges are packed in lanes (``_pack_lanes``).  Edges are distinct,
+    so an edge e is minimal exactly when its own lane is the only one
+    whose edge lies inside e: a few whole-integer operations per edge.
     """
     masks = h.edge_masks()
     if len({e.bit_count() for e in masks}) <= 1:
         return h  # distinct edges of one size contain no other
+    packed, ones, low, top = _pack_lanes(masks, h.n)
     width = h.n + 1
-    packed = ones = 0
-    for i, e in enumerate(masks):
-        packed |= e << (i * width)
-        ones |= 1 << (i * width)
-    low = ones * ((1 << h.n) - 1)
-    top = ones << h.n
     keep = [
         e
         for i, e in enumerate(masks)
         if (((packed & ~(e * ones)) + low) & top) | (1 << (i * width + h.n)) == top
     ]
-    return h if len(keep) == len(masks) else h._with_edges(keep)
+    return h if len(keep) == len(masks) else Hypergraph._from_masks(h.n, h.names, keep)
 
 
 def edge_complement(h: Hypergraph) -> Hypergraph:
     """Replace every edge by its complement within the universe."""
     full = (1 << h.n) - 1
-    return Hypergraph(
-        h.n, (VertexSet(h.n, full & ~m) for m in h.edge_masks()), names=h.names
-    )
+    return Hypergraph._from_masks(h.n, h.names, [full & ~m for m in h.edge_masks()])
+
+
+def _subset_masks(vertices: Iterable[int], r: int) -> Iterator[int]:
+    """The masks of the r-subsets of ``vertices``, in lexicographic order."""
+    return map(sum, itertools.combinations([1 << v for v in vertices], r))
 
 
 def uniform_complement(h: Hypergraph, r: int) -> Hypergraph:
@@ -414,31 +439,15 @@ def uniform_complement(h: Hypergraph, r: int) -> Hypergraph:
         if e.bit_count() != r:
             raise ValueError("hypergraph is not r-uniform")
     present = h.edge_mask_set()
-    edges = []
-    for combo in itertools.combinations(range(h.n), r):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if mask not in present:
-            edges.append(VertexSet(h.n, mask))
-    return Hypergraph(h.n, edges, names=h.names)
+    masks = [m for m in _subset_masks(range(h.n), r) if m not in present]
+    return Hypergraph._from_masks(h.n, h.names, masks)
 
 
 def k_section(h: Hypergraph, k: int) -> Hypergraph:
     """The ``k``-uniform hypergraph of all k-sets co-occurring in an edge."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    seen: set[int] = set()
-    out: list[VertexSet] = []
-    for e in h.edge_masks():
-        if e.bit_count() < k:
-            continue
-        vs = tuple(iter_bits(e))
-        for combo in itertools.combinations(vs, k):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            if mask not in seen:
-                seen.add(mask)
-                out.append(VertexSet(h.n, mask))
-    return Hypergraph(h.n, out, names=h.names)
+    masks = dict.fromkeys(
+        m for e in h.edge_masks() for m in _subset_masks(iter_bits(e), k)
+    )
+    return Hypergraph._from_masks(h.n, h.names, list(masks))

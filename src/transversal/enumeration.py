@@ -239,9 +239,9 @@ def enumerate_incremental(
     stats = DelayStats(n=h.n, m=h.m)
 
     def run(out: Sink) -> None:
-        solutions: list[VertexSet] = []
+        solutions: list[int] = []  # the masks of G's edges
         while True:
-            g = Hypergraph(h.n, solutions, names=h.names)
+            g = Hypergraph._from_masks(h.n, h.names, solutions)
             outcome = _verify.verify_tr(g, h, counters=stats.work)
             if isinstance(outcome, _verify.Equal):
                 return
@@ -249,7 +249,7 @@ def enumerate_incremental(
                 raise RuntimeError(
                     "found solutions stopped being minimal hitting sets"
                 )
-            solutions.append(outcome.t)
+            solutions.append(outcome.t.mask)
             out(outcome.t)
 
     return _stream_stats(stats, run, sink, limit)

@@ -16,8 +16,9 @@ extends) and hands each surviving seed's edge classification
 (``uncov``/``crit``, see ``extension.extend``) to ``find_higher_order``.
 The edge-family route cuts a prefix whose overlap (the vertices in two
 or more of its edges) already holds a minimal edge, since the overlap
-only grows; it makes at most Σ_{i<=k} C(m', i) overlap tests of m'
-edge reads each, the paper's O(m^{k+1}·n) for a "no".
+only grows; it makes at most Σ_{i<=k} C(m', i) overlap tests, each
+over all m' edges at once in packed lanes, the paper's O(m^{k+1}·n) for
+a "no".
 
 The exact rank defaults to a third route: one walk of ``enumerate_tr``'s
 search tree, keeping the largest solution and pruning each node whose
@@ -32,7 +33,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-from .core import Hypergraph, VertexSet, minimize_edges
+from .core import Hypergraph, VertexSet, _pack_lanes, minimize_edges
 from .enumeration import _walk_tree
 from .extension import find_higher_order, incidence_masks, include_vertex
 from .hitting import minimize
@@ -175,7 +176,7 @@ def rank_at_least_lookahead(
         return RankWitness(
             t=t,
             seed=seed,
-            chosen_edges=tuple(h.edges[i] for i in witness.edge_indices),
+            chosen_edges=tuple(VertexSet(n, masks[i]) for i in witness.edge_indices),
             forced=witness.forced,
             cover=cover,
         )
@@ -199,18 +200,19 @@ def rank_at_least_bd(
     grows as members join, so no completion certifies, and the first
     certifying family is the full colex scan's.
 
-    Each prefix whose overlap grew reads the m' minimal edges once; these
-    overlap tests are tallied under ``bd_entries_touched``.  There is at
-    most one per prefix of the unpruned walk, Σ_{i<=k} C(m', i) in all,
-    so a "no" can still cost the paper's O(m^{k+1}·n).
+    Each prefix whose overlap grew tests the m' minimal edges at once, in
+    packed lanes (``core._pack_lanes``); these overlap tests are tallied
+    under ``bd_entries_touched``.  There is at most one per prefix of the
+    unpruned walk, Σ_{i<=k} C(m', i) in all, so a "no" can still cost the
+    paper's O(m^{k+1}·n).
     """
     _reject_empty_edge(h)
     if h.m == 0 or k <= 1:
         return _small_k(h, k)
-    hs = minimize_edges(h)
-    masks = hs.edge_masks()
+    masks = minimize_edges(h).edge_masks()
     if k > len(masks):
         return None
+    packed, ones, low, top = _pack_lanes(masks, h.n)
 
     def grow(state: tuple[int, int], i: int) -> tuple[int, int] | None:
         once, twice = state
@@ -219,15 +221,15 @@ def rank_at_least_bd(
         if grown != twice:
             if counters is not None:
                 counters["bd_entries_touched"] += 1
-            if any(f & ~grown == 0 for f in masks):
-                return None
+            if ((packed & ~(grown * ones)) + low) & top != top:
+                return None  # some minimal edge lies inside the overlap
         return once | e, grown
 
     for family, (_, twice) in _colex_walk(len(masks), k, (0, 0), grow):
         overlap = VertexSet(h.n, twice)
         return RankWitness(
             t=minimize(h, overlap.complement()),
-            edge_family=tuple(hs.edges[i] for i in family),
+            edge_family=tuple(VertexSet(h.n, masks[i]) for i in family),
             overlap=overlap,
         )
     return None

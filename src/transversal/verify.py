@@ -91,9 +91,9 @@ def verify_tr(
     h_mask_set = h.edge_mask_set()
 
     # 1: G contains only minimal hitting sets of H.
-    for ge in g.edges:
-        if not is_minimal_mask(h_masks, ge.mask):
-            return NotSubset(ge)
+    for ge in g.edge_masks():
+        if not is_minimal_mask(h_masks, ge):
+            return NotSubset(VertexSet(g.n, ge))
 
     # 2: every minimal hitting set of G is an edge of H.  An empty edge in
     # G leaves G without hitting sets, which passes trivially.

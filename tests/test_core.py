@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -15,6 +16,9 @@ from transversal import (
     serialize,
     uniform_complement,
 )
+from transversal import verify
+from transversal.enumeration import enumerate_incremental
+from transversal.generators import uniform_instance
 from transversal.oracle import brute_tr
 
 from conftest import masks, random_hypergraph
@@ -104,16 +108,20 @@ class TestParse:
         assert parse("a b\n\nc\n").m == 2
 
     def test_errors(self):
-        with pytest.raises(HypergraphFormatError):
-            parse("!vertices a\n!vertices b\na\n")  # duplicate header
-        with pytest.raises(HypergraphFormatError):
-            parse("!vertices a\nb\n")  # vertex not in header
-        with pytest.raises(HypergraphFormatError):
-            parse("a {} b\n")  # empty-edge token mixed into an edge
-        with pytest.raises(HypergraphFormatError):
-            parse("!vertexes a\n")  # unknown directive
-        with pytest.raises(HypergraphFormatError):
-            parse("a\n!vertices a\n")  # header after an edge
+        cases = [
+            ("!vertices a\n!vertices b\na\n", "line 2: duplicate !vertices header"),
+            ("!vertices a\nb\n", "line 2: vertex 'b' not listed in header"),
+            ("a {} b\n", "line 1: malformed token '{}'"),
+            ("a\nb !c\n", "line 2: malformed token '!c'"),
+            ("!vertexes a\n", "line 1: unknown directive '!vertexes'"),
+            ("a\n!vertices a\n", "line 2: !vertices header must come before the edges"),
+            ("# c\n\n!vertices a {}\n", "line 3: malformed vertex token '{}'"),
+            ("!vertices a b a\n", "line 1: duplicate vertex 'a' in header"),
+        ]
+        for text, message in cases:
+            with pytest.raises(HypergraphFormatError) as err:
+                parse(text)
+            assert str(err.value) == message, text
 
     def test_roundtrip_preserves_isolated_vertices(self):
         text = "!vertices a b c\na b\n"
@@ -125,6 +133,161 @@ class TestParse:
             h = random_hypergraph(rng, n_max=6, m_max=8)
             once = serialize(h)
             assert serialize(parse(once)) == once
+
+
+def reference_parse(text):
+    """The ``.hg`` format read the plain way: every line's tokens are
+    checked and kept, then the vertices are numbered and each edge's mask
+    is built.  Returns (n, names, masks, duplicates dropped)."""
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+
+    def fail(lineno, what):
+        raise HypergraphFormatError(f"line {lineno}: {what}")
+
+    def valid(tok):
+        return not tok.startswith("!") and tok != "{}"
+
+    header = None
+    edges = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        tokens = line.split("#")[0].split()
+        if not tokens:
+            continue
+        if tokens[0].startswith("!"):
+            if tokens[0] != "!vertices":
+                fail(lineno, f"unknown directive {tokens[0]!r}")
+            if header is not None:
+                fail(lineno, "duplicate !vertices header")
+            if edges:
+                fail(lineno, "!vertices header must come before the edges")
+            header = []
+            for tok in tokens[1:]:
+                if not valid(tok):
+                    fail(lineno, f"malformed vertex token {tok!r}")
+                if tok in header:
+                    fail(lineno, f"duplicate vertex {tok!r} in header")
+                header.append(tok)
+            continue
+        if tokens == ["{}"]:
+            edges.append([])
+            continue
+        for tok in tokens:
+            if not valid(tok):
+                fail(lineno, f"malformed token {tok!r}")
+            if header is not None and tok not in header:
+                fail(lineno, f"vertex {tok!r} not listed in header")
+        edges.append(tokens)
+    names = header
+    if names is None:
+        names = []
+        for tok in (tok for e in edges for tok in e):
+            if tok not in names:
+                names.append(tok)
+    kept = []
+    for e in edges:
+        mask = 0
+        for tok in e:
+            mask |= 1 << names.index(tok)
+        if mask not in kept:
+            kept.append(mask)
+    return len(names), tuple(names) if names else None, tuple(kept), len(edges) - len(kept)
+
+
+def random_hg_text(rng: random.Random):
+    """Seeded ``.hg`` text: an optional header, edges with repeated tokens,
+    ``{}``, comments, blank lines and CRLF line ends, now and then a
+    malformed line; half the time as bytes."""
+    vocab = ["a", "b", "v1", "x_2", "0", "10", "\u00fc"]
+    header = rng.sample(vocab, rng.randint(0, len(vocab))) if rng.random() < 0.5 else None
+    lines = []
+    if header is not None:
+        lines.append("!vertices " + " ".join(header))
+    for _ in range(rng.randint(0, 10)):
+        roll = rng.random()
+        if roll < 0.1:
+            lines.append(rng.choice(["", "   ", "# note", "\t# x y"]))
+        elif roll < 0.2:
+            lines.append(rng.choice(["{}", " {}  # empty"]))
+        elif roll < 0.23:
+            lines.append(rng.choice(["a {}", "a !b", "!vertexes a", "!vertices a a", "!vertices {}", "!vertices b"]))
+        else:
+            pool = header if header and rng.random() < 0.95 else vocab
+            toks = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            comment = rng.choice(["", "", " # c", "#c d"])
+            lines.append(rng.choice(["", " ", "\t"]) + rng.choice([" ", "  ", "\t"]).join(toks) + comment)
+    text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
+    return text.encode("utf-8") if rng.random() < 0.5 else text
+
+
+def test_parse_matches_the_reference_parser():
+    rng = random.Random(2024)
+    outcomes = Counter()
+    for _ in range(3000):
+        text = random_hg_text(rng)
+        try:
+            want = reference_parse(text)
+        except HypergraphFormatError as err:
+            with pytest.raises(HypergraphFormatError) as got:
+                parse(text)
+            assert str(got.value) == str(err), text
+            outcomes["error"] += 1
+            continue
+        h = parse(text)
+        assert (h.n, h.names, h.edge_masks(), h.duplicates_dropped) == want, text
+        outcomes["parsed"] += 1
+        outcomes["dropped"] += h.duplicates_dropped > 0
+    # both sides of the comparison are exercised
+    assert min(outcomes.values()) > 100, outcomes
+
+
+def test_edges_are_built_on_first_read(monkeypatch):
+    """Parsing, the complements, sections, ``minimize_edges`` and the
+    incremental stages build no ``VertexSet`` until ``.edges`` is read."""
+    text = serialize(uniform_instance(random.Random(1), 9, 20, 3))
+    built = []
+    vertex_set_init = VertexSet.__init__
+
+    def counted_init(self, n, mask=0):
+        built.append(mask)
+        vertex_set_init(self, n, mask)
+
+    monkeypatch.setattr(VertexSet, "__init__", counted_init)
+
+    def first_read(h):
+        built.clear()
+        edges = h.edges
+        assert built == list(h.edge_masks())  # built here, so not before
+        assert edges == tuple(VertexSet(h.n, m) for m in h.edge_masks())
+        built.clear()
+        assert h.edges is edges and built == []
+
+    made = []
+    for make in (
+        lambda: parse(text),
+        lambda: edge_complement(made[0]),
+        lambda: uniform_complement(made[0], 3),
+        lambda: k_section(made[0], 2),
+        lambda: minimize_edges(Hypergraph(4, [(0, 1), (0, 1, 2), (3,)])),
+    ):
+        built.clear()
+        made.append(make())
+        assert built == []
+    for h in made:
+        first_read(h)
+
+    stages = []
+    verify_tr = verify.verify_tr
+
+    def spy(g, h, **kw):
+        first_read(g)
+        stages.append(g.m)
+        return verify_tr(g, h, **kw)
+
+    monkeypatch.setattr(verify, "verify_tr", spy)
+    h = parse(text)
+    assert enumerate_incremental(h).outputs == len(stages) - 1
+    assert stages == list(range(len(stages))) and len(stages) > 2
 
 
 class TestMinimizeEdges:

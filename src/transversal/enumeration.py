@@ -249,6 +249,10 @@ def enumerate_incremental(
                 raise RuntimeError(
                     "found solutions stopped being minimal hitting sets"
                 )
+            if outcome.t.mask in solutions:
+                raise RuntimeError(
+                    "verification handed back a solution already found"
+                )
             solutions.append(outcome.t.mask)
             out(outcome.t)
 

@@ -8,16 +8,19 @@ some unhit reduced edge has no unblocked vertex left (the pruning rule of
 Murakami and Uno's MMCS), so it returns the same first witness as the full
 product walk while visiting only a fraction of it.
 
-The families come from an edge classification of X: the edges disjoint
-from X (``uncov``) and, per member of X, the edges meeting X only there
-(``crit``), both as edge-index bitmasks, as in MMCS.  A tree search passes
-each node's classification to ``extend`` as ``state``, updated along its
-include path by ``include_vertex``, and the look-ahead rank decider passes
-each seed's to ``find_higher_order`` the same way, so a query reduces only
-the edges the classification names instead of scanning all m; without it
-the classification is computed from scratch.  Everything here is pure
-over an immutable hypergraph and only reads ``state``, so concurrent
-calls on a shared hypergraph are fine.
+Both queries, ``extend`` and ``find_higher_order``, start from one head,
+``build_reduced_families``, read from this module's globals at every
+call.  It takes an edge classification of X: the edges disjoint from X
+(``uncov``) and, per member of X, the edges meeting X only there
+(``crit``), both as edge-index bitmasks, as in MMCS.  The classification
+has one construction, ``include_vertex``, which adds one vertex to it: a
+tree search carries it down its include path and passes each node's to
+``extend`` as ``state``, the look-ahead rank decider carries each seed's
+to ``find_higher_order`` the same way, and without ``state`` it is folded
+from the root over X's members.  The head then reduces only the edges
+the classification names by Y.  Everything here is pure over an
+immutable hypergraph and only reads ``state``, so concurrent calls on a
+shared hypergraph are fine.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .core import Hypergraph, VertexSet, iter_bits
 
 __all__ = [
     "ExtensionOutcome",
-    "ReducedFamilies",
     "HigherOrderWitness",
     "build_reduced_families",
     "extend",
@@ -78,32 +80,6 @@ class ExtensionOutcome:
 _HALT = ExtensionOutcome(None)
 
 
-@dataclass
-class ReducedFamilies:
-    """Scratch families for one (X, Y) query, edges reduced by Y.
-
-    ``per_x[i]`` holds the candidate private edges of the i-th vertex of X
-    (ascending) as ``(edge_index, reduced_mask)`` pairs; every candidate
-    contains its vertex.  ``unhit`` holds the reduced edges disjoint from
-    X.  ``forced_mask`` is the intersection of the unhit reduced edges
-    (vertices any one of which completes X to a hitting set; None when
-    nothing is unhit).  ``veto_mask`` collects the vertices lying in every
-    candidate private edge of some member of X, whose inclusion would
-    leave that member redundant.  ``dead_edge`` flags the first edge fully
-    inside Y, and ``missing_private`` the first member of X without a
-    candidate private edge; either rules out any extension at all, and
-    the families are then left empty, with both masks None.
-    """
-
-    x_vertices: tuple[int, ...]
-    per_x: list[list[tuple[int, int]]]
-    unhit: list[tuple[int, int]]
-    dead_edge: int | None
-    missing_private: int | None
-    forced_mask: int | None
-    veto_mask: int | None
-
-
 def _validate(h: Hypergraph, x: VertexSet, y: VertexSet) -> None:
     if h.m == 0:
         raise ValueError("hypergraph has no edges; every vertex set extends trivially")
@@ -137,22 +113,15 @@ def include_vertex(uncov: int, crit: list[int], ev: int) -> tuple[int, list[int]
     return uncov & ~ev, child
 
 
-def _classify(edges: tuple[int, ...], xm: int) -> tuple[int, list[int]]:
-    """The edge classification of X, from all m edges: ``uncov``, the
-    edge-index mask of the edges disjoint from X, and ``crit``, one
-    edge-index mask per member of X (ascending) holding the edges that
-    meet X only in that vertex.  Edges meeting X in >= 2 vertices can
-    never be private and appear in neither."""
-    uncov = 0
-    crit = [0] * xm.bit_count()
-    for idx, e in enumerate(edges):
-        ex = e & xm
-        if ex == 0:
-            uncov |= 1 << idx
-        elif ex & (ex - 1) == 0:
-            # ex is one member of X; its position is the count below it
-            crit[(xm & (ex - 1)).bit_count()] |= 1 << idx
-    return uncov, crit
+def _classify(h: Hypergraph, xm: int) -> tuple[int, list[int]]:
+    """The edge classification of X, folded from the root's (every edge
+    uncovered, no members) by ``include_vertex`` over X's members in
+    ascending order, exactly as a tree search carries it down."""
+    incidence = incidence_masks(h)
+    state: tuple[int, list[int]] = ((1 << h.m) - 1, [])
+    for v in iter_bits(xm):
+        state = include_vertex(*state, incidence[v])
+    return state
 
 
 def _reduce_unhit(
@@ -206,59 +175,35 @@ def _reduce_private(
     return per_x, veto
 
 
-def build_reduced_families(h: Hypergraph, x: VertexSet, y: VertexSet) -> ReducedFamilies:
-    """Classify every edge against X from scratch and reduce it by Y.
-
-    The searches here do not call it (they reduce a carried or freshly
-    classified state directly); it spells the families out for
-    inspection, and the benchmark's tracer (bench/spans.py) wraps it by
-    name.
-    """
-    edges = h.edge_masks()
-    uncov, crit = _classify(edges, x.mask)
-    xs = tuple(iter_bits(x.mask))
-    keep = ~y.mask
-    dead, unhit, forced = _reduce_unhit(edges, keep, uncov)
-    if dead is not None:
-        return ReducedFamilies(xs, [], [], dead, None, None, None)
-    if 0 in crit:
-        return ReducedFamilies(xs, [], [], None, xs[crit.index(0)], None, None)
-    per_x, veto = _reduce_private(edges, keep, crit)
-    return ReducedFamilies(
-        xs,
-        [list(zip(iter_bits(c), fam)) for c, fam in zip(crit, per_x)],
-        list(zip(iter_bits(uncov), unhit)),
-        None,
-        None,
-        forced if unhit else None,
-        veto,
-    )
-
-
-def _reduce(
-    h: Hypergraph, x: VertexSet, y: VertexSet, state: tuple[int, list[int]] | None,
-    sink: Sink | None,
+def build_reduced_families(
+    h: Hypergraph, x: VertexSet, y: VertexSet, state: tuple[int, list[int]] | None = None
 ) -> tuple[list[int], list[int], int, list[list[int]], int] | None:
-    """The head shared by ``extend`` and ``find_higher_order``: validate,
-    classify X (or take ``state``) and reduce its families by Y into
-    ``(crit, unhit, forced, per_x, veto)``.  None means that no extension
-    of X has two more vertices: a member of X has no candidate private
-    edge, an edge lies inside Y, or X hits every edge and went to ``sink``.
+    """The head of ``extend`` and ``find_higher_order``: validate, take
+    X's edge classification ``state`` (or fold it from the root) and
+    reduce its families by Y.
+
+    Returns ``(crit, unhit, forced, per_x, veto)``: X's critical masks;
+    the unhit reduced edges (edge-index order, their indices the bits of
+    ``uncov``) and their intersection ``forced`` (-1 when there are
+    none); per member of X its candidate private edges reduced by Y (in
+    the order of the bits of its ``crit`` mask), and ``veto``, the union
+    over members of those edges' intersections.  An empty ``unhit`` means
+    that X is itself a minimal hitting set; ``per_x`` is then left empty
+    and ``veto`` 0.  None means that X has no extension avoiding Y at
+    all: a member of X has no candidate private edge, or an edge lies
+    inside Y.
     """
     _validate(h, x, y)
-    edges = h.edge_masks()
-    uncov, crit = _classify(edges, x.mask) if state is None else state
+    uncov, crit = _classify(h, x.mask) if state is None else state
     if 0 in crit:
         return None
+    edges = h.edge_masks()
     keep = ~y.mask
     dead, unhit, forced = _reduce_unhit(edges, keep, uncov)
     if dead is not None:
         return None
     if not unhit:
-        # x hits everything and each of its vertices kept a private edge
-        if sink is not None:
-            sink(x)
-        return None
+        return crit, unhit, forced, [], 0
     per_x, veto = _reduce_private(edges, keep, crit)
     return crit, unhit, forced, per_x, veto
 
@@ -341,13 +286,18 @@ def extend(
     mask per member of x (ascending) of the edges meeting x only there.
     ``enumerate_tr`` carries it down its search tree and passes it at
     every node, so the node touches only the edges it names; it is only
-    read.  When it is None (the CLI and direct callers) it is computed
-    from all m edges.  Y does not enter it.
+    read.  When it is None (the CLI and direct callers) it is carried
+    from the root, one member of x at a time.  Y does not enter it.
     """
-    reduced = _reduce(h, x, y, state, sink)
+    reduced = build_reduced_families(h, x, y, state)
     if reduced is None:
         return _HALT
     _crit, unhit, forced, per_x, veto = reduced
+    if not unhit:
+        # x hits everything and each of its vertices kept a private edge
+        if sink is not None:
+            sink(x)
+        return _HALT
     if sink is not None:
         n, xm = h.n, x.mask
         for b in iter_bits(forced & ~veto):
@@ -378,12 +328,12 @@ def find_higher_order(
     """Decide higher-order extendability without emitting solutions.
 
     ``state`` is x's edge classification, as for ``extend``; when it is
-    None it is computed from all m edges.
+    None it is carried from the root.
     """
     if y is None:
         y = VertexSet(h.n)
-    reduced = _reduce(h, x, y, state, None)
-    if reduced is None:
+    reduced = build_reduced_families(h, x, y, state)
+    if reduced is None or not reduced[1]:
         return None
     crit, unhit, forced, per_x, veto = reduced
     pos = _higher_order_combo(per_x, unhit, forced, counters)

@@ -16,6 +16,7 @@ enumeration only: an enumerator calling ``verify_tr`` keeps running.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 from .core import Hypergraph, VertexSet
 from .hitting import is_minimal_mask, minimize
@@ -34,43 +35,25 @@ class VerifyOutcome:
         return isinstance(self, Equal)
 
 
+@dataclass(frozen=True, slots=True)
 class Equal(VerifyOutcome):
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "Equal()"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Equal)
-
-    def __hash__(self) -> int:
-        return hash(Equal)
+    """G is exactly the transversal hypergraph of H."""
 
 
+@dataclass(frozen=True, slots=True)
 class NotSubset(VerifyOutcome):
-    """Some edge of G is not a minimal hitting set of H."""
+    """Some edge ``g`` of G is not a minimal hitting set of H."""
 
-    __slots__ = ("g",)
-
-    def __init__(self, g: VertexSet):
-        self.g = g
-
-    def __repr__(self) -> str:
-        return f"NotSubset({self.g!r})"
+    g: VertexSet
 
 
+@dataclass(frozen=True, slots=True)
 class MissingSolution(VerifyOutcome):
     """``s`` is a minimal hitting set of G absent from H's edges, and
     ``t`` the fresh minimal hitting set of H extracted from it."""
 
-    __slots__ = ("s", "t")
-
-    def __init__(self, s: VertexSet, t: VertexSet):
-        self.s = s
-        self.t = t
-
-    def __repr__(self) -> str:
-        return f"MissingSolution(s={self.s!r}, t={self.t!r})"
+    s: VertexSet
+    t: VertexSet
 
 
 def _extract(h: Hypergraph, s: VertexSet) -> MissingSolution:

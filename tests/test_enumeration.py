@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from transversal import Hypergraph, VertexSet
-from transversal import enumeration
+from transversal import enumeration, verify
 from transversal.cliques import (
     enumerate_maximal_cliques,
     enumerate_maximal_hypercliques,
@@ -115,6 +115,26 @@ def test_incremental_matches_oracle(corpus, corpus_tr):
         got, _ = run(h, method=enumerate_incremental)
         assert masks(got) == masks(want)
         assert len(got) == len(masks(got))
+
+
+def test_incremental_rejects_a_stale_solution(monkeypatch):
+    # a stage handing back a solution already in G would leave G as it was,
+    # and the next stage would stream the same set again, up to the limit
+    real = verify.verify_tr
+
+    def stale(g, h, **kwargs):
+        outcome = real(g, h, **kwargs)
+        if isinstance(outcome, verify.MissingSolution) and g.m:
+            return verify.MissingSolution(outcome.s, g.edges[0])
+        return outcome
+
+    monkeypatch.setattr(verify, "verify_tr", stale)
+    got: list[VertexSet] = []
+    with pytest.raises(RuntimeError, match="already found"):
+        enumerate_incremental(
+            uniform_instance(random.Random(1), 9, 20, 3), got.append, limit=10
+        )
+    assert len(got) == 1
 
 
 def test_incremental_limit():

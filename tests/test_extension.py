@@ -7,13 +7,16 @@ from collections import Counter
 
 import pytest
 
-from transversal import Hypergraph, VertexSet
+from transversal import Hypergraph, VertexSet, extension, rank
+from transversal.enumeration import enumerate_tr
 from transversal.extension import (
     ExtensionOutcome,
     build_reduced_families,
     extend,
     find_higher_order,
 )
+from transversal.core import iter_bits
+from transversal.generators import bounded_degree_instance, uniform_instance
 from transversal.hitting import is_minimal_hitting_set
 from transversal.oracle import brute_extensions
 
@@ -75,13 +78,19 @@ def test_emitted_order_is_ascending():
 
 def test_reduced_families_structure():
     h = Hypergraph(5, [(0, 1, 4), (0, 2), (2, 3), (1, 2)])
-    fam = build_reduced_families(h, VertexSet.of(5, 0), VertexSet.of(5, 4))
-    assert fam.x_vertices == (0,)
-    # every candidate private edge still contains its vertex
-    for fam_x, v in zip(fam.per_x, fam.x_vertices):
-        assert all(em >> v & 1 for _, em in fam_x)
+    x = VertexSet.of(5, 0)
+    crit, unhit, forced, per_x, veto = build_reduced_families(h, x, VertexSet.of(5, 4))
+    assert len(crit) == len(per_x) == 1
+    # every candidate private edge still contains its vertex, and is the
+    # edge its crit bit names, reduced by Y
+    for c, fam, v in zip(crit, per_x, x):
+        pairs = list(zip(iter_bits(c), fam))
+        assert len(pairs) == len(fam)
+        assert all(em >> v & 1 for _, em in pairs)
+        assert all(em == h.edge_masks()[idx] & ~0b10000 for idx, em in pairs)
     # unhit reduced edges are disjoint from X
-    assert all(em & 1 == 0 for _, em in fam.unhit)
+    assert unhit and all(em & 1 == 0 for em in unhit)
+    assert forced == unhit[0] & unhit[1]
 
 
 def test_matches_oracle_on_random_triples():
@@ -134,14 +143,16 @@ def test_find_higher_order_returns_certificate():
 def _reference_edge_indices(h, x, y):
     """First combination of the full candidate product that leaves every
     unhit reduced edge unblocked, found by plain exhaustion."""
-    fam = build_reduced_families(h, x, y)
-    if fam.dead_edge is not None or fam.missing_private is not None or not fam.unhit:
+    reduced = build_reduced_families(h, x, y)
+    if reduced is None or not reduced[1]:
         return None
-    for combo in itertools.product(*fam.per_x):
-        blocked = fam.forced_mask
+    crit, unhit, forced, per_x, _veto = reduced
+    families = [list(zip(iter_bits(c), fam)) for c, fam in zip(crit, per_x)]
+    for combo in itertools.product(*families):
+        blocked = forced
         for _, em in combo:
             blocked |= em
-        if all(em & ~blocked for _, em in fam.unhit):
+        if all(em & ~blocked for em in unhit):
             return tuple(idx for idx, _ in combo)
     return None
 
@@ -164,5 +175,37 @@ def test_pruned_search_matches_full_product(corpus):
             w = find_higher_order(h, x, y, counters=counters)
             got = None if w is None else w.edge_indices
             assert got == _reference_edge_indices(h, x, y), (h, x, y)
-            per_x = build_reduced_families(h, x, y).per_x
+            reduced = build_reduced_families(h, x, y)
+            per_x = [] if reduced is None else reduced[3]
             assert counters["product_iterations"] <= math.prod(len(f) for f in per_x)
+
+
+def test_queries_reduce_through_the_module_head(monkeypatch):
+    """``extend`` and ``find_higher_order`` reach their reduction only
+    through ``build_reduced_families``, read from the module's globals, so
+    a wrapper there sees exactly one call per query."""
+    heads = 0
+    real_head = extension.build_reduced_families
+
+    def counted_head(*args, **kwargs):
+        nonlocal heads
+        heads += 1
+        return real_head(*args, **kwargs)
+
+    monkeypatch.setattr(extension, "build_reduced_families", counted_head)
+    stats = enumerate_tr(bounded_degree_instance(random.Random(1), 40, 80, 4))
+    assert heads == stats.calls == 32_427
+
+    queries = 0
+    real_query = rank.find_higher_order
+
+    def counted_query(*args, **kwargs):
+        nonlocal queries
+        queries += 1
+        return real_query(*args, **kwargs)
+
+    monkeypatch.setattr(rank, "find_higher_order", counted_query)
+    heads = 0
+    h = uniform_instance(random.Random(0), 16, 40, 3)
+    assert rank.rank_at_least(h, 12, method="lookahead") is None
+    assert heads == queries == 218

@@ -30,6 +30,7 @@ from .core import (
     HypergraphFormatError,
     VertexSet,
     edge_complement,
+    iter_bits,
     k_section,
     parse,
     serialize,
@@ -224,10 +225,21 @@ def _cmd_cliques(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _in_universe(g: Hypergraph, h: Hypergraph) -> Hypergraph:
+    """G's edges read by vertex name in H's universe: each file numbers
+    its vertices on its own, by its header or by first use."""
+    try:
+        bits = [1 << h.index_of(g.token(v)) for v in range(g.n)]
+    except KeyError as exc:
+        raise ValueError(f"G's vertex {exc.args[0]!r} is no vertex of H") from None
+    masks = [sum(bits[v] for v in iter_bits(e)) for e in g.edge_masks()]
+    return Hypergraph._from_masks(h.n, h.names, masks)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     g = _load(args.g)
     h = _load(args.h)
-    outcome = verify_tr(g, h)
+    outcome = verify_tr(_in_universe(g, h), h)
     if isinstance(outcome, Equal):
         _respond(args, "equal", lines=["equal"])
         return EXIT_OK

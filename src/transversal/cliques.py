@@ -130,11 +130,7 @@ def enumerate_maximal_hypercliques(
 
 
 def enumerate_maximal_independent_sets(
-    h: Hypergraph,
-    sink: Sink | None = None,
-    *,
-    limit: int | None = None,
-    r: int | None = None,
+    h: Hypergraph, sink: Sink | None = None, *, limit: int | None = None
 ) -> int:
     """Emit the maximal sets containing no edge of a uniform hypergraph;
     these are exactly the complements of its minimal hitting sets, with
@@ -145,7 +141,7 @@ def enumerate_maximal_independent_sets(
     maximal cliques of the complement graph, which has no edge at such a
     vertex.  Any other input streams the complements of ``enumerate_tr``'s
     outputs; an edgeless one gives the whole universe."""
-    if h.edge_masks() and _uniform_rank(h, r) == 2:
+    if h.edge_masks() and _uniform_rank(h, None) == 2:
 
         def run(out: Sink) -> None:
             for v in range(h.n):

@@ -171,7 +171,6 @@ class Hypergraph:
         "_masks",
         "_edges",
         "_degrees",
-        "_rank",
     )
 
     def __init__(
@@ -220,7 +219,6 @@ class Hypergraph:
         self._masks = kept
         self._edges: tuple[VertexSet, ...] | None = None  # built on first read
         self._degrees: tuple[int, ...] | None = None  # counted on first use
-        self._rank = max(map(int.bit_count, kept), default=0)
 
     @property
     def edges(self) -> tuple[VertexSet, ...]:
@@ -234,7 +232,7 @@ class Hypergraph:
 
     @property
     def rank(self) -> int:
-        return self._rank
+        return max(map(int.bit_count, self._masks), default=0)
 
     @property
     def max_degree(self) -> int:

@@ -69,8 +69,6 @@ class DelayStats:
     first output and the tail until termination.  ``work`` is the run's
     work counter, handed to every extension call."""
 
-    n: int
-    m: int
     started_ns: int = field(default_factory=time.perf_counter_ns)
     finished_ns: int = 0
     outputs: int = 0
@@ -104,9 +102,7 @@ class DelayStats:
 def _walk_tree(
     h: Hypergraph,
     deliver: Sink,
-    counters: Counter,
-    *,
-    stats: DelayStats | None = None,
+    stats: DelayStats,
     prune: Callable[[int, int, int], bool] | None = None,
 ) -> None:
     """Walk the look-ahead search tree of ``h`` (at least one edge) from
@@ -124,16 +120,17 @@ def _walk_tree(
 
     ``prune(X, Y, uncov)``, when given, is asked at every node before its
     extension call; a node it answers True for is dropped with its whole
-    subtree.  ``stats``, when given, records the stack depth and, after
-    each completed extension call, the call and |X| in its histogram.
-    ``extend`` is read from this module's globals at every call.
+    subtree.  ``stats`` records the stack depth and, after each completed
+    extension call, the call and |X| in its histogram; its ``work`` is
+    the counter handed to every extension call.  ``extend`` is read from
+    this module's globals at every call.
     """
     n = h.n
     incidence = incidence_masks(h)
     full = (1 << n) - 1
     stack: list[tuple[int, int, int, list[int]]] = [(0, 0, (1 << h.m) - 1, [])]
     while stack:
-        if stats is not None and len(stack) > stats.max_stack_depth:
+        if len(stack) > stats.max_stack_depth:
             stats.max_stack_depth = len(stack)
         xm, ym, uncov, crit = stack.pop()
         if prune is not None and prune(xm, ym, uncov):
@@ -143,12 +140,11 @@ def _walk_tree(
             VertexSet(n, xm),
             VertexSet(n, ym),
             deliver,
-            counters=counters,
+            counters=stats.work,
             state=(uncov, crit),
         )
-        if stats is not None:
-            stats.calls += 1
-            stats.x_size_histogram[xm.bit_count()] += 1
+        stats.calls += 1
+        stats.x_size_histogram[xm.bit_count()] += 1
         if outcome.continues:
             ypm = outcome.y_plus.mask
             rest = full & ~(xm | ypm)
@@ -170,8 +166,9 @@ def _walk_tree(
 def _stream_stats(
     stats: DelayStats, run: Callable[[Sink], object], sink: Sink | None, limit: int | None
 ) -> DelayStats:
-    """``stream(run, sink, limit)`` with each output counted in ``stats``,
-    where it ends the open gap, and the tail gap ended when ``run`` stops."""
+    """``stream(run, sink, limit)`` with each output ending the open gap
+    in ``stats``, the tail gap ended when ``run`` stops, and ``stream``'s
+    count as ``stats.outputs``."""
     gap_ns, gap_calls = stats.started_ns, 0
 
     def end_gap(now_ns: int) -> None:
@@ -181,12 +178,11 @@ def _stream_stats(
         gap_ns, gap_calls = now_ns, stats.calls
 
     def deliver(t: VertexSet) -> None:
-        stats.outputs += 1
         end_gap(time.perf_counter_ns())
         if sink is not None:
             sink(t)
 
-    stream(run, deliver, limit)
+    stats.outputs = stream(run, deliver, limit)
     stats.finished_ns = time.perf_counter_ns()
     end_gap(stats.finished_ns)
     return stats
@@ -204,19 +200,18 @@ def enumerate_tr(
     Tr(H) = Tr(min H), and an edge containing another is unhit only
     while the edge inside it is, and private to a member of a solution
     only where that edge is too, so dropping it once up front changes
-    neither the outputs nor their order.  The stats keep the input's n
-    and m.
+    neither the outputs nor their order.
 
     An edgeless hypergraph yields the single solution {} and an empty
     edge yields nothing.
     """
-    stats = DelayStats(n=h.n, m=h.m)
+    stats = DelayStats()
 
     def run(out: Sink) -> None:
         if h.m == 0:
             out(VertexSet(h.n))
         else:
-            _walk_tree(minimize_edges(h), out, stats.work, stats=stats)
+            _walk_tree(minimize_edges(h), out, stats)
 
     return _stream_stats(stats, run, sink, limit)
 
@@ -236,7 +231,7 @@ def enumerate_incremental(
     iterations of their tree searches included; the call histogram stays
     empty, since those searches run on G, not on the input.
     """
-    stats = DelayStats(n=h.n, m=h.m)
+    stats = DelayStats()
 
     def run(out: Sink) -> None:
         solutions: list[int] = []  # the masks of G's edges

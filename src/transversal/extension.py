@@ -46,7 +46,8 @@ Sink = Callable[[VertexSet], None]
 
 @dataclass(frozen=True)
 class ExtensionOutcome:
-    """HALT, or CONTINUE WITH a grown forbidden set ``y_plus``.
+    """HALT (``y_plus`` None), or CONTINUE WITH a grown forbidden set
+    ``y_plus``.
 
     CONTINUE guarantees that a minimal extension with >= 2 extra vertices
     exists and that every such extension avoids ``y_plus`` entirely.
@@ -55,28 +56,11 @@ class ExtensionOutcome:
     y_plus: VertexSet | None = None
 
     @property
-    def halted(self) -> bool:
-        return self.y_plus is None
-
-    @property
     def continues(self) -> bool:
         return self.y_plus is not None
 
-    @classmethod
-    def halt(cls) -> "ExtensionOutcome":
-        return _HALT
 
-    @classmethod
-    def continue_with(cls, y_plus: VertexSet) -> "ExtensionOutcome":
-        return cls(y_plus)
-
-    def __repr__(self) -> str:
-        if self.y_plus is None:
-            return "ExtensionOutcome.halt()"
-        return f"ExtensionOutcome.continue_with({self.y_plus!r})"
-
-
-# Immutable, so every halted call returns this one instance.
+# Immutable, so every halting call returns this one instance.
 _HALT = ExtensionOutcome(None)
 
 
@@ -305,7 +289,7 @@ def extend(
     if _higher_order_combo(per_x, unhit, forced, counters) is None:
         return _HALT
     y_plus = (y.mask | forced | veto) & ~x.mask
-    return ExtensionOutcome.continue_with(VertexSet(h.n, y_plus))
+    return ExtensionOutcome(VertexSet(h.n, y_plus))
 
 
 @dataclass(frozen=True)
@@ -313,7 +297,6 @@ class HigherOrderWitness:
     """Certificate that X has a minimal extension with >= 2 extra vertices."""
 
     forced: VertexSet  # vertices lying in every unhit reduced edge
-    veto: VertexSet  # vertices whose inclusion would make some x redundant
     edge_indices: tuple[int, ...]  # chosen candidate private edge per x, ascending x
 
 
@@ -335,7 +318,7 @@ def find_higher_order(
     reduced = build_reduced_families(h, x, y, state)
     if reduced is None or not reduced[1]:
         return None
-    crit, unhit, forced, per_x, veto = reduced
+    crit, unhit, forced, per_x, _veto = reduced
     pos = _higher_order_combo(per_x, unhit, forced, counters)
     if pos is None:
         return None
@@ -347,6 +330,5 @@ def find_higher_order(
         chosen.append((c & -c).bit_length() - 1)
     return HigherOrderWitness(
         forced=VertexSet(h.n, forced),
-        veto=VertexSet(h.n, veto),
         edge_indices=tuple(chosen),
     )

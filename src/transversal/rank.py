@@ -5,8 +5,8 @@ Two independent deciders produce certified witnesses: the look-ahead
 route seeds the search with (k-2)-subsets of vertices in colex order and
 asks for a higher-order extension, and the edge-family route scans
 k-tuples of minimal edges whose pairwise overlaps trap no edge.  These
-are the paper's algorithms and carry its bounds for fixed k.  A
-brute-force oracle route is available for cross-checking.
+are the paper's algorithms and carry its bounds for fixed k.  Their
+brute-force cross-check, ``oracle.brute_rank``, shares no code with them.
 
 Both scans walk their subsets by one colex walk (``_colex_walk``), top
 element first, and cut a prefix only when no completion can hit, so
@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Hypergraph, VertexSet, _pack_lanes, minimize_edges
-from .enumeration import _walk_tree
+from .enumeration import DelayStats, _walk_tree
 from .extension import find_higher_order, incidence_masks, include_vertex
 from .hitting import minimize
-from .oracle import brute_rank, brute_tr
 
 __all__ = [
     "RankWitness",
@@ -118,7 +117,7 @@ class RankWitness:
     and ``cover`` (the hitting superset that was shrunk to ``t``).  The
     edge-family route fills ``edge_family`` (the k certifying edges) and
     ``overlap`` (the vertices lying in at least two of them).  The tree
-    search and the oracle fill only ``t``.
+    search fills only ``t``.
     """
 
     t: VertexSet
@@ -246,12 +245,6 @@ def rank_at_least(
         return rank_at_least_lookahead(h, k, counters=counters)
     if method == "bd":
         return rank_at_least_bd(h, k, counters=counters)
-    if method == "oracle":
-        _reject_empty_edge(h)
-        for t in brute_tr(h):
-            if len(t) >= k:
-                return RankWitness(t=t)
-        return None
     raise ValueError(f"unknown rank method {method!r}")
 
 
@@ -305,7 +298,7 @@ def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
         counters["tree_nodes"] += 1
         return False
 
-    _walk_tree(h, keep, counters, prune=prune)
+    _walk_tree(h, keep, DelayStats(work=counters), prune=prune)
     return RankWitness(t=best)
 
 
@@ -321,16 +314,16 @@ def transversal_rank(
     (``"lookahead"``, ``"bd"``), which carry the paper's bounds for fixed
     k, are instead asked for k = 1, 2, ...; after a witness t the next
     question is k = |t|+1, and the first "no" ends the scan.
-    ``"oracle"`` reads the largest size off one brute-force list.
-    ``counters`` receives the chosen route's work counts.
+    Any other method is a ``ValueError``.  ``counters`` receives the
+    chosen route's work counts.
     """
+    if method not in ("tree", "lookahead", "bd"):
+        raise ValueError(f"unknown rank method {method!r}")
     _reject_empty_edge(h)
     if counters is None:
         counters = Counter()
     if method == "tree":
         return len(_largest_by_tree(h, counters).t)
-    if method == "oracle":
-        return brute_rank(h)
     best = 0
     k = 1
     while k <= h.n:

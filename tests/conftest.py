@@ -83,10 +83,10 @@ def walk_raw_edges(h: Hypergraph, sink=None) -> enumeration.DelayStats:
     """``enumerate_tr(h, sink)`` without its minimal-edge pass: the same
     tree walk and the same ``DelayStats``, but over every edge of ``h``
     (at least one), so edges containing others still reach ``extend``."""
-    stats = enumeration.DelayStats(n=h.n, m=h.m)
+    stats = enumeration.DelayStats()
 
     def run(out) -> None:
-        enumeration._walk_tree(h, out, stats.work, stats=stats)
+        enumeration._walk_tree(h, out, stats)
 
     return enumeration._stream_stats(stats, run, sink, None)
 

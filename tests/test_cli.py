@@ -179,6 +179,39 @@ def test_verify_exit_codes(capsys, tmp_path, pairs):
     assert code == 2
 
 
+def test_verify_reads_g_by_name(capsys, tmp_path, pairs):
+    # enumerate's output numbers its vertices by first use, not as H does
+    code, out, _ = run(capsys, "enumerate", pairs)
+    g = tmp_path / "g.hg"
+    g.write_text(out)
+    code, out, _ = run(capsys, "verify", "--g", str(g), "--h", pairs)
+    assert (code, out) == (0, "equal\n")
+    g.write_text("!vertices 4 3 2 1\n2 4\n3 1\n4 1\n3 2\n")
+    code, out, _ = run(capsys, "verify", "--g", str(g), "--h", pairs)
+    assert (code, out) == (0, "equal\n")
+
+
+def test_verify_g_over_fewer_vertices(capsys, tmp_path, pairs):
+    h = tmp_path / "h.hg"
+    h.write_text("1 2\n1 3\n")  # Tr(H) = {1}, {2 3}
+    g = tmp_path / "g.hg"
+    g.write_text("1\n")
+    code, out, _ = run(capsys, "verify", "--g", str(g), "--h", str(h))
+    assert code == 1
+    assert out.splitlines() == ["missing-solution s=1", "missing-solution t=2 3"]
+    g.write_text("4 3\n")
+    code, out, _ = run(capsys, "verify", "--g", str(g), "--h", pairs)
+    assert (code, out) == (1, "not-subset 3 4\n")
+
+
+def test_verify_unknown_vertex(capsys, tmp_path, pairs):
+    g = tmp_path / "g.hg"
+    g.write_text("1 3\n1 5\n")
+    code, out, err = run(capsys, "verify", "--g", str(g), "--h", pairs)
+    assert (code, out) == (2, "")
+    assert "'5'" in err
+
+
 def test_extend_prints_solutions_and_verdict(capsys, matchings):
     code, out, _ = run(capsys, "extend", "--x", "1", matchings)
     assert code == 0  # higher-order extensions remain

@@ -134,7 +134,7 @@ class TestIndependentSets:
             r = rng.choice([2, 3])
             n = rng.randint(r, 7)
             h = random_uniform(rng, n, r)
-            got = collect(enumerate_maximal_independent_sets, h, r=r)
+            got = collect(enumerate_maximal_independent_sets, h)
             full = (1 << n) - 1
             assert masks(got) == {full & ~t.mask for t in brute_tr(h)}
 
@@ -143,11 +143,10 @@ class TestIndependentSets:
         # every corpus instance, edgeless and n <= 1 ones included
         extra = [Hypergraph(0, []), Hypergraph(1, []), Hypergraph(2, [(0, 1)])]
         for h in extra + [k_section(h, 2) for h in corpus]:
-            for r in (None, 2):
-                got = collect(enumerate_maximal_independent_sets, h, r=r)
-                full = (1 << h.n) - 1
-                assert len(got) == len(masks(got)), h
-                assert masks(got) == {full & ~t.mask for t in brute_tr(h)}, h
+            got = collect(enumerate_maximal_independent_sets, h)
+            full = (1 << h.n) - 1
+            assert len(got) == len(masks(got)), h
+            assert masks(got) == {full & ~t.mask for t in brute_tr(h)}, h
 
     def test_graph_takes_the_clique_route(self, monkeypatch):
         monkeypatch.setattr(cliques, "enumerate_tr", None)

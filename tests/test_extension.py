@@ -10,7 +10,6 @@ import pytest
 from transversal import Hypergraph, VertexSet, extension, rank
 from transversal.enumeration import enumerate_tr
 from transversal.extension import (
-    ExtensionOutcome,
     build_reduced_families,
     extend,
     find_higher_order,
@@ -33,7 +32,7 @@ def test_one_extensions_then_halt():
     h = Hypergraph(4, [(0, 1), (2, 3)])
     got, outcome = collect(h, VertexSet.of(4, 0), VertexSet(4))
     assert [t.members() for t in got] == [(0, 2), (0, 3)]
-    assert outcome.halted
+    assert not outcome.continues
 
 
 def test_empty_x_emits_forced_singletons():
@@ -125,11 +124,6 @@ def test_matches_oracle_on_random_triples():
         # product loop budget
         delta = h.max_degree
         assert counters["product_iterations"] <= max(1, delta) ** len(x)
-
-
-def test_outcome_repr():
-    assert repr(ExtensionOutcome.halt()) == "ExtensionOutcome.halt()"
-    assert "continue_with" in repr(ExtensionOutcome.continue_with(VertexSet.of(2, 1)))
 
 
 def test_find_higher_order_returns_certificate():

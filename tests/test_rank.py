@@ -10,7 +10,7 @@ from math import comb
 import pytest
 
 from transversal import Hypergraph, VertexSet, edge_complement, minimize_edges
-from transversal import oracle, rank
+from transversal import rank
 from transversal.conformal import conformal_degree
 from transversal.extension import find_higher_order
 from transversal.generators import (
@@ -267,24 +267,16 @@ def test_transversal_rank_examples():
     assert transversal_rank(MATCHING3) == 3
     assert transversal_rank(MATCHING3, method="lookahead") == 3
     assert transversal_rank(MATCHING3, method="bd") == 3
-    assert transversal_rank(MATCHING3, method="oracle") == 3
     with pytest.raises(ValueError):
         transversal_rank(Hypergraph(2, [(), (0,)]))
 
 
-def test_oracle_rank_runs_one_brute_force(monkeypatch):
-    calls = 0
-    real = oracle.brute_tr
-
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(oracle, "brute_tr", counted)
-    h = uniform_instance(random.Random(0), 16, 40, 3)
-    assert transversal_rank(h, method="oracle") == 11
-    assert calls == 1
+def test_transversal_rank_unknown_method():
+    # rejected before the scan, which an empty universe would skip
+    for h in (Hypergraph(0, []), MATCHING3):
+        for method in ("guess", "oracle"):
+            with pytest.raises(ValueError, match="unknown rank method"):
+                transversal_rank(h, method=method)
 
 
 def test_rank_at_least_unknown_method():
@@ -345,16 +337,18 @@ class TestTreeRank:
 
     def test_work_counts(self):
         conf16 = edge_complement(bounded_degree_instance(random.Random(3), 16, 30, 3))
-        for h, want, nodes, pruned in (
-            (bd40(), 9, 1_198, 551),
-            (br30(), 18, 34, 17),
+        for h, want, nodes, pruned, product in (
+            (bd40(), 9, 1_198, 551, 1_491),
+            (br30(), 18, 34, 17, 25),
             # the tree conformal_degree(conf16) walks
-            (edge_complement(conf16), 5, 177, 84),
+            (edge_complement(conf16), 5, 177, 84, 210),
         ):
             counters: Counter = Counter()
             assert transversal_rank(h, counters=counters) == want
             assert counters["tree_nodes"] == nodes
             assert counters["tree_pruned"] == pruned
+            # the walk's extension work reaches the caller's counter
+            assert counters["product_iterations"] == product
 
 
 def test_decider_scan_jumps_past_each_witness(monkeypatch):

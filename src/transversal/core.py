@@ -9,6 +9,7 @@ intersection, containment tests) are plain integer arithmetic.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -426,16 +427,30 @@ def _subset_masks(vertices: Iterable[int], r: int) -> Iterator[int]:
     return map(sum, itertools.combinations([1 << v for v in vertices], r))
 
 
+# The most edges ``uniform_complement`` builds: about 100 MB of masks at
+# its peak.  A tree search over a larger complement would need at least
+# as much memory, so a larger one is refused before it is built.
+MAX_UNIFORM_COMPLEMENT_EDGES = 1 << 20
+
+
 def uniform_complement(h: Hypergraph, r: int) -> Hypergraph:
     """All ``r``-subsets of the universe that are not edges of ``h``.
 
-    ``h`` must be ``r``-uniform.
+    ``h`` must be ``r``-uniform.  A complement of more than
+    ``MAX_UNIFORM_COMPLEMENT_EDGES`` edges is a ``ValueError`` naming its
+    size, raised before any of it is built.
     """
     if r < 0:
         raise ValueError("r must be non-negative")
     for e in h.edge_masks():
         if e.bit_count() != r:
             raise ValueError("hypergraph is not r-uniform")
+    size = math.comb(h.n, r) - h.m
+    if size > MAX_UNIFORM_COMPLEMENT_EDGES:
+        raise ValueError(
+            f"the {r}-uniform complement has {size:,} edges, more than the "
+            f"{MAX_UNIFORM_COMPLEMENT_EDGES:,} it may build"
+        )
     present = h.edge_mask_set()
     masks = [m for m in _subset_masks(range(h.n), r) if m not in present]
     return Hypergraph._from_masks(h.n, h.names, masks)

@@ -110,7 +110,27 @@ def _walk_tree(
 
     At each node the extension call emits the small solutions and either
     halts the branch or returns a grown forbidden set Y+; the walk then
-    branches on the lowest vertex outside X and Y+, include branch first.
+    branches on a free vertex (outside X and Y+), include branch first,
+    and calls ``extend`` only on nodes that can still be extended:
+
+    (a) it branches on the lowest free vertex v that meets an uncovered
+        edge, and the free vertices below v join Y+ in both children.  A
+        member of a solution below the node needs a private edge, which
+        is uncovered, so no solution there holds any of them: their
+        include children die at once, and their exclude children emit
+        nothing and return Y+ plus the vertex, so skipping that chain
+        leaves the outputs and their order as they were;
+    (b) it drops the exclude child when some uncovered edge through v
+        lies inside Y+ + v: no solution avoids v there, and that child's
+        call would halt with no output.
+
+    The include child is then live too: v lies outside the veto in Y+,
+    so each member of X keeps a candidate private edge, and no uncovered
+    edge lies inside Y+, which a solution avoids.  Only the root
+    of an input holding the empty edge is dead when called.  A CONTINUE
+    with no free vertex meeting an uncovered edge breaks ``extend``'s
+    promise and raises ``RuntimeError``.
+
     Each stack entry is (X, Y, uncov, crit): X and Y as vertex masks,
     then X's edge classification (see ``extend``).  The exclude child
     shares its parent's classification; the include child of v updates
@@ -126,6 +146,7 @@ def _walk_tree(
     this module's globals at every call.
     """
     n = h.n
+    edges = h.edge_masks()
     incidence = incidence_masks(h)
     full = (1 << n) - 1
     stack: list[tuple[int, int, int, list[int]]] = [(0, 0, (1 << h.m) - 1, [])]
@@ -148,18 +169,32 @@ def _walk_tree(
         if outcome.continues:
             ypm = outcome.y_plus.mask
             rest = full & ~(xm | ypm)
-            if not rest:
+            # rule (a): v must meet an uncovered edge
+            while rest:
+                vbit = rest & -rest
+                ev = incidence[vbit.bit_length() - 1]
+                if ev & uncov:
+                    break
+                rest ^= vbit
+            else:
                 raise RuntimeError(
                     "higher-order extension promised but no vertex is left"
                 )
-            vbit = rest & -rest
-            # exclude branch, visited second: X and so its state unchanged
-            stack.append((xm, ypm | vbit, uncov, crit))
+            # the free vertices below v join Y+ in both children
+            ypm |= (vbit - 1) & ~xm
+            # rule (b): exclude branch, visited second, unless without v
+            # some uncovered edge through v lies inside Y+
+            through = uncov & ev
+            while through:
+                low = through & -through
+                if edges[low.bit_length() - 1] & ~ypm == vbit:
+                    break
+                through ^= low
+            else:
+                stack.append((xm, ypm | vbit, uncov, crit))
             # include branch, visited first: v is above every member of X,
             # so its critical edges go last
-            child_uncov, child_crit = include_vertex(
-                uncov, crit, incidence[vbit.bit_length() - 1]
-            )
+            child_uncov, child_crit = include_vertex(uncov, crit, ev)
             stack.append((xm | vbit, ypm, child_uncov, child_crit))
 
 
@@ -195,6 +230,11 @@ def enumerate_tr(
     unpruned walk of the look-ahead search tree (``_walk_tree``).  Each
     node carries its edge classification, so it reduces only the edges
     that classification names instead of scanning all m.
+
+    The walk calls ``extend`` only on nodes that can still be extended
+    (``_walk_tree``'s rules (a) and (b)): each call it skips would emit
+    nothing and change no later node's Y, so the outputs and their order
+    are those of the walk branching on every free vertex.
 
     The walk runs on the inclusion-minimal edges (``minimize_edges``):
     Tr(H) = Tr(min H), and an edge containing another is unhit only

@@ -40,24 +40,11 @@ from .hitting import minimize
 
 __all__ = [
     "RankWitness",
-    "colex_combinations",
     "rank_at_least_lookahead",
     "rank_at_least_bd",
     "rank_at_least",
     "transversal_rank",
 ]
-
-
-def colex_combinations(n: int, size: int) -> Iterator[tuple[int, ...]]:
-    """All size-subsets of range(n) in colexicographic order."""
-    if size == 0:
-        yield ()
-        return
-    if size > n:
-        return
-    for top in range(size - 1, n):
-        for rest in colex_combinations(top, size - 1):
-            yield rest + (top,)
 
 
 def _colex_walk(n: int, size: int, root, grow) -> Iterator[tuple]:

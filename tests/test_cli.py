@@ -272,6 +272,18 @@ def test_uniform_complement_cli(capsys, tmp_path):
     assert parse(out).m == 1
 
 
+def test_oversize_uniform_complement_is_refused(capsys, tmp_path):
+    # 30 six-sets on 50 vertices: both commands would build the
+    # 15,890,670 non-edges; they refuse with exit 2 before building any
+    f = tmp_path / "uni50.hg"
+    f.write_text(serialize(uniform_instance(random.Random(0), 50, 30, 6)))
+    for argv in (["cliques", str(f)], ["complement", "--uniform", "6", str(f)]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: ") and "15,890,670" in err, err
+
+
 def test_oracle_subcommands(capsys, matchings):
     code, out, _ = run(capsys, "oracle", "tr", matchings)
     assert code == 0 and len(out.splitlines()) == 8

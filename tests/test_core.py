@@ -16,7 +16,7 @@ from transversal import (
     serialize,
     uniform_complement,
 )
-from transversal import verify
+from transversal import core, verify
 from transversal.enumeration import enumerate_incremental
 from transversal.generators import uniform_instance
 from transversal.oracle import brute_tr
@@ -370,6 +370,20 @@ class TestComplements:
     def test_uniform_complement_rejects_mixed(self):
         with pytest.raises(ValueError):
             uniform_complement(Hypergraph(3, [(0,), (0, 1)]), 2)
+
+    def test_uniform_complement_refuses_oversize(self, monkeypatch):
+        # C(50, 6) - 30 six-subsets: refused by count, before any is built
+        h = uniform_instance(random.Random(0), 50, 30, 6)
+        assert h.m == 30
+        with pytest.raises(ValueError, match="15,890,670 edges"):
+            uniform_complement(h, 6)
+        # the limit itself is allowed: C(4, 2) - 3 = 3 edges
+        g = Hypergraph(4, [(0, 1), (1, 2), (2, 3)])
+        monkeypatch.setattr(core, "MAX_UNIFORM_COMPLEMENT_EDGES", 3)
+        assert uniform_complement(g, 2).m == 3
+        monkeypatch.setattr(core, "MAX_UNIFORM_COMPLEMENT_EDGES", 2)
+        with pytest.raises(ValueError, match="has 3 edges"):
+            uniform_complement(g, 2)
 
     def test_uniform_complement_partitions(self):
         import itertools

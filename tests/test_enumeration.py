@@ -14,11 +14,19 @@ from transversal.cliques import (
     enumerate_maximal_hypercliques,
     enumerate_maximal_independent_sets,
 )
+from transversal.core import minimize_edges
 from transversal.enumeration import (
     DelayStats,
     StopEnumeration,
     enumerate_incremental,
     enumerate_tr,
+)
+from transversal.extension import (
+    ExtensionOutcome,
+    build_reduced_families,
+    extend,
+    incidence_masks,
+    include_vertex,
 )
 from transversal.generators import (
     bounded_degree_instance,
@@ -30,6 +38,7 @@ from transversal.oracle import brute_tr
 from conftest import log_extend_calls, logged_run, masks, random_hypergraph, walk_raw_edges
 
 BD40 = bounded_degree_instance(random.Random(1), 40, 80, 4)
+BR30 = bounded_rank_instance(random.Random(2), 30, 60, 3)
 
 
 def run(h, method=enumerate_tr, **kw):
@@ -182,7 +191,7 @@ def test_online_stats_match_the_extend_call_log(monkeypatch):
 
 
 def test_tree_run_memory_stays_bounded():
-    # nothing the run keeps grows with the 35,075 nodes it visits
+    # nothing the run keeps grows with the 16,039 nodes it visits
     tracemalloc.start()
     try:
         stats = enumerate_tr(BD40)
@@ -217,10 +226,10 @@ def test_rejects_negative_limit():
 
 def test_br30_product_work_stays_pruned():
     # high-degree instance whose unpruned candidate product took millions of steps
-    got, stats = run(bounded_rank_instance(random.Random(2), 30, 60, 3))
+    got, stats = run(BR30)
     assert len(got) == 8
-    assert stats.calls == 203
-    assert stats.product_iterations == 101
+    assert stats.calls == 80
+    assert stats.product_iterations == 72
 
 
 def test_bd40_tree_work_counts():
@@ -229,11 +238,11 @@ def test_bd40_tree_work_counts():
     # product work inside it
     got, stats = run(BD40)
     assert len(got) == 4059
-    assert stats.calls == 32_427
-    assert stats.product_iterations == 33_875
+    assert stats.calls == 16_039
+    assert stats.product_iterations == 22_606
     assert stats.max_stack_depth == 9
     assert stats.x_size_histogram == {
-        0: 6, 1: 30, 2: 191, 3: 1261, 4: 5014, 5: 10488, 6: 10077, 7: 4434, 8: 926
+        0: 5, 1: 24, 2: 156, 3: 953, 4: 2862, 5: 4563, 6: 4556, 7: 2390, 8: 530
     }
 
 
@@ -276,7 +285,80 @@ def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
     instances = list(corpus) + [BD40]
     for h in instances:
         enumerate_tr(h)
-    assert nodes > 32_427
+    assert nodes == 17_585
+
+
+def _walk_every_free_vertex(h: Hypergraph) -> list[int]:
+    """The output masks of ``enumerate_tr(h)`` by the plain branching rule:
+    after a CONTINUE, branch on the lowest vertex outside X and Y+ and
+    push both children, as the look-ahead tree is defined.  It calls
+    ``extension.extend`` itself, not the module global tests patch."""
+    if h.m == 0:
+        return [0]
+    h = minimize_edges(h)
+    incidence = incidence_masks(h)
+    full = (1 << h.n) - 1
+    got: list[int] = []
+    stack = [(0, 0, (1 << h.m) - 1, [])]
+    while stack:
+        xm, ym, uncov, crit = stack.pop()
+        outcome = extend(
+            h, VertexSet(h.n, xm), VertexSet(h.n, ym),
+            lambda t: got.append(t.mask), state=(uncov, crit),
+        )
+        if outcome.continues:
+            ypm = outcome.y_plus.mask
+            rest = full & ~(xm | ypm)
+            vbit = rest & -rest
+            stack.append((xm, ypm | vbit, uncov, crit))
+            stack.append(
+                (xm | vbit, ypm, *include_vertex(uncov, crit, incidence[vbit.bit_length() - 1]))
+            )
+    return got
+
+
+def test_walk_calls_extend_only_on_live_nodes(monkeypatch, corpus):
+    """Every node the walk hands to ``extend`` can still be extended: its
+    reduction is not None, so no member of X has lost its last candidate
+    private edge and no uncovered edge lies inside Y.  The one exception
+    is the root of an input holding the empty edge, which is the whole
+    walk.  The outputs, in order, are those of the walk that branches on
+    every free vertex and pushes both children."""
+    real = enumeration.extend
+    calls = 0
+
+    def checked(h, x, y, sink=None, *, counters=None, state=None):
+        nonlocal calls
+        calls += 1
+        if build_reduced_families(h, x, y, state) is None:
+            assert not x.mask and not y.mask and 0 in h.edge_masks(), (h, x, y)
+        return real(h, x, y, sink, counters=counters, state=state)
+
+    monkeypatch.setattr(enumeration, "extend", checked)
+    for h in list(corpus) + [BD40, BR30]:
+        got: list[int] = []
+        enumerate_tr(h, lambda t: got.append(t.mask))
+        assert got == _walk_every_free_vertex(h), h
+    # the corpus and bd40, as in the carried-state test, and br30
+    assert calls == 17_585 + 80
+
+
+@pytest.mark.parametrize("y_plus", [0b101, 0b111])
+def test_walk_refuses_a_continue_without_a_live_vertex(monkeypatch, y_plus):
+    """A CONTINUE whose Y+ leaves only vertices that meet no uncovered
+    edge (vertex 1 here), or none at all, breaks ``extend``'s promise: the
+    walk raises instead of branching on some other vertex, such as the
+    last one, which meets the uncovered edge."""
+    calls = []
+
+    def broken(h, x, y, sink=None, *, counters=None, state=None):
+        calls.append(x.mask)
+        return ExtensionOutcome(VertexSet(h.n, y_plus))
+
+    monkeypatch.setattr(enumeration, "extend", broken)
+    with pytest.raises(RuntimeError, match="no vertex is left"):
+        enumerate_tr(Hypergraph(3, [(0, 2)]))
+    assert calls == [0]
 
 
 # ---------------------------------------------------------------- the sink protocol

@@ -188,7 +188,7 @@ def test_queries_reduce_through_the_module_head(monkeypatch):
 
     monkeypatch.setattr(extension, "build_reduced_families", counted_head)
     stats = enumerate_tr(bounded_degree_instance(random.Random(1), 40, 80, 4))
-    assert heads == stats.calls == 32_427
+    assert heads == stats.calls == 16_039
 
     queries = 0
     real_query = rank.find_higher_order

@@ -78,11 +78,11 @@ def test_delay_trend_supplementary_monotone_in_degree(monkeypatch):
     """With the universe and the solution structure fixed (three blocks,
     largest solution 3), growing every core's degree grows the work
     between outputs only through m = 3 * degree.  The search itself does
-    not change: 13 extend calls, 8 outputs and 6 product iterations (the
+    not change: 10 extend calls, 8 outputs and 6 product iterations (the
     prefix cut settles it) at every degree.  What grows is the edges each
     node reduces, those its carried classification names (disjoint from
     X or private to one member of X): no edge here ever holds two members
-    of X, so that is all m edges at every call, 13 * m in all.  Wall time
+    of X, so that is all m edges at every call, 10 * m in all.  Wall time
     (the worst gap, which is the lead-in before the first output) is
     printed only.
 
@@ -105,8 +105,8 @@ def test_delay_trend_supplementary_monotone_in_degree(monkeypatch):
         outputs: list = []
         stats = walk_raw_edges(h, outputs.append)
         assert h.m == 3 * delta
-        assert (work["calls"], len(outputs), stats.product_iterations) == (13, 8, 6)
-        assert work["edges_reduced"] == 13 * h.m
+        assert (work["calls"], len(outputs), stats.product_iterations) == (10, 8, 6)
+        assert work["edges_reduced"] == 10 * h.m
         in_order: list = []
         enumerate_tr(h, in_order.append)
         assert [t.mask for t in in_order] == [t.mask for t in outputs]

@@ -21,8 +21,8 @@ from transversal.generators import (
 from transversal.hitting import is_hitting_set, is_minimal_hitting_set, minimize
 from transversal.rank import (
     RankWitness,
+    _colex_walk,
     _irredundant_seeds,
-    colex_combinations,
     rank_at_least,
     rank_at_least_bd,
     rank_at_least_lookahead,
@@ -55,6 +55,12 @@ def fresh_state(h, seed):
     return uncov, crit
 
 
+def colex_combinations(n: int, size: int) -> list[tuple[int, ...]]:
+    """All size-subsets of range(n) in colexicographic order: the
+    reference order of both scans' colex walk."""
+    return sorted(itertools.combinations(range(n), size), key=lambda c: c[::-1])
+
+
 def test_colex_order():
     assert list(colex_combinations(4, 2)) == [
         (0, 1),
@@ -66,6 +72,10 @@ def test_colex_order():
     ]
     assert list(colex_combinations(3, 0)) == [()]
     assert list(colex_combinations(2, 3)) == []
+    # the walk both scans share, never cut, visits exactly that order
+    for n, size in ((4, 2), (3, 0), (2, 3), (7, 3)):
+        walked = [s for s, _ in _colex_walk(n, size, 0, lambda state, v: state)]
+        assert walked == colex_combinations(n, size), (n, size)
 
 
 class TestLookahead:
@@ -338,10 +348,10 @@ class TestTreeRank:
     def test_work_counts(self):
         conf16 = edge_complement(bounded_degree_instance(random.Random(3), 16, 30, 3))
         for h, want, nodes, pruned, product in (
-            (bd40(), 9, 1_198, 551, 1_491),
-            (br30(), 18, 34, 17, 25),
+            (bd40(), 9, 907, 494, 1_337),
+            (br30(), 18, 18, 3, 17),
             # the tree conformal_degree(conf16) walks
-            (edge_complement(conf16), 5, 177, 84, 210),
+            (edge_complement(conf16), 5, 158, 74, 209),
         ):
             counters: Counter = Counter()
             assert transversal_rank(h, counters=counters) == want

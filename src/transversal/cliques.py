@@ -18,7 +18,7 @@ delivered.
 from __future__ import annotations
 
 from .core import Hypergraph, VertexSet, uniform_complement
-from .enumeration import Sink, enumerate_tr, stream
+from .enumeration import DelayStats, Sink, enumerate_tr, stream
 
 __all__ = [
     "enumerate_maximal_cliques",
@@ -95,7 +95,7 @@ def enumerate_maximal_cliques(
                 stack.append((i + 1, spawn))
             stack.append((i + 1, c))
 
-    return stream(run, sink, limit)
+    return stream(DelayStats(), run, sink, limit).outputs
 
 
 def enumerate_maximal_hypercliques(
@@ -126,7 +126,7 @@ def enumerate_maximal_hypercliques(
         # a stop raised by ``out`` ends this tree run, and with it the call
         enumerate_tr(non_edges, on_transversal)
 
-    return stream(run, sink, limit)
+    return stream(DelayStats(), run, sink, limit).outputs
 
 
 def enumerate_maximal_independent_sets(
@@ -150,7 +150,7 @@ def enumerate_maximal_independent_sets(
             # a stop raised by ``out`` ends this clique run, and with it the call
             enumerate_maximal_cliques(uniform_complement(h, 2), out)
 
-        return stream(run, sink, limit)
+        return stream(DelayStats(), run, sink, limit).outputs
 
     full = (1 << h.n) - 1
 

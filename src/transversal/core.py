@@ -171,7 +171,7 @@ class Hypergraph:
         "duplicates_dropped",
         "_masks",
         "_edges",
-        "_degrees",
+        "_incidence",
     )
 
     def __init__(
@@ -219,7 +219,7 @@ class Hypergraph:
         self.duplicates_dropped = len(masks) - len(kept)
         self._masks = kept
         self._edges: tuple[VertexSet, ...] | None = None  # built on first read
-        self._degrees: tuple[int, ...] | None = None  # counted on first use
+        self._incidence: tuple[int, ...] | None = None  # built on first use
 
     @property
     def edges(self) -> tuple[VertexSet, ...]:
@@ -240,17 +240,26 @@ class Hypergraph:
         return max(self.degrees, default=0)
 
     @property
+    def incidence(self) -> tuple[int, ...]:
+        """Per vertex v, the edge-index mask of the edges containing v."""
+        if self._incidence is None:
+            incidence = [0] * self.n
+            bit = 1
+            for e in self._masks:
+                while e:
+                    low = e & -e
+                    incidence[low.bit_length() - 1] |= bit
+                    e ^= low
+                bit <<= 1
+            self._incidence = tuple(incidence)
+        return self._incidence
+
+    @property
     def degrees(self) -> tuple[int, ...]:
-        if self._degrees is None:
-            degrees = [0] * self.n
-            for m in self._masks:
-                for v in iter_bits(m):
-                    degrees[v] += 1
-            self._degrees = tuple(degrees)
-        return self._degrees
+        return tuple(map(int.bit_count, self.incidence))
 
     def degree(self, v: int) -> int:
-        return self.degrees[v]
+        return self.incidence[v].bit_count()
 
     def edge_masks(self) -> tuple[int, ...]:
         return self._masks
@@ -427,9 +436,10 @@ def _subset_masks(vertices: Iterable[int], r: int) -> Iterator[int]:
     return map(sum, itertools.combinations([1 << v for v in vertices], r))
 
 
-# The most edges ``uniform_complement`` builds: about 100 MB of masks at
-# its peak.  A tree search over a larger complement would need at least
-# as much memory, so a larger one is refused before it is built.
+# The most edge masks ``uniform_complement`` and ``k_section`` build:
+# about 100 MB of masks at the peak.  A tree search over a larger
+# hypergraph would need at least as much memory, so either builder
+# refuses a larger one before building any of it.
 MAX_UNIFORM_COMPLEMENT_EDGES = 1 << 20
 
 
@@ -457,9 +467,20 @@ def uniform_complement(h: Hypergraph, r: int) -> Hypergraph:
 
 
 def k_section(h: Hypergraph, k: int) -> Hypergraph:
-    """The ``k``-uniform hypergraph of all k-sets co-occurring in an edge."""
+    """The ``k``-uniform hypergraph of all k-sets co-occurring in an edge.
+
+    Generating more than ``MAX_UNIFORM_COMPLEMENT_EDGES`` k-subsets, one
+    batch of C(|e|, k) per edge e, is a ``ValueError`` naming the count,
+    raised before any of them is built.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
+    size = sum(math.comb(e.bit_count(), k) for e in h.edge_masks())
+    if size > MAX_UNIFORM_COMPLEMENT_EDGES:
+        raise ValueError(
+            f"the {k}-section would generate {size:,} subsets, more than the "
+            f"{MAX_UNIFORM_COMPLEMENT_EDGES:,} it may build"
+        )
     masks = dict.fromkeys(
         m for e in h.edge_masks() for m in _subset_masks(iter_bits(e), k)
     )

@@ -10,7 +10,8 @@ goes to ``sink`` as soon as it is found.  A sink may raise
 ``StopEnumeration`` to end the innermost enumerator feeding it, which
 returns normally, counting the output the sink raised on as delivered.
 ``limit=N`` stops right after the N-th output; 0 produces nothing and a
-negative limit is a ``ValueError``.  ``stream`` implements both rules.
+negative limit is a ``ValueError``.  ``stream`` implements both rules,
+and every enumerator's outputs pass through it once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .core import Hypergraph, VertexSet, minimize_edges
-from .extension import ExtensionOutcome, Sink, extend, incidence_masks, include_vertex
+from .extension import ExtensionOutcome, Sink, extend, include_vertex
 from . import verify as _verify
 
 __all__ = [
@@ -32,31 +33,6 @@ __all__ = [
 
 class StopEnumeration(Exception):
     """Raised by a sink to end the innermost enumerator feeding it."""
-
-
-def stream(run: Callable[[Sink], object], sink: Sink | None, limit: int | None) -> int:
-    """Call ``run(out)`` and return how many outputs it handed to ``out``,
-    which forwards each to ``sink`` (None discards it) and raises
-    ``StopEnumeration`` right after the ``limit``-th.  A stop that reaches
-    this call ends the run normally; ``limit`` 0 runs nothing."""
-    if limit is not None and limit < 0:
-        raise ValueError("limit must be non-negative")
-    count = 0
-
-    def out(t: VertexSet) -> None:
-        nonlocal count
-        count += 1
-        if sink is not None:
-            sink(t)
-        if count == limit:
-            raise StopEnumeration
-
-    if limit != 0:
-        try:
-            run(out)
-        except StopEnumeration:
-            pass
-    return count
 
 
 @dataclass
@@ -147,7 +123,7 @@ def _walk_tree(
     """
     n = h.n
     edges = h.edge_masks()
-    incidence = incidence_masks(h)
+    incidence = h.incidence
     full = (1 << n) - 1
     stack: list[tuple[int, int, int, list[int]]] = [(0, 0, (1 << h.m) - 1, [])]
     while stack:
@@ -198,12 +174,16 @@ def _walk_tree(
             stack.append((xm | vbit, ypm, child_uncov, child_crit))
 
 
-def _stream_stats(
+def stream(
     stats: DelayStats, run: Callable[[Sink], object], sink: Sink | None, limit: int | None
 ) -> DelayStats:
-    """``stream(run, sink, limit)`` with each output ending the open gap
-    in ``stats``, the tail gap ended when ``run`` stops, and ``stream``'s
-    count as ``stats.outputs``."""
+    """Call ``run(out)``, where ``out`` counts each output in
+    ``stats.outputs``, ends the open gap in ``stats``, forwards the output
+    to ``sink`` (None discards it) and raises ``StopEnumeration`` right
+    after the ``limit``-th.  A stop that reaches this call ends the run
+    normally, and the tail gap ends with it; ``limit`` 0 runs nothing."""
+    if limit is not None and limit < 0:
+        raise ValueError("limit must be non-negative")
     gap_ns, gap_calls = stats.started_ns, 0
 
     def end_gap(now_ns: int) -> None:
@@ -212,12 +192,19 @@ def _stream_stats(
         stats.max_gap_calls = max(stats.max_gap_calls, stats.calls - gap_calls)
         gap_ns, gap_calls = now_ns, stats.calls
 
-    def deliver(t: VertexSet) -> None:
+    def out(t: VertexSet) -> None:
+        stats.outputs += 1
         end_gap(time.perf_counter_ns())
         if sink is not None:
             sink(t)
+        if stats.outputs == limit:
+            raise StopEnumeration
 
-    stats.outputs = stream(run, deliver, limit)
+    if limit != 0:
+        try:
+            run(out)
+        except StopEnumeration:
+            pass
     stats.finished_ns = time.perf_counter_ns()
     end_gap(stats.finished_ns)
     return stats
@@ -253,7 +240,7 @@ def enumerate_tr(
         else:
             _walk_tree(minimize_edges(h), out, stats)
 
-    return _stream_stats(stats, run, sink, limit)
+    return stream(stats, run, sink, limit)
 
 
 def enumerate_incremental(
@@ -291,4 +278,4 @@ def enumerate_incremental(
             solutions.append(outcome.t.mask)
             out(outcome.t)
 
-    return _stream_stats(stats, run, sink, limit)
+    return stream(stats, run, sink, limit)

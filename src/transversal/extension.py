@@ -37,7 +37,6 @@ __all__ = [
     "build_reduced_families",
     "extend",
     "find_higher_order",
-    "incidence_masks",
     "include_vertex",
 ]
 
@@ -64,29 +63,6 @@ class ExtensionOutcome:
 _HALT = ExtensionOutcome(None)
 
 
-def _validate(h: Hypergraph, x: VertexSet, y: VertexSet) -> None:
-    if h.m == 0:
-        raise ValueError("hypergraph has no edges; every vertex set extends trivially")
-    if x.n != h.n or y.n != h.n:
-        raise ValueError("X and Y must live in the hypergraph's universe")
-    if x.mask & y.mask:
-        raise ValueError("X and Y must be disjoint")
-
-
-def incidence_masks(h: Hypergraph) -> list[int]:
-    """``E_v`` for every vertex v: the edge-index mask of the edges
-    containing v, in O(sum of edge sizes)."""
-    incidence = [0] * h.n
-    bit = 1
-    for e in h.edge_masks():
-        while e:
-            low = e & -e
-            incidence[low.bit_length() - 1] |= bit
-            e ^= low
-        bit <<= 1
-    return incidence
-
-
 def include_vertex(uncov: int, crit: list[int], ev: int) -> tuple[int, list[int]]:
     """The edge classification of X + v from X's and v's incidence mask
     ``ev``, in O(|X|) integer operations: v's critical edges are the
@@ -95,68 +71,6 @@ def include_vertex(uncov: int, crit: list[int], ev: int) -> tuple[int, list[int]
     child = [c & ~ev for c in crit]
     child.append(uncov & ev)
     return uncov & ~ev, child
-
-
-def _classify(h: Hypergraph, xm: int) -> tuple[int, list[int]]:
-    """The edge classification of X, folded from the root's (every edge
-    uncovered, no members) by ``include_vertex`` over X's members in
-    ascending order, exactly as a tree search carries it down."""
-    incidence = incidence_masks(h)
-    state: tuple[int, list[int]] = ((1 << h.m) - 1, [])
-    for v in iter_bits(xm):
-        state = include_vertex(*state, incidence[v])
-    return state
-
-
-def _reduce_unhit(
-    edges: tuple[int, ...], keep: int, uncov: int
-) -> tuple[int | None, list[int], int]:
-    """Reduce the edges disjoint from X to ``keep`` (the complement of Y).
-
-    Returns ``(dead, unhit, forced)``: the reduced masks in edge-index
-    order (their indices are the bits of ``uncov``) and their intersection
-    (-1 when there are none); or, when one of them lies inside Y, its
-    index as ``dead`` with nothing else.  Only an edge disjoint from X can
-    lie inside Y, so this is the whole dead-edge check.
-    """
-    # the bit loops here and below are inlined: they run at every node
-    unhit: list[int] = []
-    forced = -1
-    while uncov:
-        low = uncov & -uncov
-        em = edges[low.bit_length() - 1] & keep
-        if em == 0:
-            return low.bit_length() - 1, [], -1
-        unhit.append(em)
-        forced &= em
-        uncov ^= low
-    return None, unhit, forced
-
-
-def _reduce_private(
-    edges: tuple[int, ...], keep: int, crit: list[int]
-) -> tuple[list[list[int]], int]:
-    """Reduce each member of X's candidate private edges to ``keep``;
-    every member must have one.
-
-    Returns ``(per_x, veto)``: per member, the reduced masks in edge-index
-    order (their indices are the bits of its ``crit`` mask), and the union
-    over members of their intersections.
-    """
-    per_x: list[list[int]] = []
-    veto = 0
-    for c in crit:
-        fam = []
-        core = -1
-        while c:
-            low = c & -c
-            em = edges[low.bit_length() - 1] & keep
-            fam.append(em)
-            core &= em
-            c ^= low
-        per_x.append(fam)
-        veto |= core
-    return per_x, veto
 
 
 def build_reduced_families(
@@ -175,20 +89,51 @@ def build_reduced_families(
     that X is itself a minimal hitting set; ``per_x`` is then left empty
     and ``veto`` 0.  None means that X has no extension avoiding Y at
     all: a member of X has no candidate private edge, or an edge lies
-    inside Y.
+    inside Y.  Only an edge disjoint from X can lie inside Y, so the
+    unhit pass is the whole dead-edge check.
     """
-    _validate(h, x, y)
-    uncov, crit = _classify(h, x.mask) if state is None else state
+    if h.m == 0:
+        raise ValueError("hypergraph has no edges; every vertex set extends trivially")
+    if x.n != h.n or y.n != h.n:
+        raise ValueError("X and Y must live in the hypergraph's universe")
+    if x.mask & y.mask:
+        raise ValueError("X and Y must be disjoint")
+    if state is None:
+        # fold X's classification from the root's (every edge uncovered,
+        # no members) over its members ascending, as a tree search does
+        state = ((1 << h.m) - 1, [])
+        for v in iter_bits(x.mask):
+            state = include_vertex(*state, h.incidence[v])
+    uncov, crit = state
     if 0 in crit:
         return None
     edges = h.edge_masks()
     keep = ~y.mask
-    dead, unhit, forced = _reduce_unhit(edges, keep, uncov)
-    if dead is not None:
-        return None
-    if not unhit:
-        return crit, unhit, forced, [], 0
-    per_x, veto = _reduce_private(edges, keep, crit)
+    # the bit loops here are inlined: they run at every node
+    unhit: list[int] = []
+    forced = -1
+    while uncov:
+        low = uncov & -uncov
+        em = edges[low.bit_length() - 1] & keep
+        if em == 0:
+            return None
+        unhit.append(em)
+        forced &= em
+        uncov ^= low
+    per_x: list[list[int]] = []
+    veto = 0
+    if unhit:
+        for c in crit:
+            fam = []
+            core = -1
+            while c:
+                low = c & -c
+                em = edges[low.bit_length() - 1] & keep
+                fam.append(em)
+                core &= em
+                c ^= low
+            per_x.append(fam)
+            veto |= core
     return crit, unhit, forced, per_x, veto
 
 

@@ -35,7 +35,7 @@ from typing import Iterator
 
 from .core import Hypergraph, VertexSet, _pack_lanes, minimize_edges
 from .enumeration import DelayStats, _walk_tree
-from .extension import find_higher_order, incidence_masks, include_vertex
+from .extension import find_higher_order, include_vertex
 from .hitting import minimize
 
 __all__ = [
@@ -80,7 +80,7 @@ def _irredundant_seeds(
     ``include_vertex``); they only shrink as vertices join, so once one
     is 0 the colex block below the prefix is skipped.
     """
-    incidence = incidence_masks(h)
+    incidence = h.incidence
 
     def grow(state: tuple[int, list[int]], v: int) -> tuple[int, list[int]] | None:
         ev = incidence[v]
@@ -256,7 +256,7 @@ def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
     if h.m == 0:
         return RankWitness(t=best)
     h = minimize_edges(h)
-    incidence = incidence_masks(h)
+    incidence = h.incidence
     full = (1 << n) - 1
 
     def keep(t: VertexSet) -> None:

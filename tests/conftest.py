@@ -88,7 +88,7 @@ def walk_raw_edges(h: Hypergraph, sink=None) -> enumeration.DelayStats:
     def run(out) -> None:
         enumeration._walk_tree(h, out, stats)
 
-    return enumeration._stream_stats(stats, run, sink, None)
+    return enumeration.stream(stats, run, sink, None)
 
 
 def logged_run(log: list, h: Hypergraph, run=None, **kw):

@@ -284,6 +284,16 @@ def test_oversize_uniform_complement_is_refused(capsys, tmp_path):
         assert err.startswith("error: ") and "15,890,670" in err, err
 
 
+def test_oversize_section_is_refused(capsys, tmp_path):
+    # one 40-vertex edge: its 10-section would generate C(40, 10) subsets
+    f = tmp_path / "edge40.hg"
+    f.write_text(" ".join(f"v{i}" for i in range(40)) + "\n")
+    code, out, err = run(capsys, "section", "--k", "10", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "847,660,528" in err, err
+
+
 def test_oracle_subcommands(capsys, matchings):
     code, out, _ = run(capsys, "oracle", "tr", matchings)
     assert code == 0 and len(out.splitlines()) == 8
@@ -402,3 +412,61 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1", "2"]
+
+
+def _cap_memory() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_commands_answer_or_refuse_in_bounded_memory(tmp_path):
+    """Every command on oversize and malformed inputs, each in a child
+    process whose address space is capped at 1 GiB: it answers (exit 0
+    or 1) or refuses with an ``error:`` line (exit 2), and never reports
+    an internal error such as a ``MemoryError``."""
+    files = {
+        "uni50": serialize(uniform_instance(random.Random(0), 50, 30, 6)),
+        "edge40": " ".join(f"v{i}" for i in range(40)) + "\n",
+        "bad": "!vertices a b\na c\n",  # c is not in the header
+        "h": "a b\nb c\n",
+        "unknown": "a zz\n",  # zz is no vertex of h
+        "empty": "a b\n{}\n",
+    }
+    path = {}
+    for name, text in files.items():
+        path[name] = str(tmp_path / f"{name}.hg")
+        (tmp_path / f"{name}.hg").write_text(text)
+    bad = path["bad"]
+    cases = [
+        ["cliques", path["uni50"]],
+        ["complement", "--uniform", "6", path["uni50"]],
+        ["section", "--k", "10", path["edge40"]],
+        ["enumerate", bad],
+        ["extend", bad],
+        ["rank", "--k", "3", bad],
+        ["conformal", "--degree", bad],
+        ["cliques", bad],
+        ["verify", "--g", bad, "--h", path["h"]],
+        ["verify", "--g", path["h"], "--h", bad],
+        ["minimize", bad, "--set", "a"],
+        ["section", "--k", "2", bad],
+        ["complement", bad],
+        ["oracle", "tr", bad],
+        ["verify", "--g", path["unknown"], "--h", path["h"]],
+        ["rank", "--k", "3", path["empty"]],
+    ]
+    for argv in cases:
+        proc = subprocess.run(
+            [sys.executable, "-m", "transversal", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=_cap_memory,
+            timeout=60,
+        )
+        assert proc.returncode in (0, 1, 2), (argv, proc.returncode, proc.stderr)
+        if proc.returncode == 2:
+            assert any(
+                line.startswith("error: ") for line in proc.stderr.splitlines()
+            ), (argv, proc.stderr)
+        assert "internal error" not in proc.stderr, (argv, proc.stderr)

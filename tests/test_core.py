@@ -66,6 +66,22 @@ class TestHypergraph:
         assert h.degrees == (1, 2, 1)
         assert sum(h.degrees) == sum(len(e) for e in h.edges)
 
+    def test_incidence_transposes_the_edge_masks(self, corpus):
+        # n = 0 and edgeless inputs lead the corpus; a minimize_edges
+        # result renumbers the edges it keeps
+        instances = list(corpus) + [minimize_edges(h) for h in corpus]
+        assert any(minimize_edges(h) is not h for h in corpus)
+        for h in instances:
+            want = [0] * h.n
+            for i, e in enumerate(h.edge_masks()):
+                for v in range(h.n):
+                    if e >> v & 1:
+                        want[v] |= 1 << i
+            assert h.incidence == tuple(want), h
+            assert h.degrees == tuple(w.bit_count() for w in want), h
+            assert [h.degree(v) for v in range(h.n)] == list(h.degrees)
+            assert h.max_degree == max(h.degrees, default=0)
+
     def test_not_sperner(self):
         assert not Hypergraph(2, [(0,), (0, 1)]).is_sperner()
 
@@ -384,6 +400,21 @@ class TestComplements:
         monkeypatch.setattr(core, "MAX_UNIFORM_COMPLEMENT_EDGES", 2)
         with pytest.raises(ValueError, match="has 3 edges"):
             uniform_complement(g, 2)
+
+    def test_k_section_refuses_oversize(self, monkeypatch):
+        # one 40-vertex edge: C(40, 10) ten-subsets, refused by count
+        # before any is built
+        h = Hypergraph(40, [range(40)])
+        with pytest.raises(ValueError, match="847,660,528 subsets"):
+            k_section(h, 10)
+        # the count is summed over the edges, so {1, 2} counts twice, and
+        # the limit itself is allowed: C(3, 2) + C(3, 2) = 6 pairs, 5 kept
+        g = Hypergraph(4, [(0, 1, 2), (1, 2, 3)])
+        monkeypatch.setattr(core, "MAX_UNIFORM_COMPLEMENT_EDGES", 6)
+        assert k_section(g, 2).m == 5
+        monkeypatch.setattr(core, "MAX_UNIFORM_COMPLEMENT_EDGES", 5)
+        with pytest.raises(ValueError, match="generate 6 subsets"):
+            k_section(g, 2)
 
     def test_uniform_complement_partitions(self):
         import itertools

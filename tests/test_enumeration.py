@@ -25,7 +25,6 @@ from transversal.extension import (
     ExtensionOutcome,
     build_reduced_families,
     extend,
-    incidence_masks,
     include_vertex,
 )
 from transversal.generators import (
@@ -296,7 +295,7 @@ def _walk_every_free_vertex(h: Hypergraph) -> list[int]:
     if h.m == 0:
         return [0]
     h = minimize_edges(h)
-    incidence = incidence_masks(h)
+    incidence = h.incidence
     full = (1 << h.n) - 1
     got: list[int] = []
     stack = [(0, 0, (1 << h.m) - 1, [])]
@@ -365,12 +364,19 @@ def test_walk_refuses_a_continue_without_a_live_vertex(monkeypatch, y_plus):
 
 PAIRS = Hypergraph(4, [(0, 1), (2, 3)])
 UNIFORM = uniform_instance(random.Random(0), 9, 40, 3)
+# vertex 0 is adjacent to all others, so the graph route of the
+# independent-set enumerator streams {0} alone before its clique run
+GRAPH = Hypergraph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
 ENUMERATORS = [
     (enumerate_tr, PAIRS),
     (enumerate_incremental, PAIRS),
     (enumerate_maximal_cliques, Hypergraph(4, [(0, 1), (1, 2), (2, 3)])),
     (enumerate_maximal_hypercliques, UNIFORM),
     (enumerate_maximal_independent_sets, UNIFORM),
+    (enumerate_maximal_independent_sets, GRAPH),
+]
+ENUMERATOR_IDS = [fn.__name__ for fn, _ in ENUMERATORS[:-1]] + [
+    "enumerate_maximal_independent_sets-graph"
 ]
 
 
@@ -389,7 +395,7 @@ def delivered(fn, h, sink=None, **kw):
     return got
 
 
-@pytest.mark.parametrize("fn, h", ENUMERATORS, ids=[fn.__name__ for fn, _ in ENUMERATORS])
+@pytest.mark.parametrize("fn, h", ENUMERATORS, ids=ENUMERATOR_IDS)
 def test_limit_contract(fn, h):
     with pytest.raises(ValueError, match="limit must be non-negative"):
         fn(h, limit=-1)

@@ -3,8 +3,9 @@
 Exit codes: 0 = success / yes / equal, 1 = no / mismatch (with a witness
 printed), 2 = usage or input error, 3 = internal error (an unexpected
 exception, reported as ``internal error: <Type>: <msg>`` on stderr).
-``--json`` wraps every result in the stable shape {command, input,
-answer, witness?, stats?}.
+``--json`` (every subcommand but ``bench``, which writes CSV) wraps
+every result in the stable shape {command, input, answer, witness?,
+stats?}.
 
 In plain mode ``enumerate`` and ``cliques`` print each set as it is
 found; ``--json`` collects them for its one line.  A closed stdout
@@ -21,13 +22,13 @@ import json
 import os
 import random
 import sys
+from contextlib import nullcontext
 
 from . import oracle as oracle_mod
 from .cliques import enumerate_maximal_hypercliques, enumerate_maximal_independent_sets
 from .conformal import conformal_degree, is_k_conformal
 from .core import (
     Hypergraph,
-    HypergraphFormatError,
     VertexSet,
     edge_complement,
     iter_bits,
@@ -60,7 +61,10 @@ def _load(path: str) -> Hypergraph:
 def _vertex_set(h: Hypergraph, tokens: str | None) -> VertexSet:
     if tokens is None or tokens.strip() in ("", "{}"):
         return VertexSet(h.n)
-    return VertexSet.from_iterable(h.n, (h.index_of(tok) for tok in tokens.split()))
+    try:
+        return VertexSet.from_iterable(h.n, (h.index_of(tok) for tok in tokens.split()))
+    except KeyError as exc:
+        raise ValueError(f"unknown vertex {exc.args[0]!r}") from None
 
 
 def _set_text(h: Hypergraph, s: VertexSet) -> str:
@@ -116,9 +120,10 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     h = _load(args.path)
     solutions: list[VertexSet] = []
     run = enumerate_tr if args.method == "tree" else enumerate_incremental
-    stats = run(h, _stream_sink(args, h, solutions), limit=args.limit)
-    if args.stats:
-        with open(args.stats, "w", encoding="utf-8") as fh:
+    # opened first, so a path that cannot be written fails before any output
+    with open(args.stats, "w", encoding="utf-8") if args.stats else nullcontext() as fh:
+        stats = run(h, _stream_sink(args, h, solutions), limit=args.limit)
+        if fh is not None:
             json.dump(stats.to_json(), fh, indent=2)
             fh.write("\n")
     _respond(
@@ -156,8 +161,6 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     h = _load(args.path)
-    if not args.exact and args.k is None:
-        raise ValueError("rank needs --k K or --exact")
     if args.method == "oracle":
         # the brute force under TRANSVERSAL_ORACLE_CAP, as `oracle` runs it
         _reject_empty_edge(h)
@@ -198,8 +201,6 @@ def _cmd_conformal(args: argparse.Namespace) -> int:
         degree = conformal_degree(h)
         _respond(args, degree, lines=[str(degree)])
         return EXIT_OK
-    if args.k is None:
-        raise ValueError("conformal needs --k K or --degree")
     verdict = is_k_conformal(h, args.k)
     if verdict.ok:
         _respond(args, "conformal", lines=["conformal"])
@@ -305,25 +306,23 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# family -> (generator, the option holding its last parameter)
 _FAMILIES = {
-    "bounded-delta": lambda rng, args: bounded_degree_instance(rng, args.n, args.m, args.delta),
-    "bounded-rank": lambda rng, args: bounded_rank_instance(rng, args.n, args.m, args.rank),
-    "uniform": lambda rng, args: uniform_instance(rng, args.n, args.m, args.arity),
+    "bounded-delta": (bounded_degree_instance, "delta"),
+    "bounded-rank": (bounded_rank_instance, "rank"),
+    "uniform": (uniform_instance, "arity"),
 }
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.family == "bounded-delta" and args.delta is None:
-        raise ValueError("bounded-delta needs --delta")
-    if args.family == "bounded-rank" and args.rank is None:
-        raise ValueError("bounded-rank needs --rank")
-    if args.family == "uniform" and args.arity is None:
-        raise ValueError("uniform needs --arity")
-    make = _FAMILIES[args.family]
+    make, option = _FAMILIES[args.family]
+    param = getattr(args, option)
+    if param is None:
+        raise ValueError(f"{args.family} needs --{option}")
     rows = []
     for i in range(args.count):
         rng = random.Random(args.seed * 1_000_003 + i)
-        h = make(rng, args)
+        h = make(rng, args.n, args.m, param)
         largest = 0
 
         def widest(t: VertexSet) -> None:
@@ -331,7 +330,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             largest = max(largest, len(t))
 
         stats = enumerate_tr(h, widest)
-        kstar = -1 if any(e == 0 for e in h.edge_masks()) else largest
+        # only an empty edge leaves no minimal hitting set
+        kstar = largest if stats.outputs else -1
         rows.append(
             {
                 "instance_id": f"{args.family}-{args.seed}-{i}",
@@ -361,10 +361,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, json_output=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json_output:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
     p = add("enumerate", _cmd_enumerate, help="list all minimal hitting sets")
@@ -380,8 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("rank", _cmd_rank, help="decide transversal rank >= k, or compute it")
     p.add_argument("path")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--exact", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--k", type=int)
+    mode.add_argument("--exact", action="store_true")
     p.add_argument(
         "--method",
         choices=["tree", "lookahead", "bd", "oracle"],
@@ -391,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("conformal", _cmd_conformal, help="k-conformality or conformal degree")
     p.add_argument("path")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--degree", action="store_true")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--k", type=int)
+    mode.add_argument("--degree", action="store_true")
 
     p = add("cliques", _cmd_cliques, help="maximal hypercliques or independent sets")
     p.add_argument("path")
@@ -419,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=["tr", "rank", "conformal", "cliques"])
     p.add_argument("path")
 
-    p = add("bench", _cmd_bench, help="random families, delay statistics to CSV")
+    p = add("bench", _cmd_bench, json_output=False, help="random families, delay statistics to CSV")
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -443,7 +446,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader has gone (``| head``)
         return EXIT_OK
-    except (HypergraphFormatError, OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:

@@ -40,6 +40,25 @@ def _uniform_rank(h: Hypergraph, r: int | None) -> int:
     return r
 
 
+def _complements_of_tr(
+    h: Hypergraph, floor: int, sink: Sink | None, limit: int | None
+) -> int:
+    """Stream the complements of ``enumerate_tr(h)``'s outputs that keep
+    at least ``floor`` vertices, in its order."""
+    full = (1 << h.n) - 1
+
+    def run(out: Sink) -> None:
+        def complement(t: VertexSet) -> None:
+            c = full & ~t.mask
+            if c.bit_count() >= floor:
+                out(VertexSet(h.n, c))
+
+        # a stop raised by ``out`` ends this tree run, and with it the call
+        enumerate_tr(h, complement)
+
+    return stream(DelayStats(), run, sink, limit).outputs
+
+
 def enumerate_maximal_cliques(
     g: Hypergraph, sink: Sink | None = None, *, limit: int | None = None
 ) -> int:
@@ -114,19 +133,7 @@ def enumerate_maximal_hypercliques(
         raise ValueError("hypercliques need arity at least 2")
     if r == 2:
         return enumerate_maximal_cliques(h, sink, limit=limit)
-    non_edges = uniform_complement(h, r)
-    full = (1 << h.n) - 1
-
-    def run(out: Sink) -> None:
-        def on_transversal(t: VertexSet) -> None:
-            c = full & ~t.mask
-            if c.bit_count() >= r:
-                out(VertexSet(h.n, c))
-
-        # a stop raised by ``out`` ends this tree run, and with it the call
-        enumerate_tr(non_edges, on_transversal)
-
-    return stream(DelayStats(), run, sink, limit).outputs
+    return _complements_of_tr(uniform_complement(h, r), r, sink, limit)
 
 
 def enumerate_maximal_independent_sets(
@@ -152,9 +159,4 @@ def enumerate_maximal_independent_sets(
 
         return stream(DelayStats(), run, sink, limit).outputs
 
-    full = (1 << h.n) - 1
-
-    def complement(t: VertexSet) -> None:
-        sink(VertexSet(h.n, full & ~t.mask))
-
-    return enumerate_tr(h, None if sink is None else complement, limit=limit).outputs
+    return _complements_of_tr(h, 0, sink, limit)

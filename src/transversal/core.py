@@ -162,7 +162,8 @@ class Hypergraph:
     number dropped is recorded in ``duplicates_dropped``).  Instances are
     immutable after construction and safe to share across workers.  The
     edges are stored as int masks (``edge_masks``); the ``VertexSet``
-    tuple ``edges`` is built on first read.
+    tuple ``edges`` is built on first read.  ``names`` holds each vertex's
+    token, ``str(v)`` unless a name table is given.
     """
 
     __slots__ = (
@@ -182,7 +183,9 @@ class Hypergraph:
     ):
         if n < 0:
             raise ValueError("universe size must be non-negative")
-        if names is not None:
+        if names is None:
+            names = tuple(map(str, range(n)))
+        else:
             names = tuple(names)
             if len(names) != n:
                 raise ValueError("name table length must equal the universe size")
@@ -202,17 +205,15 @@ class Hypergraph:
         self._fill(n, names, masks)
 
     @classmethod
-    def _from_masks(
-        cls, n: int, names: tuple[str, ...] | None, masks: list[int]
-    ) -> "Hypergraph":
+    def _from_masks(cls, n: int, names: tuple[str, ...], masks: list[int]) -> "Hypergraph":
         """Trusted construction: ``masks`` must be subsets of range(n) and
-        ``names`` None or a valid name table, and neither is checked again.
+        ``names`` a valid name table, and neither is checked again.
         Duplicates are dropped and counted, as by the public constructor."""
         h = cls.__new__(cls)
         h._fill(n, names, masks)
         return h
 
-    def _fill(self, n: int, names, masks: list[int]) -> None:
+    def _fill(self, n: int, names: tuple[str, ...], masks: list[int]) -> None:
         kept = tuple(dict.fromkeys(masks))
         self.n = n
         self.names = names
@@ -272,23 +273,13 @@ class Hypergraph:
         return minimize_edges(self) is self
 
     def token(self, v: int) -> str:
-        if self.names is not None:
-            return self.names[v]
-        return str(v)
+        return self.names[v]
 
     def index_of(self, token: str) -> int:
-        if self.names is not None:
-            try:
-                return self.names.index(token)
-            except ValueError:
-                raise KeyError(token) from None
         try:
-            v = int(token)
+            return self.names.index(token)
         except ValueError:
             raise KeyError(token) from None
-        if not 0 <= v < self.n:
-            raise KeyError(token)
-        return v
 
     def set_tokens(self, s: VertexSet) -> list[str]:
         return [self.token(v) for v in s]
@@ -372,16 +363,15 @@ def parse(text: str | bytes) -> Hypergraph:
                     b = bit[tok] = 1 << len(bit)
                 mask |= b
         masks.append(mask)
-    n = len(bit)
-    return Hypergraph._from_masks(n, tuple(bit) if n else None, masks)
+    return Hypergraph._from_masks(len(bit), tuple(bit), masks)
 
 
 def serialize(h: Hypergraph) -> str:
     """Inverse of :func:`parse`; vertices within an edge sorted ascending."""
-    tokens = [h.token(v) for v in range(h.n)]
-    lines = ["!vertices " + " ".join(tokens) if h.n else "!vertices"]
+    names = h.names
+    lines = [" ".join(("!vertices", *names))]
     for e in h.edge_masks():
-        lines.append(" ".join(tokens[v] for v in iter_bits(e)) if e else "{}")
+        lines.append(" ".join(names[v] for v in iter_bits(e)) if e else "{}")
     return "\n".join(lines) + "\n"
 
 

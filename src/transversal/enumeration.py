@@ -81,8 +81,8 @@ def _walk_tree(
     stats: DelayStats,
     prune: Callable[[int, int, int], bool] | None = None,
 ) -> None:
-    """Walk the look-ahead search tree of ``h`` (at least one edge) from
-    the root (X, Y) = ({}, {}), sending every solution to ``deliver``.
+    """Walk the look-ahead search tree of ``h`` from the root
+    (X, Y) = ({}, {}), sending every solution to ``deliver``.
 
     At each node the extension call emits the small solutions and either
     halts the branch or returns a grown forbidden set Y+; the walk then
@@ -229,18 +229,11 @@ def enumerate_tr(
     only where that edge is too, so dropping it once up front changes
     neither the outputs nor their order.
 
-    An edgeless hypergraph yields the single solution {} and an empty
-    edge yields nothing.
+    An edgeless hypergraph yields the single solution {}, at the root,
+    and an empty edge yields nothing.
     """
     stats = DelayStats()
-
-    def run(out: Sink) -> None:
-        if h.m == 0:
-            out(VertexSet(h.n))
-        else:
-            _walk_tree(minimize_edges(h), out, stats)
-
-    return stream(stats, run, sink, limit)
+    return stream(stats, lambda out: _walk_tree(minimize_edges(h), out, stats), sink, limit)
 
 
 def enumerate_incremental(

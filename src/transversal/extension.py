@@ -90,10 +90,10 @@ def build_reduced_families(
     and ``veto`` 0.  None means that X has no extension avoiding Y at
     all: a member of X has no candidate private edge, or an edge lies
     inside Y.  Only an edge disjoint from X can lie inside Y, so the
-    unhit pass is the whole dead-edge check.
+    unhit pass is the whole dead-edge check.  On an edgeless hypergraph
+    X = {} is the one minimal hitting set and any other X has a member
+    without a private edge.
     """
-    if h.m == 0:
-        raise ValueError("hypergraph has no edges; every vertex set extends trivially")
     if x.n != h.n or y.n != h.n:
         raise ValueError("X and Y must live in the hypergraph's universe")
     if x.mask & y.mask:

@@ -144,7 +144,7 @@ def rank_at_least_lookahead(
     keeps the seed and at least two more vertices.
     """
     _reject_empty_edge(h)
-    if h.m == 0 or k <= 1:
+    if k <= 1:
         return _small_k(h, k)
     n = h.n
     full = (1 << n) - 1
@@ -193,11 +193,9 @@ def rank_at_least_bd(
     paper's O(m^{k+1}·n).
     """
     _reject_empty_edge(h)
-    if h.m == 0 or k <= 1:
+    if k <= 1:
         return _small_k(h, k)
     masks = minimize_edges(h).edge_masks()
-    if k > len(masks):
-        return None
     packed, ones, low, top = _pack_lanes(masks, h.n)
 
     def grow(state: tuple[int, int], i: int) -> tuple[int, int] | None:
@@ -245,16 +243,15 @@ def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
     edges and contains the vertex.  Hence no solution below the node has
     more than |X| + min(r, u) vertices, where u counts the uncovered edges
     and r the free vertices (outside X and Y) meeting one of them; the
-    node is pruned when that is at most the best size so far.  Extension
-    calls are tallied under ``tree_nodes`` and pruned nodes under
-    ``tree_pruned``.  Like ``enumerate_tr``, the walk and the prune both
-    run on the inclusion-minimal edges.
+    node is pruned when that is at most the best size so far (an edgeless
+    input's root, whose bound is 0, among them).  Extension calls are
+    tallied under ``tree_nodes`` and pruned nodes under ``tree_pruned``.
+    Like ``enumerate_tr``, the walk and the prune both run on the
+    inclusion-minimal edges.
     """
     n = h.n
     best = VertexSet(n)
     best_size = 0
-    if h.m == 0:
-        return RankWitness(t=best)
     h = minimize_edges(h)
     incidence = h.incidence
     full = (1 << n) - 1

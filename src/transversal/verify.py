@@ -56,11 +56,6 @@ class MissingSolution(VerifyOutcome):
     t: VertexSet
 
 
-def _extract(h: Hypergraph, s: VertexSet) -> MissingSolution:
-    complement = VertexSet(h.n, ((1 << h.n) - 1) & ~s.mask)
-    return MissingSolution(s, minimize(h, complement))
-
-
 def verify_tr(
     g: Hypergraph, h: Hypergraph, *, counters: Counter | None = None
 ) -> VerifyOutcome:
@@ -92,4 +87,6 @@ def verify_tr(
     run = enumeration.enumerate_tr(g, check)
     if counters is not None:
         counters.update(run.work)
-    return _extract(h, misses[0]) if misses else Equal()
+    if not misses:
+        return Equal()
+    return MissingSolution(misses[0], minimize(h, misses[0].complement()))

@@ -95,8 +95,6 @@ def test_c03_extension_matches_oracle(corpus):
     rng = random.Random(0xE27)
     triples = 0
     for h in corpus:
-        if h.m == 0:
-            continue
         picks = [(0, 0)]
         for _ in range(4):
             xm = ym = 0

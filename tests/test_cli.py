@@ -318,6 +318,54 @@ def test_unknown_flag_is_usage_error(capsys, pairs):
     assert run(capsys, "nonsense")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["rank", "--k", "2", "--exact"],
+    ["rank"],
+    ["conformal", "--k", "2", "--degree"],
+    ["conformal"],
+])
+def test_modes_are_exclusive_and_required(capsys, matchings, argv):
+    # each mode answers a different question: giving both, or neither,
+    # is a usage error, not a silently ignored flag
+    code, out, err = run(capsys, *argv, matchings)
+    assert (code, out) == (2, "")
+    assert "usage:" in err and "internal error" not in err
+
+
+def test_unknown_vertex_is_input_error(capsys, matchings):
+    for argv in (["extend", "--x", "1 nosuchvertex"], ["extend", "--y", "9"],
+                 ["minimize", "--set", "1 3 zz"]):
+        code, out, err = run(capsys, *argv, matchings)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: unknown vertex "), argv
+    assert "'nosuchvertex'" in run(capsys, "extend", "--x", "nosuchvertex", matchings)[2]
+
+
+def test_internal_key_error_is_internal_error(capsys, monkeypatch, pairs):
+    def lookup(*args, **kwargs):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "minimize", lookup)
+    code, out, err = run(capsys, "minimize", "--set", "1 3", pairs)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.splitlines() == ["internal error: KeyError: 'lost'"]
+
+
+def test_unwritable_stats_path_fails_before_any_output(capsys, tmp_path, pairs):
+    missing = tmp_path / "missing" / "s.json"
+    code, out, err = run(capsys, "enumerate", "--stats", str(missing), pairs)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+def test_bench_has_no_json_flag(capsys):
+    argv = ["bench", "--family", "uniform", "--seed", "1", "--n", "5", "--m", "5",
+            "--arity", "2", "--json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "--json" in err
+
+
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch, pairs):
     def boom(args):
         raise RuntimeError("search stack out of sync")
@@ -400,6 +448,7 @@ def test_bench_csv(capsys, tmp_path):
 def test_bench_requires_family_param(capsys):
     code, _, err = run(capsys, "bench", "--family", "uniform", "--seed", "1", "--n", "5", "--m", "5")
     assert code == 2
+    assert err == "error: uniform needs --arity\n"
 
 
 def test_module_entry_point(tmp_path):

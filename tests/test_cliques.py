@@ -112,6 +112,38 @@ class TestHypercliques:
             assert masks(got) == masks(brute_max_cliques(h, r))
 
 
+# A 3-uniform hypergraph whose maximal hypercliques have 3 and 4
+# vertices, and the orders both complement routes stream on it.
+H3 = Hypergraph(7, [
+    (0, 3, 6), (0, 2, 5), (2, 4, 5), (1, 3, 6), (3, 5, 6), (0, 2, 4), (1, 2, 3),
+    (1, 3, 5), (3, 4, 6), (0, 2, 3), (2, 3, 5), (0, 3, 4), (0, 5, 6), (0, 2, 6),
+    (2, 4, 6), (3, 4, 5), (0, 1, 5), (0, 3, 5), (1, 2, 4), (2, 3, 4),
+])
+H3_HYPERCLIQUES = [
+    (2, 3, 4, 5), (3, 4, 6), (2, 4, 6), (1, 3, 6), (1, 3, 5), (1, 2, 4),
+    (1, 2, 3), (0, 3, 5, 6), (0, 2, 6), (0, 2, 3, 5), (0, 2, 3, 4), (0, 1, 5),
+]
+H3_INDEPENDENT_SETS = [
+    (3, 5), (2, 4), (2, 3, 6), (1, 4, 5, 6), (1, 3, 4), (1, 2, 5, 6), (0, 4, 5),
+    (0, 1, 4, 6), (0, 1, 3), (0, 1, 2),
+]
+
+
+@pytest.mark.parametrize("fn, h, want", [
+    (enumerate_maximal_hypercliques, H3, H3_HYPERCLIQUES),
+    (enumerate_maximal_independent_sets, H3, H3_INDEPENDENT_SETS),
+    # every vertex is an edge: the one independent set is empty
+    (enumerate_maximal_independent_sets, Hypergraph(2, [(0,), (1,)]), [()]),
+])
+def test_complement_routes_keep_their_order_and_limit(fn, h, want):
+    """Hypercliques (r >= 3) keep the complements of at least r vertices
+    and independent sets every complement, in the tree search's order; a
+    limit cuts that order."""
+    assert [c.members() for c in collect(fn, h)] == want
+    for limit in (0, 1, 2):
+        assert [c.members() for c in collect(fn, h, limit=limit)] == want[:limit]
+
+
 class TestIndependentSets:
     def test_triangle(self):
         h = Hypergraph(3, [(0, 1), (1, 2), (0, 2)])

@@ -93,6 +93,20 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph(2, [(0, 2)])
 
+    def test_names_are_always_a_tuple(self):
+        assert Hypergraph(0, []).names == ()
+        assert Hypergraph(3, [(0, 1)]).names == ("0", "1", "2")
+        assert parse("").names == ()
+        assert parse("b a\n").names == ("b", "a")
+
+    def test_index_of_reads_names_only(self):
+        h = Hypergraph(10, [(0, 7)])
+        assert h.index_of("7") == 7 and h.token(7) == "7"
+        # a token is a name, not a number: "07" names no vertex
+        for tok in ("07", "10", "-1", "x"):
+            with pytest.raises(KeyError):
+                h.index_of(tok)
+
     def test_name_with_comment_mark_rejected(self):
         # parse cuts each line at "#", so such a name could not round-trip
         with pytest.raises(ValueError):
@@ -207,7 +221,7 @@ def reference_parse(text):
             mask |= 1 << names.index(tok)
         if mask not in kept:
             kept.append(mask)
-    return len(names), tuple(names) if names else None, tuple(kept), len(edges) - len(kept)
+    return len(names), tuple(names), tuple(kept), len(edges) - len(kept)
 
 
 def random_hg_text(rng: random.Random):

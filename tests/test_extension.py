@@ -52,12 +52,22 @@ def test_continue_with_veto_vertex():
     assert outcome.y_plus == VertexSet.of(6, 1)
 
 
-def test_rejects_overlapping_x_y_and_edgeless():
+def test_rejects_overlapping_x_y_and_answers_edgeless():
     h = Hypergraph(2, [(0,)])
     with pytest.raises(ValueError):
         extend(h, VertexSet.of(2, 0), VertexSet.of(2, 0))
-    with pytest.raises(ValueError):
-        extend(Hypergraph(2, []), VertexSet(2), VertexSet(2))
+    # on an edgeless input X = {} emits itself and halts, and any other X
+    # halts with nothing, as the oracle says
+    edgeless = Hypergraph(2, [])
+    for xm, ym in itertools.product(range(4), repeat=2):
+        if xm & ym:
+            continue
+        x, y = VertexSet(2, xm), VertexSet(2, ym)
+        part = brute_extensions(edgeless, x, y)
+        got, outcome = collect(edgeless, x, y)
+        assert got == list(part.zero + part.one) == ([x] if xm == 0 else [])
+        assert not outcome.continues and not part.higher
+        assert find_higher_order(edgeless, x, y) is None
 
 
 def test_has_higher_order_examples():
@@ -97,8 +107,6 @@ def test_matches_oracle_on_random_triples():
     trials = 0
     while trials < 300:
         h = random_hypergraph(rng, n_max=7, m_max=9)
-        if h.m == 0:
-            continue
         xm = ym = 0
         for v in range(h.n):
             r = rng.random()
@@ -154,8 +162,6 @@ def _reference_edge_indices(h, x, y):
 def test_pruned_search_matches_full_product(corpus):
     rng = random.Random(20240)
     for h in corpus:
-        if h.m == 0:
-            continue
         for _ in range(8):
             xm = ym = 0
             for v in range(h.n):

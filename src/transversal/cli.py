@@ -12,6 +12,11 @@ found; ``--json`` collects them for its one line.  A closed stdout
 (``... | head -n 1``) is no error: it stops a streaming enumeration,
 ``dispatch`` returns 0 at any other ``BrokenPipeError``, and ``main``
 points stdout at the null device so the final flush prints nothing.
+
+One parser serves the process, built by the first ``dispatch`` and not
+at import.  It stores only the subcommand's name: ``dispatch`` looks the
+``_cmd_<name>`` handler up when it runs it, so a replaced handler is the
+one called.
 """
 
 from __future__ import annotations
@@ -319,6 +324,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     param = getattr(args, option)
     if param is None:
         raise ValueError(f"{args.family} needs --{option}")
+    if args.count < 0:
+        raise ValueError("need --count >= 0")
     rows = []
     for i in range(args.count):
         rng = random.Random(args.seed * 1_000_003 + i)
@@ -361,25 +368,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, json_output=True, **kwargs):
+    def add(name, json_output=True, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
         if json_output:
             p.add_argument("--json", action="store_true", help="machine-readable output")
         return p
 
-    p = add("enumerate", _cmd_enumerate, help="list all minimal hitting sets")
+    p = add("enumerate", help="list all minimal hitting sets")
     p.add_argument("path", help=".hg file, or - for stdin")
     p.add_argument("--method", choices=["tree", "incremental"], default="tree")
     p.add_argument("--limit", type=int, default=None, help="stop after N solutions")
     p.add_argument("--stats", default=None, help="write delay statistics to this JSON file")
 
-    p = add("extend", _cmd_extend, help="0/1-extensions of X avoiding Y, plus verdict")
+    p = add("extend", help="0/1-extensions of X avoiding Y, plus verdict")
     p.add_argument("path")
     p.add_argument("--x", default=None, help="partial solution, space-separated tokens")
     p.add_argument("--y", default=None, help="forbidden vertices, space-separated tokens")
 
-    p = add("rank", _cmd_rank, help="decide transversal rank >= k, or compute it")
+    p = add("rank", help="decide transversal rank >= k, or compute it")
     p.add_argument("path")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--k", type=int)
@@ -391,38 +397,38 @@ def build_parser() -> argparse.ArgumentParser:
         help="tree (default for --exact; --exact only), or a decider (default lookahead)",
     )
 
-    p = add("conformal", _cmd_conformal, help="k-conformality or conformal degree")
+    p = add("conformal", help="k-conformality or conformal degree")
     p.add_argument("path")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--k", type=int)
     mode.add_argument("--degree", action="store_true")
 
-    p = add("cliques", _cmd_cliques, help="maximal hypercliques or independent sets")
+    p = add("cliques", help="maximal hypercliques or independent sets")
     p.add_argument("path")
     p.add_argument("--independent", action="store_true")
     p.add_argument("--limit", type=int, default=None)
 
-    p = add("verify", _cmd_verify, help="does G consist exactly of H's minimal hitting sets?")
+    p = add("verify", help="does G consist exactly of H's minimal hitting sets?")
     p.add_argument("--g", required=True)
     p.add_argument("--h", required=True)
 
-    p = add("minimize", _cmd_minimize, help="shrink a hitting set to a minimal one")
+    p = add("minimize", help="shrink a hitting set to a minimal one")
     p.add_argument("path")
     p.add_argument("--set", required=True, help="hitting set, space-separated tokens")
 
-    p = add("section", _cmd_section, help="k-section")
+    p = add("section", help="k-section")
     p.add_argument("path")
     p.add_argument("--k", type=int, required=True)
 
-    p = add("complement", _cmd_complement, help="edge complement, or r-uniform complement")
+    p = add("complement", help="edge complement, or r-uniform complement")
     p.add_argument("path")
     p.add_argument("--uniform", type=int, default=None, metavar="R")
 
-    p = add("oracle", _cmd_oracle, help="brute-force reference answers")
+    p = add("oracle", help="brute-force reference answers")
     p.add_argument("what", choices=["tr", "rank", "conformal", "cliques"])
     p.add_argument("path")
 
-    p = add("bench", _cmd_bench, json_output=False, help="random families, delay statistics to CSV")
+    p = add("bench", json_output=False, help="random families, delay statistics to CSV")
     p.add_argument("--family", choices=sorted(_FAMILIES), required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -436,13 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first dispatch
+
+
 def dispatch(argv: list[str] | None = None) -> int:
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return globals()["_cmd_" + args.command](args)
     except BrokenPipeError:
         # the reader has gone (``| head``)
         return EXIT_OK

@@ -311,7 +311,10 @@ def parse(text: str | bytes) -> Hypergraph:
     is the empty edge.  Blank lines are skipped.
 
     One pass reads each edge straight into its mask.  A token is checked
-    only the first time it appears, when it gets its vertex's bit.
+    only the first time it appears, when it gets its vertex's bit, and
+    only for a leading ``!`` and for ``{}``: ``split()`` on a line cut at
+    ``#`` yields no empty token and none holding whitespace or ``#``.
+    Names given to ``Hypergraph`` get the full check.
     """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
@@ -336,7 +339,7 @@ def parse(text: str | bytes) -> Hypergraph:
                 )
             header = saw_content = True
             for tok in tokens[1:]:
-                if not _valid_token(tok):
+                if tok[0] == "!" or tok == "{}":
                     raise HypergraphFormatError(
                         f"line {lineno}: malformed vertex token {tok!r}"
                     )
@@ -352,7 +355,7 @@ def parse(text: str | bytes) -> Hypergraph:
             for tok in tokens:
                 b = bit.get(tok)
                 if b is None:
-                    if not _valid_token(tok):
+                    if tok[0] == "!" or tok == "{}":
                         raise HypergraphFormatError(
                             f"line {lineno}: malformed token {tok!r}"
                         )

@@ -29,6 +29,8 @@ def bounded_degree_instance(
     Stops early when degree capacity or distinctness runs out, so the
     realized edge count may fall short of the request.
     """
+    if m < 0:
+        raise ValueError("need m >= 0")
     if n < 1 or delta < 1:
         raise ValueError("need n >= 1 and delta >= 1")
     capacity = [delta] * n
@@ -53,6 +55,8 @@ def bounded_degree_instance(
 
 def bounded_rank_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergraph:
     """Up to ``m`` distinct edges of size between 1 and ``r``."""
+    if m < 0:
+        raise ValueError("need m >= 0")
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
     edges: list[tuple[int, ...]] = []
@@ -71,6 +75,8 @@ def bounded_rank_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergr
 
 def uniform_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergraph:
     """Up to ``m`` distinct random ``r``-subsets of the universe."""
+    if m < 0:
+        raise ValueError("need m >= 0")
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
     edges: list[tuple[int, ...]] = []

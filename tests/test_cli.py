@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from transversal import cli, parse, rank, serialize
-from transversal.cli import BENCH_COLUMNS, EXIT_INTERNAL, dispatch
+from transversal.cli import BENCH_COLUMNS, EXIT_INTERNAL, build_parser, dispatch
 from transversal.hitting import is_minimal_hitting_set
 from transversal.core import VertexSet
 from transversal.generators import uniform_instance
@@ -377,6 +377,56 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch, pairs):
     assert err.splitlines() == ["internal error: RuntimeError: search stack out of sync"]
 
 
+def test_handlers_are_looked_up_when_called(capsys, monkeypatch, matchings):
+    # the parser outlives this replacement, and the replacement still runs
+    assert run(capsys, "rank", "--k", "2", matchings)[0] == 0
+
+    def boom(args):
+        raise RuntimeError("decider out of sync")
+
+    monkeypatch.setattr(cli, "_cmd_rank", boom)
+    code, out, err = run(capsys, "rank", "--k", "2", matchings)
+    assert (code, out) == (EXIT_INTERNAL, "")
+    assert err.splitlines() == ["internal error: RuntimeError: decider out of sync"]
+
+
+def test_dispatch_keeps_no_state_between_calls(capsys, monkeypatch, matchings, pairs):
+    calls = [
+        ["rank", "--k", "5", "--exact", matchings],
+        ["--help"],
+        ["rank", "--help"],
+        ["extend", "--x", "nosuchvertex", matchings],
+        ["enumerate", "--limit", "3", pairs],
+        ["cliques", "--json", pairs],  # enumerate's --json holds timings
+        ["conformal", "--degree", matchings],
+        ["rank", "--k", "3", "--method", "bd", "--json", matchings],
+    ]
+    fresh = {}
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh[tuple(argv)] = run(capsys, *argv)
+    assert fresh[("--help",)][1].startswith("usage: transversal")
+    assert fresh[tuple(calls[0])][0] == 2
+    for order in (calls, calls[::-1], calls[1::2] + calls[::2]):
+        for argv in order:
+            assert run(capsys, *argv) == fresh[tuple(argv)], argv
+
+
+def test_one_parser_per_process(capsys, monkeypatch, pairs):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    for argv in (["enumerate", pairs], ["nonsense"], ["oracle", "tr", pairs]) * 3:
+        run(capsys, *argv)
+    assert len(built) == 1
+    assert build_parser() is not build_parser()
+
+
 def test_keyboard_interrupt_propagates(monkeypatch, pairs):
     def interrupted(args):
         raise KeyboardInterrupt
@@ -449,6 +499,15 @@ def test_bench_requires_family_param(capsys):
     code, _, err = run(capsys, "bench", "--family", "uniform", "--seed", "1", "--n", "5", "--m", "5")
     assert code == 2
     assert err == "error: uniform needs --arity\n"
+
+
+@pytest.mark.parametrize("option, value", [("--m", "-2"), ("--count", "-1")])
+def test_bench_refuses_a_negative_size(capsys, option, value):
+    argv = {"--family": "uniform", "--seed": "1", "--n": "3", "--m": "2", "--arity": "2"}
+    argv[option] = value
+    code, out, err = run(capsys, "bench", *(tok for pair in argv.items() for tok in pair))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: need ") and err.endswith(">= 0\n")
 
 
 def test_module_entry_point(tmp_path):

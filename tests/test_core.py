@@ -112,6 +112,13 @@ class TestHypergraph:
         with pytest.raises(ValueError):
             Hypergraph(2, [(0,), (0, 1)], names=("a#b", "c"))
 
+    @pytest.mark.parametrize("name", ["a b", "a\u00a0b", "", "!a", "{}"])
+    def test_given_names_get_the_full_check(self, name):
+        # parse checks a split token only for "!" and "{}"; a caller's
+        # names never went through split(), so they are checked in full
+        with pytest.raises(ValueError, match="invalid vertex name"):
+            Hypergraph(2, [], names=(name, "c"))
+
 
 class TestParse:
     def test_numbered_by_first_appearance(self):
@@ -147,6 +154,7 @@ class TestParse:
             ("a\n!vertices a\n", "line 2: !vertices header must come before the edges"),
             ("# c\n\n!vertices a {}\n", "line 3: malformed vertex token '{}'"),
             ("!vertices a b a\n", "line 1: duplicate vertex 'a' in header"),
+            ("!vertices a !b\n", "line 1: malformed vertex token '!b'"),
         ]
         for text, message in cases:
             with pytest.raises(HypergraphFormatError) as err:
@@ -226,13 +234,16 @@ def reference_parse(text):
 
 def random_hg_text(rng: random.Random):
     """Seeded ``.hg`` text: an optional header, edges with repeated tokens,
-    ``{}``, comments, blank lines and CRLF line ends, now and then a
-    malformed line; half the time as bytes."""
+    ``{}``, comments, blank lines, CRLF line ends and separators that
+    ``str.split()`` reads as whitespace, now and then a malformed line or
+    a ``!`` token in the header; half the time as bytes."""
     vocab = ["a", "b", "v1", "x_2", "0", "10", "\u00fc"]
+    seps = [" ", "  ", "\t", "\u00a0", "\x1f", "\u2003"]
     header = rng.sample(vocab, rng.randint(0, len(vocab))) if rng.random() < 0.5 else None
     lines = []
     if header is not None:
-        lines.append("!vertices " + " ".join(header))
+        shown = header + ["!b"] if rng.random() < 0.05 else header
+        lines.append(rng.choice(seps).join(["!vertices", *shown]))
     for _ in range(rng.randint(0, 10)):
         roll = rng.random()
         if roll < 0.1:
@@ -245,7 +256,7 @@ def random_hg_text(rng: random.Random):
             pool = header if header and rng.random() < 0.95 else vocab
             toks = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
             comment = rng.choice(["", "", " # c", "#c d"])
-            lines.append(rng.choice(["", " ", "\t"]) + rng.choice([" ", "  ", "\t"]).join(toks) + comment)
+            lines.append(rng.choice(["", " ", "\t"]) + rng.choice(seps).join(toks) + comment)
     text = rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n", "\r\n"])
     return text.encode("utf-8") if rng.random() < 0.5 else text
 

@@ -51,6 +51,15 @@ def test_generators_are_seed_deterministic():
     assert a == b
 
 
+@pytest.mark.parametrize("make", [bounded_degree_instance, bounded_rank_instance, uniform_instance])
+def test_negative_edge_count_raises_before_drawing(make):
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="need m >= 0"):
+        make(rng, 6, -1, 2)
+    assert rng.getstate() == state
+
+
 def test_block_family_structure():
     for delta in (2, 4, 8, 16):
         h = block_family((delta,) * 3, 18)

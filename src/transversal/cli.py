@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import random
@@ -324,6 +325,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     param = getattr(args, option)
     if param is None:
         raise ValueError(f"{args.family} needs --{option}")
+    if args.m < 0:
+        raise ValueError("need m >= 0")
     if args.count < 0:
         raise ValueError("need --count >= 0")
     rows = []
@@ -442,15 +445,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None  # built by the first dispatch
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

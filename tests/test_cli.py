@@ -403,7 +403,7 @@ def test_dispatch_keeps_no_state_between_calls(capsys, monkeypatch, matchings, p
     ]
     fresh = {}
     for argv in calls:
-        monkeypatch.setattr(cli, "_parser", None)
+        cli._parser.cache_clear()
         fresh[tuple(argv)] = run(capsys, *argv)
     assert fresh[("--help",)][1].startswith("usage: transversal")
     assert fresh[tuple(calls[0])][0] == 2
@@ -419,7 +419,7 @@ def test_one_parser_per_process(capsys, monkeypatch, pairs):
         built.append(1)
         return build_parser()
 
-    monkeypatch.setattr(cli, "_parser", None)
+    cli._parser.cache_clear()
     monkeypatch.setattr(cli, "build_parser", counting_build)
     for argv in (["enumerate", pairs], ["nonsense"], ["oracle", "tr", pairs]) * 3:
         run(capsys, *argv)
@@ -501,10 +501,15 @@ def test_bench_requires_family_param(capsys):
     assert err == "error: uniform needs --arity\n"
 
 
-@pytest.mark.parametrize("option, value", [("--m", "-2"), ("--count", "-1")])
-def test_bench_refuses_a_negative_size(capsys, option, value):
+@pytest.mark.parametrize(
+    "changes",
+    [{"--m": "-2"}, {"--count": "-1"}, {"--m": "-2", "--count": "0"}],
+    ids=["m", "count", "m-count-0"],
+)
+def test_bench_refuses_a_negative_size(capsys, changes):
+    # checked before the first instance is drawn, so --count 0 does not skip it
     argv = {"--family": "uniform", "--seed": "1", "--n": "3", "--m": "2", "--arity": "2"}
-    argv[option] = value
+    argv.update(changes)
     code, out, err = run(capsys, "bench", *(tok for pair in argv.items() for tok in pair))
     assert (code, out) == (2, "")
     assert err.startswith("error: need ") and err.endswith(">= 0\n")

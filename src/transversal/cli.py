@@ -8,7 +8,8 @@ every result in the stable shape {command, input, answer, witness?,
 stats?}.
 
 In plain mode ``enumerate`` and ``cliques`` print each set as it is
-found; ``--json`` collects them for its one line.  A closed stdout
+found, and ``bench`` writes each CSV row as its instance finishes;
+``--json`` collects the sets for its one line.  A closed stdout
 (``... | head -n 1``) is no error: it stops a streaming enumeration,
 ``dispatch`` returns 0 at any other ``BrokenPipeError``, and ``main``
 points stdout at the null device so the final flush prints nothing.
@@ -46,7 +47,7 @@ from .core import (
 from .enumeration import StopEnumeration, enumerate_incremental, enumerate_tr
 from .generators import bounded_degree_instance, bounded_rank_instance, uniform_instance
 from .hitting import minimize
-from .rank import RankWitness, _reject_empty_edge, rank_at_least, transversal_rank
+from .rank import rank_at_least, transversal_rank
 from .verify import Equal, MissingSolution, NotSubset, verify_tr
 
 EXIT_OK = 0
@@ -75,11 +76,6 @@ def _vertex_set(h: Hypergraph, tokens: str | None) -> VertexSet:
 
 def _set_text(h: Hypergraph, s: VertexSet) -> str:
     return " ".join(h.set_tokens(s)) if s else "{}"
-
-
-def _oracle_cap() -> int:
-    raw = os.environ.get("TRANSVERSAL_ORACLE_CAP")
-    return int(raw) if raw else oracle_mod.DEFAULT_CAP
 
 
 def _respond(
@@ -167,23 +163,13 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 def _cmd_rank(args: argparse.Namespace) -> int:
     h = _load(args.path)
-    if args.method == "oracle":
-        # the brute force under TRANSVERSAL_ORACLE_CAP, as `oracle` runs it
-        _reject_empty_edge(h)
-        ts = oracle_mod.brute_tr(h, cap=_oracle_cap())
     if args.exact:
-        if args.method == "oracle":
-            kstar = max(map(len, ts), default=0)
-        else:
-            kstar = transversal_rank(h, method=args.method or "tree")
+        kstar = transversal_rank(h, method=args.method or "tree")
         _respond(args, kstar, lines=[str(kstar)])
         return EXIT_OK
     if args.method == "tree":
         raise ValueError("--method tree computes the rank itself; use it with --exact")
-    if args.method == "oracle":
-        witness = next((RankWitness(t=t) for t in ts if len(t) >= args.k), None)
-    else:
-        witness = rank_at_least(h, args.k, method=args.method or "lookahead")
+    witness = rank_at_least(h, args.k, method=args.method or "lookahead")
     if witness is None:
         _respond(args, "no", lines=["no"])
         return EXIT_NO
@@ -296,7 +282,8 @@ def _cmd_complement(args: argparse.Namespace) -> int:
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     h = _load(args.path)
-    cap = _oracle_cap()
+    raw = os.environ.get("TRANSVERSAL_ORACLE_CAP")
+    cap = int(raw) if raw else oracle_mod.DEFAULT_CAP
     if args.what == "tr":
         ts = oracle_mod.brute_tr(h, cap=cap)
         _respond(args, [h.set_tokens(t) for t in ts], lines=[_set_text(h, t) for t in ts])
@@ -325,43 +312,42 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     param = getattr(args, option)
     if param is None:
         raise ValueError(f"{args.family} needs --{option}")
-    if args.m < 0:
-        raise ValueError("need m >= 0")
+    # the generator refuses its own bad parameters; at m = 0 it draws
+    # nothing, so this refuses them before any output, --count 0 included
+    make(random.Random(0), args.n, min(args.m, 0), param)
     if args.count < 0:
         raise ValueError("need --count >= 0")
-    rows = []
-    for i in range(args.count):
-        rng = random.Random(args.seed * 1_000_003 + i)
-        h = make(rng, args.n, args.m, param)
-        largest = 0
-
-        def widest(t: VertexSet) -> None:
-            nonlocal largest
-            largest = max(largest, len(t))
-
-        stats = enumerate_tr(h, widest)
-        # only an empty edge leaves no minimal hitting set
-        kstar = largest if stats.outputs else -1
-        rows.append(
-            {
-                "instance_id": f"{args.family}-{args.seed}-{i}",
-                "n": h.n,
-                "m": h.m,
-                "delta": h.max_degree,
-                "kstar": kstar,
-                "outputs": stats.outputs,
-                "max_delay_ns": stats.max_delay_ns,
-                "total_ns": stats.total_ns,
-            }
-        )
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
-    try:
+    # opened first, so a path that cannot be written fails before any run
+    opened = (
+        open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout)
+    )
+    with opened as out:
         writer = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
         writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            out.close()
+        for i in range(args.count):
+            rng = random.Random(args.seed * 1_000_003 + i)
+            h = make(rng, args.n, args.m, param)
+            largest = 0
+
+            def widest(t: VertexSet) -> None:
+                nonlocal largest
+                largest = max(largest, len(t))
+
+            stats = enumerate_tr(h, widest)
+            # only an empty edge leaves no minimal hitting set
+            kstar = largest if stats.outputs else -1
+            writer.writerow(
+                {
+                    "instance_id": f"{args.family}-{args.seed}-{i}",
+                    "n": h.n,
+                    "m": h.m,
+                    "delta": h.max_degree,
+                    "kstar": kstar,
+                    "outputs": stats.outputs,
+                    "max_delay_ns": stats.max_delay_ns,
+                    "total_ns": stats.total_ns,
+                }
+            )
     return EXIT_OK
 
 
@@ -395,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exact", action="store_true")
     p.add_argument(
         "--method",
-        choices=["tree", "lookahead", "bd", "oracle"],
+        choices=["tree", "lookahead", "bd"],
         default=None,
         help="tree (default for --exact; --exact only), or a decider (default lookahead)",
     )

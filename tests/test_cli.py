@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
 import subprocess
@@ -8,11 +9,14 @@ import sys
 
 import pytest
 
-from transversal import cli, parse, rank, serialize
+from transversal import cli, oracle, parse, rank, serialize
 from transversal.cli import BENCH_COLUMNS, EXIT_INTERNAL, build_parser, dispatch
+from transversal.cliques import enumerate_maximal_hypercliques
+from transversal.conformal import conformal_degree, is_k_conformal
 from transversal.hitting import is_minimal_hitting_set
 from transversal.core import VertexSet
 from transversal.generators import uniform_instance
+from transversal.rank import transversal_rank
 
 
 @pytest.fixture
@@ -132,7 +136,7 @@ def test_rank_no(capsys, pairs):
 
 
 def test_rank_exact_and_methods(capsys, matchings):
-    for method in ("lookahead", "bd", "oracle"):
+    for method in ("lookahead", "bd"):
         code, out, _ = run(capsys, "rank", "--exact", "--method", method, matchings)
         assert code == 0
         assert out.strip() == "3"
@@ -157,6 +161,14 @@ def test_rank_tree_needs_exact(capsys, matchings):
     assert err.startswith("error:") and "--exact" in err
 
 
+@pytest.mark.parametrize("mode", [["--exact"], ["--k", "2"]], ids=["exact", "k"])
+def test_rank_has_no_oracle_method(capsys, matchings, mode):
+    # the brute force is the `oracle` subcommand's, not a rank method
+    code, out, err = run(capsys, "rank", *mode, "--method", "oracle", matchings)
+    assert (code, out) == (2, "")
+    assert "argument --method: invalid choice: 'oracle'" in err
+
+
 def test_rank_empty_edge_is_input_error(capsys, tmp_path):
     path = tmp_path / "bad.hg"
     path.write_text("{}\n")
@@ -177,6 +189,18 @@ def test_verify_exit_codes(capsys, tmp_path, pairs):
     assert out.splitlines()[0].startswith("missing-solution")
     code, _, _ = run(capsys, "verify", "--g", str(tmp_path / "nope.hg"), "--h", pairs)
     assert code == 2
+
+
+def test_verify_json_names_both_inputs(capsys, tmp_path, pairs):
+    good = tmp_path / "g.hg"
+    good.write_text("1 3\n1 4\n2 3\n2 4\n")
+    code, out, _ = run(capsys, "verify", "--json", "--g", str(good), "--h", pairs)
+    assert code == 0
+    assert json.loads(out) == {
+        "command": "verify",
+        "input": {"g": str(good), "h": pairs},
+        "answer": "equal",
+    }
 
 
 def test_verify_reads_g_by_name(capsys, tmp_path, pairs):
@@ -230,6 +254,19 @@ def test_conformal(capsys, tmp_path):
     assert out.startswith("counterexample")
     code, out, _ = run(capsys, "conformal", "--degree", str(tri))
     assert code == 0 and out.strip() == "3"
+
+
+def test_conformal_k_answers_conformal(capsys, tmp_path):
+    # the triangle is 3-conformal, not 2-conformal
+    tri = tmp_path / "tri.hg"
+    tri.write_text("1 2\n2 3\n1 3\n")
+    h = parse(tri.read_text())
+    assert is_k_conformal(h, 3).ok and not is_k_conformal(h, 2).ok
+    code, out, _ = run(capsys, "conformal", "--k", "3", str(tri))
+    assert (code, out) == (0, "conformal\n")
+    code, out, _ = run(capsys, "conformal", "--json", "--k", "3", str(tri))
+    assert code == 0
+    assert json.loads(out) == {"command": "conformal", "input": str(tri), "answer": "conformal"}
 
 
 def test_cliques(capsys, tmp_path):
@@ -301,6 +338,23 @@ def test_oracle_subcommands(capsys, matchings):
     assert out.strip() == "3"
 
 
+def test_oracle_conformal_and_cliques(capsys, tmp_path):
+    # two 3-uniform cliques, {1 2 3 4} and {3 4 5}, sharing the pair 3 4
+    f = tmp_path / "k4.hg"
+    f.write_text("1 2 3\n1 2 4\n1 3 4\n2 3 4\n3 4 5\n")
+    h = parse(f.read_text())
+    degree = oracle.brute_conformal_degree(h)
+    assert degree == conformal_degree(h)
+    code, out, _ = run(capsys, "oracle", "conformal", str(f))
+    assert (code, out) == (0, f"{degree}\n")
+    cliques = sorted(" ".join(h.set_tokens(c)) for c in oracle.brute_max_cliques(h))
+    found: list[VertexSet] = []
+    enumerate_maximal_hypercliques(h, found.append)
+    assert cliques == sorted(" ".join(h.set_tokens(c)) for c in found) == ["1 2 3 4", "3 4 5"]
+    code, out, _ = run(capsys, "oracle", "cliques", str(f))
+    assert code == 0 and sorted(out.splitlines()) == cliques
+
+
 def test_oracle_cap_env(capsys, tmp_path, monkeypatch):
     big = tmp_path / "big.hg"
     big.write_text("!vertices " + " ".join(f"v{i}" for i in range(22)) + "\nv0 v1\n")
@@ -308,8 +362,6 @@ def test_oracle_cap_env(capsys, tmp_path, monkeypatch):
     assert code == 2  # over the default cap
     monkeypatch.setenv("TRANSVERSAL_ORACLE_CAP", "22")
     code, out, _ = run(capsys, "oracle", "rank", str(big))
-    assert code == 0 and out.strip() == "1"
-    code, out, _ = run(capsys, "rank", "--exact", "--method", "oracle", str(big))
     assert code == 0 and out.strip() == "1"
 
 
@@ -495,6 +547,46 @@ def test_bench_csv(capsys, tmp_path):
     assert a == b
 
 
+def test_bench_rows_match_the_library(capsys):
+    seed, n, m, arity = 7, 8, 10, 2
+    argv = ["--seed", str(seed), "--n", str(n), "--m", str(m), "--arity", str(arity)]
+    code, out, _ = run(capsys, "bench", "--family", "uniform", *argv, "--count", "3")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 3
+    for i, row in enumerate(rows):
+        h = uniform_instance(random.Random(seed * 1_000_003 + i), n, m, arity)
+        assert row["instance_id"] == f"uniform-{seed}-{i}"
+        assert (int(row["n"]), int(row["m"]), int(row["delta"])) == (h.n, h.m, h.max_degree)
+        assert int(row["kstar"]) == transversal_rank(h)
+        assert int(row["outputs"]) == len(oracle.brute_tr(h))
+
+
+def test_bench_streams_its_rows(capsys, monkeypatch):
+    # each row is written when its instance finishes, after the header
+    written_before = []
+    enumerate_tr = cli.enumerate_tr
+
+    def run_and_look(h, sink):
+        written_before.append(len(capsys.readouterr().out.splitlines()))
+        return enumerate_tr(h, sink)
+
+    monkeypatch.setattr(cli, "enumerate_tr", run_and_look)
+    argv = ["--family", "uniform", "--seed", "7", "--n", "8", "--m", "10", "--arity", "2"]
+    assert dispatch(["bench", *argv, "--count", "3"]) == 0
+    assert written_before == [1, 1, 1]
+
+
+def test_unwritable_bench_out_fails_before_any_run(capsys, monkeypatch, tmp_path):
+    calls = []
+    monkeypatch.setattr(cli, "enumerate_tr", lambda *args, **kwargs: calls.append(args))
+    missing = tmp_path / "missing" / "x.csv"
+    argv = ["--family", "uniform", "--seed", "1", "--n", "8", "--m", "10", "--arity", "2"]
+    code, out, err = run(capsys, "bench", *argv, "--count", "3", "--out", str(missing))
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: ")
+
+
 def test_bench_requires_family_param(capsys):
     code, _, err = run(capsys, "bench", "--family", "uniform", "--seed", "1", "--n", "5", "--m", "5")
     assert code == 2
@@ -502,17 +594,31 @@ def test_bench_requires_family_param(capsys):
 
 
 @pytest.mark.parametrize(
-    "changes",
-    [{"--m": "-2"}, {"--count": "-1"}, {"--m": "-2", "--count": "0"}],
-    ids=["m", "count", "m-count-0"],
+    "changes, message",
+    [
+        ({"--m": "-2"}, "need m >= 0"),
+        ({"--count": "-1"}, "need --count >= 0"),
+        ({"--m": "-2", "--count": "0"}, "need m >= 0"),
+        ({"--arity": "9", "--count": "0"}, "need 1 <= r <= n"),
+    ],
+    ids=["m", "count", "m-count-0", "arity-count-0"],
 )
-def test_bench_refuses_a_negative_size(capsys, changes):
+def test_bench_refuses_bad_parameters(capsys, changes, message):
     # checked before the first instance is drawn, so --count 0 does not skip it
     argv = {"--family": "uniform", "--seed": "1", "--n": "3", "--m": "2", "--arity": "2"}
     argv.update(changes)
     code, out, err = run(capsys, "bench", *(tok for pair in argv.items() for tok in pair))
     assert (code, out) == (2, "")
-    assert err.startswith("error: need ") and err.endswith(">= 0\n")
+    assert err == f"error: {message}\n"
+
+
+def test_dash_reads_stdin(capsys, monkeypatch):
+    text = "a b\nb c\n"
+    h = parse(text)
+    want = sorted(" ".join(h.set_tokens(t)) for t in oracle.brute_tr(h))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, _ = run(capsys, "enumerate", "-")
+    assert code == 0 and sorted(out.splitlines()) == want == ["a c", "b"]
 
 
 def test_module_entry_point(tmp_path):

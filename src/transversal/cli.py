@@ -124,14 +124,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     run = enumerate_tr if args.method == "tree" else enumerate_incremental
     # opened first, so a path that cannot be written fails before any output
     with open(args.stats, "w", encoding="utf-8") if args.stats else nullcontext() as fh:
-        stats = run(h, _stream_sink(args, h, solutions), limit=args.limit)
+        stats = run(h, _stream_sink(args, h, solutions), limit=args.limit).to_json()
         if fh is not None:
-            json.dump(stats.to_json(), fh, indent=2)
+            json.dump(stats, fh, indent=2)
             fh.write("\n")
     _respond(
         args,
-        {"outputs": stats.outputs, "solutions": [h.set_tokens(t) for t in solutions]},
-        stats=stats.to_json(),
+        {"outputs": stats["outputs"], "solutions": [h.set_tokens(t) for t in solutions]},
+        stats=stats,
     )
     return EXIT_OK
 

@@ -66,7 +66,10 @@ class DelayStats:
     def to_json(self) -> dict:
         return {
             "outputs": self.outputs,
+            "calls": self.calls,
             "max_delay_ns": self.max_delay_ns,
+            "max_gap_calls": self.max_gap_calls,
+            "max_stack_depth": self.max_stack_depth,
             "total_ns": self.total_ns,
             "extend_call_histogram": {
                 str(k): v for k, v in sorted(self.x_size_histogram.items())
@@ -125,6 +128,8 @@ def _walk_tree(
     edges = h.edge_masks()
     incidence = h.incidence
     full = (1 << n) - 1
+    work = stats.work
+    histogram = stats.x_size_histogram
     stack: list[tuple[int, int, int, list[int]]] = [(0, 0, (1 << h.m) - 1, [])]
     while stack:
         if len(stack) > stats.max_stack_depth:
@@ -137,13 +142,14 @@ def _walk_tree(
             VertexSet(n, xm),
             VertexSet(n, ym),
             deliver,
-            counters=stats.work,
+            counters=work,
             state=(uncov, crit),
         )
         stats.calls += 1
-        stats.x_size_histogram[xm.bit_count()] += 1
-        if outcome.continues:
-            ypm = outcome.y_plus.mask
+        histogram[xm.bit_count()] += 1
+        y_plus = outcome.y_plus
+        if y_plus is not None:
+            ypm = y_plus.mask
             rest = full & ~(xm | ypm)
             # rule (a): v must meet an uncovered edge
             while rest:
@@ -188,8 +194,11 @@ def stream(
 
     def end_gap(now_ns: int) -> None:
         nonlocal gap_ns, gap_calls
-        stats.max_delay_ns = max(stats.max_delay_ns, now_ns - gap_ns)
-        stats.max_gap_calls = max(stats.max_gap_calls, stats.calls - gap_calls)
+        delay, calls = now_ns - gap_ns, stats.calls - gap_calls
+        if delay > stats.max_delay_ns:
+            stats.max_delay_ns = delay
+        if calls > stats.max_gap_calls:
+            stats.max_gap_calls = calls
         gap_ns, gap_calls = now_ns, stats.calls
 
     def out(t: VertexSet) -> None:

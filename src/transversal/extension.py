@@ -6,7 +6,11 @@ That decision searches the product of per-x candidate private edges
 depth-first in ``itertools.product`` order, cutting a prefix as soon as
 some unhit reduced edge has no unblocked vertex left (the pruning rule of
 Murakami and Uno's MMCS), so it returns the same first witness as the full
-product walk while visiting only a fraction of it.
+product walk while visiting only a fraction of it.  Before that walk it
+tests the product's first combination as a whole: one that passes is the
+first witness, and one that fails where every family has one candidate
+ends the search.  Both give the walk's answer and its count of product
+iterations, since blocking only grows along a combination.
 
 Both queries, ``extend`` and ``find_higher_order``, start from one head,
 ``build_reduced_families``, read from this module's globals at every
@@ -124,6 +128,12 @@ def build_reduced_families(
     veto = 0
     if unhit:
         for c in crit:
+            if c & (c - 1) == 0:
+                # one candidate: it is the family and its own core
+                em = edges[c.bit_length() - 1] & keep
+                per_x.append([em])
+                veto |= em
+                continue
             fam = []
             core = -1
             while c:
@@ -151,6 +161,14 @@ def _higher_order_combo(
     blocking only grows, so no completion of that prefix can succeed, and
     the first combination returned is the first one of the full product.
 
+    Two shortcuts settle a product before the odometer starts, by testing
+    its first combination (each family's first candidate) as a whole.  If
+    it leaves every unhit edge a free vertex, it is returned: each of its
+    prefixes blocks less, so the odometer would accept it with no cut.  If
+    it fails and every family has one candidate, the product is that one
+    combination and the answer is None after one cut prefix.  Either way
+    the answer and the count are the odometer's.
+
     ``product_iterations`` counts the cut prefixes plus the accepted
     combination.  These are disjoint blocks of the product, so the count
     stays within the product size and hence within Delta^|X|.  The empty
@@ -160,6 +178,28 @@ def _higher_order_combo(
         # that unhit reduced edge is their intersection: nothing avoids it
         return None
     depth = len(per_x)
+    # the product's first combination, tested as a whole
+    taken = forced
+    for fam in per_x:
+        taken |= fam[0]
+    free = ~taken
+    for em in unhit:
+        if not em & free:
+            break
+    else:
+        # its prefixes block less, so each passes: the odometer accepts
+        # it with no cut
+        if counters is not None:
+            counters["product_iterations"] += 1
+        return [0] * depth
+    for fam in per_x:
+        if len(fam) > 1:
+            break
+    else:
+        # the product is this one combination: one cut prefix
+        if counters is not None:
+            counters["product_iterations"] += 1
+        return None
     pos = [0] * (depth + 1)
     # blocked[i]: forced plus the edges chosen at depths < i
     blocked = [forced] * (depth + 1)
@@ -227,9 +267,10 @@ def extend(
         if sink is not None:
             sink(x)
         return _HALT
-    if sink is not None:
+    ones = forced & ~veto
+    if ones and sink is not None:
         n, xm = h.n, x.mask
-        for b in iter_bits(forced & ~veto):
+        for b in iter_bits(ones):
             sink(VertexSet(n, xm | (1 << b)))
     if _higher_order_combo(per_x, unhit, forced, counters) is None:
         return _HALT

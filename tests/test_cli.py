@@ -15,7 +15,7 @@ from transversal.cliques import enumerate_maximal_hypercliques
 from transversal.conformal import conformal_degree, is_k_conformal
 from transversal.hitting import is_minimal_hitting_set
 from transversal.core import VertexSet
-from transversal.generators import uniform_instance
+from transversal.generators import bounded_degree_instance, uniform_instance
 from transversal.rank import transversal_rank
 
 
@@ -77,6 +77,22 @@ def test_incremental_stats_report_the_search_work(capsys, tmp_path):
     assert payload["outputs"] == len(out.splitlines()) == 64
     assert payload["product_iterations"] > 0
     assert payload["extend_call_histogram"] == {}
+
+
+def test_enumerate_stats_report_calls_gap_and_depth(capsys, tmp_path):
+    # the walk's call count, its worst gap in calls and its deepest stack
+    # on bd40, as DelayStats keeps them
+    path = tmp_path / "bd40.hg"
+    path.write_text(serialize(bounded_degree_instance(random.Random(1), 40, 80, 4)))
+    stats_path = tmp_path / "stats.json"
+    code, out, _ = run(capsys, "enumerate", "--stats", str(stats_path), str(path))
+    assert code == 0
+    payload = json.loads(stats_path.read_text())
+    assert payload["outputs"] == len(out.splitlines()) == 4059
+    assert (payload["calls"], payload["max_gap_calls"], payload["max_stack_depth"]) == (
+        16_039, 20, 9
+    )
+    assert payload["calls"] == sum(payload["extend_call_histogram"].values())
 
 
 def test_enumerate_json_schema(capsys, pairs):

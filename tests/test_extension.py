@@ -142,6 +142,95 @@ def test_find_higher_order_returns_certificate():
     assert h.edges[w.edge_indices[0]].members() == (0, 1)
 
 
+def _reference_odometer(per_x, unhit, forced, counters):
+    """The product search without its shortcuts: the depth-first odometer
+    alone, cutting a prefix as soon as some unhit edge lies inside
+    ``forced`` plus the chosen edges, and counting the cut prefixes plus
+    the accepted combination."""
+    if forced in unhit:
+        return None
+    depth = len(per_x)
+    pos = [0] * (depth + 1)
+    blocked = [forced] * (depth + 1)
+    cuts = 0
+    i = 0
+    while i < depth:
+        fam = per_x[i]
+        if pos[i] == len(fam):
+            if i == 0:
+                counters["product_iterations"] += cuts
+                return None
+            i -= 1
+            pos[i] += 1
+            continue
+        free = ~(blocked[i] | fam[pos[i]])
+        for em in unhit:
+            if not em & free:
+                cuts += 1
+                pos[i] += 1
+                break
+        else:
+            i += 1
+            blocked[i] = ~free
+            pos[i] = 0
+    counters["product_iterations"] += cuts + 1
+    return pos[:depth]
+
+
+def _product_case(rng):
+    """Random ``(per_x, unhit, forced)`` over at most 8 vertices: nonempty
+    unhit edges and their intersection, and nonempty families, either all
+    singletons or of mixed sizes."""
+    n = rng.randint(2, 8)
+    full = (1 << n) - 1
+    unhit = [rng.randint(1, full) for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.1:
+        # one unhit edge inside all the others: it is their intersection
+        unhit = [unhit[0]] + [em | unhit[0] for em in unhit[1:]]
+    forced = -1
+    for em in unhit:
+        forced &= em
+    singletons = rng.random() < 0.4
+    per_x = [
+        [rng.randint(1, full) for _ in range(1 if singletons else rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 4))
+    ]
+    return per_x, unhit, forced
+
+
+def test_product_shortcuts_match_the_odometer():
+    """The first-combination test and the one-combination product give
+    the odometer's positions and its exact ``product_iterations``."""
+    rng = random.Random(4242)
+    kinds: Counter = Counter()
+    for _ in range(4000):
+        per_x, unhit, forced = _product_case(rng)
+        want_counters: Counter = Counter()
+        want = _reference_odometer(per_x, unhit, forced, want_counters)
+        got_counters: Counter = Counter()
+        got = extension._higher_order_combo(per_x, unhit, forced, got_counters)
+        assert got == want, (per_x, unhit, forced)
+        assert got_counters["product_iterations"] == want_counters["product_iterations"]
+        assert extension._higher_order_combo(per_x, unhit, forced, None) == want
+        # the shapes the shortcuts and the odometer each settle
+        blocked = forced
+        for fam in per_x:
+            blocked |= fam[0]
+        first_passes = all(em & ~blocked for em in unhit)
+        one_combination = all(len(fam) == 1 for fam in per_x)
+        if forced in unhit:
+            kinds["forced in unhit"] += 1
+        elif not per_x:
+            kinds["depth 0"] += 1
+        elif one_combination:
+            kinds["one combination, " + ("yes" if first_passes else "no")] += 1
+        elif first_passes:
+            kinds["first passes"] += 1
+        else:
+            kinds["first fails, " + ("yes" if want is not None else "no")] += 1
+    assert min(kinds.values()) >= 50 and len(kinds) == 7, kinds
+
+
 def _reference_edge_indices(h, x, y):
     """First combination of the full candidate product that leaves every
     unhit reduced edge unblocked, found by plain exhaustion."""
@@ -178,6 +267,10 @@ def test_pruned_search_matches_full_product(corpus):
             reduced = build_reduced_families(h, x, y)
             per_x = [] if reduced is None else reduced[3]
             assert counters["product_iterations"] <= math.prod(len(f) for f in per_x)
+            want: Counter = Counter()
+            if reduced is not None and reduced[1]:
+                _reference_odometer(per_x, reduced[1], reduced[2], want)
+            assert counters["product_iterations"] == want["product_iterations"]
 
 
 def test_queries_reduce_through_the_module_head(monkeypatch):

@@ -1,11 +1,15 @@
 """Random and structured instance families for benchmarking.
 
 All generators are driven by an explicit ``random.Random`` so a seed pins
-the instance exactly.
+the instance exactly.  The random ones make at most 50·m attempts, each
+drawing one edge and dropping a duplicate, and stop as soon as no edge
+they can still draw would be new: they return the edges the whole budget
+would give, and only the rng has made fewer draws.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from .core import Hypergraph
@@ -21,48 +25,81 @@ __all__ = [
 _ATTEMPT_FACTOR = 50
 
 
+def _edge_space(size: int, top: int) -> int:
+    """How many subsets of a ``size``-set have between 1 and ``top`` members."""
+    if size <= top:
+        return (1 << size) - 1
+    return sum(math.comb(size, s) for s in range(1, top + 1))
+
+
 def bounded_degree_instance(
     rng: random.Random, n: int, m: int, delta: int
 ) -> Hypergraph:
     """Up to ``m`` distinct edges with every vertex degree <= ``delta``.
 
-    Stops early when degree capacity or distinctness runs out, so the
-    realized edge count may fall short of the request.
+    Each attempt draws a size between 1 and min(|pool|, max(1, n//2)) and
+    that many vertices from the pool, the vertices still below degree
+    ``delta``; a duplicate is dropped, and there are ``50·m`` attempts.
+    The realized edge count may therefore fall short of the request.  The
+    pool only changes when an edge is added, so once every subset it
+    allows has been drawn, every later attempt would be a duplicate and
+    the loop stops: the edges are those the whole attempt budget gives,
+    only the rng has made fewer draws.
     """
     if m < 0:
         raise ValueError("need m >= 0")
     if n < 1 or delta < 1:
         raise ValueError("need n >= 1 and delta >= 1")
     capacity = [delta] * n
+    pool = list(range(n))
+    top = max(1, n // 2)
+    space = _edge_space(n, top)
+    # drawn edges holding a vertex outside the pool, counted once the
+    # pool's edge space is no larger than the drawn edges
+    outside: int | None = None
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     attempts = m * _ATTEMPT_FACTOR
     while len(edges) < m and attempts > 0:
         attempts -= 1
-        pool = [v for v in range(n) if capacity[v] > 0]
-        if not pool:
-            break
-        size = rng.randint(1, min(len(pool), max(1, n // 2)))
+        size = rng.randint(1, min(len(pool), top))
         edge = tuple(sorted(rng.sample(pool, size)))
         if edge in seen:
             continue
         seen.add(edge)
         edges.append(edge)
+        full = False
         for v in edge:
             capacity[v] -= 1
+            full = full or not capacity[v]
+        if full:
+            pool = [v for v in pool if capacity[v]]
+            space = _edge_space(len(pool), top)
+            outside = None
+        if space <= len(edges):
+            if outside is None:
+                outside = sum(1 for e in edges if not all(capacity[v] for v in e))
+            if len(edges) - outside == space:
+                break  # every subset of the pool is drawn (or the pool is empty)
     return Hypergraph(n, edges)
 
 
 def bounded_rank_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergraph:
-    """Up to ``m`` distinct edges of size between 1 and ``r``."""
+    """Up to ``m`` distinct edges of size between 1 and ``r``.
+
+    Stops once all Σ_{s<=min(r, n)} C(n, s) possible edges are drawn:
+    the edges are those the whole ``50·m`` attempt budget gives, only the
+    rng has made fewer draws.
+    """
     if m < 0:
         raise ValueError("need m >= 0")
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
+    goal = min(m, _edge_space(n, r))
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     attempts = m * _ATTEMPT_FACTOR
-    while len(edges) < m and attempts > 0:
+    while len(edges) < goal and attempts > 0:
         attempts -= 1
         size = rng.randint(1, min(r, n))
         edge = tuple(sorted(rng.sample(range(n), size)))
@@ -74,15 +111,21 @@ def bounded_rank_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergr
 
 
 def uniform_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergraph:
-    """Up to ``m`` distinct random ``r``-subsets of the universe."""
+    """Up to ``m`` distinct random ``r``-subsets of the universe.
+
+    Stops once all C(n, r) of them are drawn: the edges are those the
+    whole ``50·m`` attempt budget gives, only the rng has made fewer
+    draws.
+    """
     if m < 0:
         raise ValueError("need m >= 0")
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
+    goal = min(m, math.comb(n, r))
     edges: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
     attempts = m * _ATTEMPT_FACTOR
-    while len(edges) < m and attempts > 0:
+    while len(edges) < goal and attempts > 0:
         attempts -= 1
         edge = tuple(sorted(rng.sample(range(n), r)))
         if edge in seen:

@@ -10,10 +10,13 @@ brute-force cross-check, ``oracle.brute_rank``, shares no code with them.
 
 Both scans walk their subsets by one colex walk (``_colex_walk``), top
 element first, and cut a prefix only when no completion can hit, so
-each keeps the full scan's first hit.  The look-ahead cuts a prefix in
+each keeps the full scan's first hit.  The look-ahead cuts a prefix P in
 which some vertex has lost its last private edge (no seed below it
-extends) and hands each surviving seed's edge classification
-(``uncov``/``crit``, see ``extension.extend``) to ``find_higher_order``.
+extends), and, asked for k, one with fewer than k - |P| uncovered
+edges: each vertex a minimal hitting set of k or more vertices adds to
+P needs a private edge of its own, and that edge misses P.  It hands
+each surviving seed's edge classification (``uncov``/``crit``, see
+``extension.extend``) to ``find_higher_order``.
 The edge-family route cuts a prefix whose overlap (the vertices in two
 or more of its edges) already holds a minimal edge, since the overlap
 only grows; it makes at most Σ_{i<=k} C(m', i) overlap tests, each
@@ -69,7 +72,7 @@ def _colex_walk(n: int, size: int, root, grow) -> Iterator[tuple]:
 
 
 def _irredundant_seeds(
-    h: Hypergraph, size: int
+    h: Hypergraph, size: int, k: int | None = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, list[int]]]]:
     """The size-subsets of the vertices in which every member keeps a
     private edge (one meeting the subset only in it), in colex order, each
@@ -78,7 +81,11 @@ def _irredundant_seeds(
 
     The walk carries the prefix's ``uncov``/``crit`` masks (see
     ``include_vertex``); they only shrink as vertices join, so once one
-    is 0 the colex block below the prefix is skipped.
+    is 0 the colex block below the prefix is skipped.  Given ``k``, it
+    also skips the block below a prefix P with fewer than k - |P|
+    uncovered edges: each vertex a minimal hitting set of k or more
+    vertices adds to P needs a private edge of its own, and that edge
+    misses P, so no seed below P lies in such a set.
     """
     incidence = h.incidence
 
@@ -87,7 +94,11 @@ def _irredundant_seeds(
         if not state[0] & ev:
             return None  # v meets no uncovered edge, so it has no private one
         child = include_vertex(*state, ev)
-        return None if 0 in child[1] else child
+        if 0 in child[1]:
+            return None
+        if k is not None and child[0].bit_count() < k - len(child[1]):
+            return None
+        return child
 
     for seed, (uncov, crit) in _colex_walk(h.n, size, ((1 << h.m) - 1, []), grow):
         # members joined top first, so their masks are descending
@@ -136,8 +147,9 @@ def rank_at_least_lookahead(
 
     For k >= 2, a set of k-2 vertices with a higher-order minimal
     extension is searched (colex order, first hit wins).  Seeds in which
-    some vertex has no private edge cannot extend and are skipped without
-    a ``find_higher_order`` call (see ``_irredundant_seeds``), so the first
+    some vertex has no private edge, or below a prefix with too few
+    uncovered edges left for k, cannot extend and are skipped without a
+    ``find_higher_order`` call (see ``_irredundant_seeds``), so the first
     hit is the full colex scan's.  From the certifying combination, the
     union of the seed with everything outside the chosen edges and the
     forced vertices is a hitting superset whose minimization necessarily
@@ -149,7 +161,7 @@ def rank_at_least_lookahead(
     n = h.n
     full = (1 << n) - 1
     masks = h.edge_masks()
-    for seed_tuple, state in _irredundant_seeds(h, k - 2):
+    for seed_tuple, state in _irredundant_seeds(h, k - 2, k):
         seed = VertexSet.from_iterable(n, seed_tuple)
         witness = find_higher_order(h, seed, counters=counters, state=state)
         if witness is None:

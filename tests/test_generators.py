@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
 from transversal import enumeration
+from transversal.core import Hypergraph, serialize
 from transversal.enumeration import enumerate_tr
 from transversal.generators import (
     block_family,
@@ -58,6 +61,183 @@ def test_negative_edge_count_raises_before_drawing(make):
     with pytest.raises(ValueError, match="need m >= 0"):
         make(rng, 6, -1, 2)
     assert rng.getstate() == state
+
+
+# Reference loops: the three random generators without the stop on an
+# exhausted edge space, so they spend the whole 50·m attempt budget.
+
+
+def _reference_bounded_degree(rng, n, m, delta):
+    capacity = [delta] * n
+    edges, seen = [], set()
+    attempts = m * 50
+    while len(edges) < m and attempts > 0:
+        attempts -= 1
+        pool = [v for v in range(n) if capacity[v] > 0]
+        if not pool:
+            break
+        size = rng.randint(1, min(len(pool), max(1, n // 2)))
+        edge = tuple(sorted(rng.sample(pool, size)))
+        if edge in seen:
+            continue
+        seen.add(edge)
+        edges.append(edge)
+        for v in edge:
+            capacity[v] -= 1
+    return Hypergraph(n, edges)
+
+
+def _reference_bounded_rank(rng, n, m, r):
+    edges, seen = [], set()
+    attempts = m * 50
+    while len(edges) < m and attempts > 0:
+        attempts -= 1
+        size = rng.randint(1, min(r, n))
+        edge = tuple(sorted(rng.sample(range(n), size)))
+        if edge in seen:
+            continue
+        seen.add(edge)
+        edges.append(edge)
+    return Hypergraph(n, edges)
+
+
+def _reference_uniform(rng, n, m, r):
+    edges, seen = [], set()
+    attempts = m * 50
+    while len(edges) < m and attempts > 0:
+        attempts -= 1
+        edge = tuple(sorted(rng.sample(range(n), r)))
+        if edge in seen:
+            continue
+        seen.add(edge)
+        edges.append(edge)
+    return Hypergraph(n, edges)
+
+
+REFERENCE_OF = {
+    bounded_degree_instance: _reference_bounded_degree,
+    bounded_rank_instance: _reference_bounded_rank,
+    uniform_instance: _reference_uniform,
+}
+
+
+def _parameter_sets(count: int):
+    """Seeded (generator, n, m, parameter) sets, the three generators in
+    turn.  Every bounded-degree set and a third of the others draw on at
+    most 5 vertices with m up to 40, which often exceeds the distinct
+    edges allowed, so the edge space runs out; half the bounded-degree
+    sets have degree 1.  The rest draw on up to 14 vertices."""
+    rng = random.Random(22)
+    makers = list(REFERENCE_OF)
+    for i in range(count):
+        make = makers[i % 3]
+        if i % 3 == 0 or (i // 3) % 3 == 0:
+            n = rng.randint(1, 5)
+            m = rng.randint(0, 40)
+        else:
+            n = rng.randint(1, 14)
+            m = rng.randint(0, 30)
+        if make is uniform_instance:
+            param = rng.randint(1, n)
+        elif make is bounded_degree_instance and i % 6 == 0:
+            param = 1
+        else:
+            param = rng.randint(1, 4)
+        yield make, n, m, param
+
+
+def test_edges_match_the_full_attempt_budget():
+    """Every generator returns the edges, in order, that spending the
+    whole attempt budget gives, exhausted edge spaces included."""
+    exhausted = 0
+    sets = list(_parameter_sets(1_800))
+    for seed, (make, n, m, param) in enumerate(sets):
+        got = make(random.Random(seed), n, m, param)
+        want = REFERENCE_OF[make](random.Random(seed), n, m, param)
+        assert got.edge_masks() == want.edge_masks(), (make.__name__, seed, n, m, param)
+        exhausted += got.m < m
+    assert len(sets) >= 1_500 and exhausted >= 300
+
+
+# The bench recipes' raw generator outputs: instance i of a class is the
+# generator's output for ``random.Random("<class>:<i>")``, the sentinels
+# use their integer seeds.  Each sha256 is over the concatenated
+# ``serialize`` texts, as the loops above produce them.
+RECIPE_DIGESTS = {
+    "deg40": (bounded_degree_instance, (40, 80, 4), 60, "f661ec7b861205532c310a8e1f0e4624538584a87d9dbe1399ca81f86ea8f4a7"),
+    "deg50": (bounded_degree_instance, (50, 100, 3), 60, "218bfc5aeb6511a6719eed9d5299f4eb4eec38471bf188d45f4af363fa8ec07a"),
+    "coc12": (bounded_degree_instance, (12, 20, 3), 15, "3bec8c1b3b1fef81c5d0fcbe8ca81395fdb8589c584d4edd537e4ca5ced8587d"),
+    "rank20": (bounded_rank_instance, (20, 40, 3), 60, "82337a27edcec9bec165cba4fc5a59cef390a687cc539eb0f67fe6c6c40af2c5"),
+    "uni16": (uniform_instance, (16, 40, 3), 8, "75c3fd134ed2e23d02891b53f192a261292a416ec46606450f363f60b2d49592"),
+    "uni14": (uniform_instance, (14, 40, 3), 20, "2f4bb02bece817cfa0ff74451dbf1da5cc2579b3febc2a91ba0bcbc9c6fb9ee2"),
+    "uni9x40": (uniform_instance, (9, 40, 3), 60, "b02dd1de29dc0aef440176f9f5b81df067c5d41806fadd818883e2329e10e6ec"),
+    "uni9x60": (uniform_instance, (9, 60, 3), 40, "11cc5a5bf7a479ae226341e82efb66d1f6d05d23b46df329771c30ab109c3b49"),
+    "uni9x24x4": (uniform_instance, (9, 24, 4), 8, "d00adea51e55ede4c86a45f256407efd008ffe4a5951835fe4fc8c7e305b78ec"),
+}
+SENTINEL_DIGESTS = {
+    "bd40": (bounded_degree_instance, 1, (40, 80, 4), "5e1b352cc8f6e949f83c08496dcb1c4f2e3d3ff22aad38917741f4a85bebc54c"),
+    "br30": (bounded_rank_instance, 2, (30, 60, 3), "d34217535909ccb0e7be85fdaef83dd5df94c369eda0c90735b9a70aabbcda43"),
+    "conf16": (bounded_degree_instance, 3, (16, 30, 3), "f3658cbccad6a7953084215db9f76a99cfa44ce13c18644cb2ed451870e47531"),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECIPE_DIGESTS))
+def test_bench_recipes_are_unchanged(cls):
+    make, args, count, want = RECIPE_DIGESTS[cls]
+    text = "".join(serialize(make(random.Random(f"{cls}:{i}"), *args)) for i in range(count))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+@pytest.mark.parametrize("name", list(SENTINEL_DIGESTS))
+def test_sentinel_recipes_are_unchanged(name):
+    make, seed, args, want = SENTINEL_DIGESTS[name]
+    text = serialize(make(random.Random(seed), *args))
+    assert hashlib.sha256(text.encode()).hexdigest() == want
+
+
+class CountingRandom(random.Random):
+    """Records the result of every ``sample`` call, sorted."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws: list[tuple[int, ...]] = []
+
+    def sample(self, population, k, **kw):
+        drawn = super().sample(population, k, **kw)
+        self.draws.append(tuple(sorted(drawn)))
+        return drawn
+
+
+@pytest.mark.parametrize(
+    "make, n, m, param, space",
+    [
+        (uniform_instance, 5, 100, 2, comb(5, 2)),
+        (uniform_instance, 6, 30, 6, 1),
+        (bounded_rank_instance, 4, 60, 2, 10),
+        (bounded_rank_instance, 3, 30, 5, 7),
+        (bounded_degree_instance, 4, 60, 100, 10),  # the pool never shrinks
+        (bounded_degree_instance, 1, 30, 3, 1),
+        (bounded_degree_instance, 5, 40, 1, None),
+        (bounded_degree_instance, 5, 40, 2, None),
+        (bounded_degree_instance, 8, 60, 3, None),
+    ],
+)
+def test_no_draw_follows_the_last_new_edge(make, n, m, param, space):
+    """Once no edge the generator can still draw would be new, it stops:
+    its last ``sample`` call drew its last edge."""
+    for seed in range(10):
+        rng = CountingRandom(seed)
+        h = make(rng, n, m, param)
+        want = REFERENCE_OF[make](random.Random(seed), n, m, param)
+        assert h.edge_masks() == want.edge_masks()
+        assert h.m < m and (space is None or h.m == space)
+        last = tuple(sorted(h.edges[-1]))
+        assert rng.draws.index(last) == len(rng.draws) - 1, (seed, len(rng.draws))
+
+
+def test_uniform_returns_every_pair_of_an_exhausted_universe():
+    h = uniform_instance(random.Random(0), 5, 100, 2)
+    assert sorted(h.edge_masks()) == sorted((1 << a) | (1 << b) for a in range(5) for b in range(a))
 
 
 def test_block_family_structure():

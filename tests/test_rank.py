@@ -61,6 +61,12 @@ def colex_combinations(n: int, size: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(n), size), key=lambda c: c[::-1])
 
 
+def in_order_within(items, seq) -> bool:
+    """Whether ``items`` is a subsequence of ``seq``."""
+    rest = iter(seq)
+    return all(any(item == other for other in rest) for item in items)
+
+
 def test_colex_order():
     assert list(colex_combinations(4, 2)) == [
         (0, 1),
@@ -126,6 +132,29 @@ class TestLookahead:
                 for seed, state in got:
                     assert state == fresh_state(h, seed), (h, seed)
 
+    def test_targeted_walk_keeps_every_succeeding_seed(self, corpus):
+        """Asked for k, the walk yields every seed of the plain walk that
+        extends to k or more vertices, in order, each with its plain
+        state, and no seed outside the plain walk."""
+        rng = random.Random(8)
+        cases = [h for h in corpus if h.m and all(h.edge_masks())]
+        cases += [uniform_instance(rng, rng.randint(6, 10), rng.randint(8, 24), 3) for _ in range(30)]
+        cut = 0
+        for h in cases:
+            for k in range(2, h.n + 2):
+                plain = list(_irredundant_seeds(h, k - 2))
+                targeted = list(_irredundant_seeds(h, k - 2, k))
+                hits = [
+                    (seed, state)
+                    for seed, state in plain
+                    if find_higher_order(h, VertexSet.from_iterable(h.n, seed), state=state)
+                    is not None
+                ]
+                assert in_order_within(targeted, plain), (h, k)
+                assert in_order_within(hits, targeted), (h, k)
+                cut += len(plain) - len(targeted)
+        assert cut > 1_000
+
     def test_matches_full_colex_scan(self, corpus):
         """The seed skip keeps the first hit of the plain colex scan."""
         for h in corpus:
@@ -171,7 +200,7 @@ class TestLookahead:
             for s in range(4)
         ]
         assert ranks == [11, 10, 10, 11]
-        assert calls <= 2_200
+        assert calls == 1_211
 
 
 class TestEdgeFamilyRoute:

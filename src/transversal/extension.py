@@ -19,9 +19,10 @@ call.  It takes an edge classification of X: the edges disjoint from X
 (``crit``), both as edge-index bitmasks, as in MMCS.  The classification
 has one construction, ``include_vertex``, which adds one vertex to it: a
 tree search carries it down its include path and passes each node's to
-``extend`` as ``state``, the look-ahead rank decider carries each seed's
-to ``find_higher_order`` the same way, and without ``state`` it is folded
-from the root over X's members.  The head then reduces only the edges
+``extend`` as ``state``, the look-ahead rank decider's seed walk makes
+the same update inline, after its cheaper cuts, and passes each seed's
+to ``find_higher_order``, and without ``state`` it is folded from the
+root over X's members.  The head then reduces only the edges
 the classification names by Y.  Everything here is pure over an
 immutable hypergraph and only reads ``state``, so concurrent calls on a
 shared hypergraph are fine.

@@ -8,15 +8,21 @@ k-tuples of minimal edges whose pairwise overlaps trap no edge.  These
 are the paper's algorithms and carry its bounds for fixed k.  Their
 brute-force cross-check, ``oracle.brute_rank``, shares no code with them.
 
-Both scans walk their subsets by one colex walk (``_colex_walk``), top
-element first, and cut a prefix only when no completion can hit, so
-each keeps the full scan's first hit.  The look-ahead cuts a prefix P in
-which some vertex has lost its last private edge (no seed below it
-extends), and, asked for k, one with fewer than k - |P| uncovered
-edges: each vertex a minimal hitting set of k or more vertices adds to
-P needs a private edge of its own, and that edge misses P.  It hands
-each surviving seed's edge classification (``uncov``/``crit``, see
-``extension.extend``) to ``find_higher_order``.
+Both scans walk their subsets in colex order, each by its own flat
+loop, top element first, and cut a prefix only when no completion can
+hit, so each keeps the full scan's first hit.  The look-ahead cuts a
+prefix P in which some vertex has lost its last private edge (no seed
+below it extends), and, asked for k, two more kinds:
+- one with fewer than k - |P| uncovered edges: each vertex a minimal
+  hitting set of k or more vertices adds to P needs a private edge of
+  its own, and that edge misses P;
+- a dead prefix, with an uncovered edge inside the union D of the only
+  private edges of the members that joined with exactly one.  A minimal
+  hitting set holding P must keep each such edge private, so it has no
+  other vertex of D and cannot hit that edge (the MMCS cut of Murakami
+  and Uno, on the seed walk).
+It hands each surviving seed's edge classification (``uncov``/``crit``,
+see ``extension.extend``) to ``find_higher_order``.
 The edge-family route cuts a prefix whose overlap (the vertices in two
 or more of its edges) already holds a minimal edge, since the overlap
 only grows; it makes at most Σ_{i<=k} C(m', i) overlap tests, each
@@ -33,12 +39,13 @@ failing k, which dominates the deciders' ascending scan.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterator
 
 from .core import Hypergraph, VertexSet, _pack_lanes, minimize_edges
 from .enumeration import DelayStats, _walk_tree
-from .extension import find_higher_order, include_vertex
+from .extension import find_higher_order
 from .hitting import minimize
 
 __all__ = [
@@ -50,59 +57,128 @@ __all__ = [
 ]
 
 
-def _colex_walk(n: int, size: int, root, grow) -> Iterator[tuple]:
-    """The size-subsets of range(n) in colex order, each with its state,
-    minus every subset below a prefix that ``grow`` cuts.
-
-    Each subset's top element is picked first, so a prefix is a set of
-    high elements; ``grow(state, v)`` gives the prefix's state after v
-    joins, or None to skip the whole colex block below it.
-    """
-
-    def walk(below: int, left: int, state, suffix: tuple):
-        if left == 0:
-            yield suffix, state
-            return
-        for v in range(left - 1, below):
-            child = grow(state, v)
-            if child is not None:
-                yield from walk(v, left - 1, child, (v,) + suffix)
-
-    return walk(n, size, root, ())
-
-
 def _irredundant_seeds(
-    h: Hypergraph, size: int, k: int | None = None
+    h: Hypergraph, size: int, k: int | None = None, counters: Counter | None = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, list[int]]]]:
     """The size-subsets of the vertices in which every member keeps a
     private edge (one meeting the subset only in it), in colex order, each
     with its edge classification ``(uncov, crit)`` (``crit`` ascending by
     member, as ``extend`` takes it).
 
-    The walk carries the prefix's ``uncov``/``crit`` masks (see
-    ``include_vertex``); they only shrink as vertices join, so once one
-    is 0 the colex block below the prefix is skipped.  Given ``k``, it
-    also skips the block below a prefix P with fewer than k - |P|
-    uncovered edges: each vertex a minimal hitting set of k or more
-    vertices adds to P needs a private edge of its own, and that edge
-    misses P, so no seed below P lies in such a set.
+    One flat walk, top member first: a prefix is a set of high vertices
+    and the next member is tried in ascending order below its lowest one.
+    The walk carries the prefix's ``uncov``/``crit`` masks, updated as
+    ``extension.include_vertex`` does; they only shrink as vertices join,
+    so once one is 0 the colex block below the prefix is skipped (only a
+    vertex meeting their union can empty one).  Given ``k``, it also
+    skips the block below a prefix P that no minimal hitting set of k or
+    more vertices holds:
+    - when P has fewer than k - |P| uncovered edges: each vertex such a
+      set adds to P needs a private edge of its own, and that edge
+      misses P;
+    - when an uncovered edge lies inside D, the union of the private
+      edges of the members that joined with exactly one.  Such a
+      member's only private edge must stay private in any minimal
+      hitting set holding P, so that set has no other vertex of the
+      edge, and an uncovered edge inside D cannot be hit.  D only grows
+      and ``uncov`` only shrinks, so the test runs when D grows, on the
+      uncovered edges meeting its new vertices.
+    The tests that allocate nothing run first.  Each prefix that passes
+    every test (each seed included) is counted once, and the count is
+    added to ``counters["lookahead_prefixes"]`` when the walk ends or is
+    closed.
     """
+    n = h.n
+    if size > n:
+        return
+    root = (1 << h.m) - 1
+    if size == 0:
+        yield (), (root, [])
+        return
     incidence = h.incidence
-
-    def grow(state: tuple[int, list[int]], v: int) -> tuple[int, list[int]] | None:
-        ev = incidence[v]
-        if not state[0] & ev:
-            return None  # v meets no uncovered edge, so it has no private one
-        child = include_vertex(*state, ev)
-        if 0 in child[1]:
-            return None
-        if k is not None and child[0].bit_count() < k - len(child[1]):
-            return None
-        return child
-
-    for seed, (uncov, crit) in _colex_walk(h.n, size, ((1 << h.m) - 1, []), grow):
-        # members joined top first, so their masks are descending
-        yield seed, (uncov, crit[::-1])
+    edges = h.edge_masks()
+    last = size - 1
+    # per depth j (members chosen so far): the prefix's classification and
+    # D, and the vertex chosen there; members lie below ``bound``
+    uncovs = [root] * size
+    privs = [0] * size  # the union of the members' private edges
+    crits: list[list[int]] = [[]] * size
+    deads = [0] * size
+    chosen = [0] * size
+    prefixes = 0
+    j = 0
+    v = last
+    bound = n
+    try:
+        while True:
+            if v == bound:
+                if j == 0:
+                    return
+                j -= 1
+                v = chosen[j] + 1
+                bound = chosen[j - 1] if j else n
+                continue
+            uncov = uncovs[j]
+            ev = incidence[v]
+            cv = uncov & ev
+            if not cv:
+                v += 1  # v meets no uncovered edge, so it has no private one
+                continue
+            child_uncov = uncov ^ cv
+            if k is not None and child_uncov.bit_count() < k - j - 1:
+                v += 1
+                continue
+            dead = deads[j]
+            if k is not None and not cv & (cv - 1):
+                e = edges[cv.bit_length() - 1]
+                fresh = e & ~dead & ~(1 << v)
+                if fresh:
+                    dead |= e
+                    near = 0
+                    while fresh:
+                        low = fresh & -fresh
+                        near |= incidence[low.bit_length() - 1]
+                        fresh ^= low
+                    near &= child_uncov
+                    while near:
+                        low = near & -near
+                        if not edges[low.bit_length() - 1] & ~dead:
+                            break  # an uncovered edge lies inside D
+                        near ^= low
+                    if near:
+                        v += 1
+                        continue
+            crit = crits[j]
+            taken = privs[j] & ev  # the members' private edges v meets
+            if taken:
+                for c in crit:
+                    if c & taken == c:
+                        break  # v takes every private edge of this member
+                if c & taken == c:
+                    v += 1
+                    continue
+                keep = ~taken
+                child = [c & keep for c in crit]
+            else:
+                child = crit.copy()
+            child.append(cv)
+            prefixes += 1
+            chosen[j] = v
+            if j == last:
+                # members joined top first, so their masks are descending
+                yield tuple(chosen[::-1]), (child_uncov, child[::-1])
+                v += 1
+                continue
+            j += 1
+            uncovs[j] = child_uncov
+            privs[j] = privs[j - 1] ^ taken | cv
+            crits[j] = child
+            deads[j] = dead
+            bound = v
+            v = last - j
+    finally:
+        if counters is not None:
+            counters["lookahead_prefixes"] += prefixes
 
 
 @dataclass(frozen=True)
@@ -148,12 +224,15 @@ def rank_at_least_lookahead(
     For k >= 2, a set of k-2 vertices with a higher-order minimal
     extension is searched (colex order, first hit wins).  Seeds in which
     some vertex has no private edge, or below a prefix with too few
-    uncovered edges left for k, cannot extend and are skipped without a
-    ``find_higher_order`` call (see ``_irredundant_seeds``), so the first
-    hit is the full colex scan's.  From the certifying combination, the
-    union of the seed with everything outside the chosen edges and the
-    forced vertices is a hitting superset whose minimization necessarily
-    keeps the seed and at least two more vertices.
+    uncovered edges left for k, or below a dead prefix, cannot extend and
+    are skipped without a ``find_higher_order`` call (see
+    ``_irredundant_seeds``), so the first hit is the full colex scan's.
+    From the certifying combination, the union of the seed with
+    everything outside the chosen edges and the forced vertices is a
+    hitting superset whose minimization necessarily keeps the seed and at
+    least two more vertices.  ``counters`` receives the product search's
+    work and, under ``lookahead_prefixes``, the prefixes the seed walk
+    built.
     """
     _reject_empty_edge(h)
     if k <= 1:
@@ -161,23 +240,23 @@ def rank_at_least_lookahead(
     n = h.n
     full = (1 << n) - 1
     masks = h.edge_masks()
-    for seed_tuple, state in _irredundant_seeds(h, k - 2, k):
-        seed = VertexSet.from_iterable(n, seed_tuple)
-        witness = find_higher_order(h, seed, counters=counters, state=state)
-        if witness is None:
-            continue
-        union = 0
-        for i in witness.edge_indices:
-            union |= masks[i]
-        cover = VertexSet(n, seed.mask | (full & ~(witness.forced.mask | union)))
-        t = minimize(h, cover)
-        return RankWitness(
-            t=t,
-            seed=seed,
-            chosen_edges=tuple(VertexSet(n, masks[i]) for i in witness.edge_indices),
-            forced=witness.forced,
-            cover=cover,
-        )
+    with closing(_irredundant_seeds(h, k - 2, k, counters)) as seeds:
+        for seed_tuple, state in seeds:
+            seed = VertexSet.from_iterable(n, seed_tuple)
+            witness = find_higher_order(h, seed, counters=counters, state=state)
+            if witness is None:
+                continue
+            union = 0
+            for i in witness.edge_indices:
+                union |= masks[i]
+            cover = VertexSet(n, seed.mask | (full & ~(witness.forced.mask | union)))
+            return RankWitness(
+                t=minimize(h, cover),
+                seed=seed,
+                chosen_edges=tuple(VertexSet(n, masks[i]) for i in witness.edge_indices),
+                forced=witness.forced,
+                cover=cover,
+            )
     return None
 
 
@@ -208,27 +287,54 @@ def rank_at_least_bd(
     if k <= 1:
         return _small_k(h, k)
     masks = minimize_edges(h).edge_masks()
+    m = len(masks)
+    if k > m:
+        return None
     packed, ones, low, top = _pack_lanes(masks, h.n)
-
-    def grow(state: tuple[int, int], i: int) -> tuple[int, int] | None:
-        once, twice = state
+    last = k - 1
+    # per depth j (members chosen so far): the prefix's union and overlap,
+    # and the edge chosen there; members lie below ``bound``
+    onces = [0] * k
+    twices = [0] * k
+    family = [0] * k
+    tests = 0
+    j = 0
+    i = last
+    bound = m
+    witness = None
+    while True:
+        if i == bound:
+            if j == 0:
+                break
+            j -= 1
+            i = family[j] + 1
+            bound = family[j - 1] if j else m
+            continue
+        once, twice = onces[j], twices[j]
         e = masks[i]
         grown = twice | (once & e)
         if grown != twice:
-            if counters is not None:
-                counters["bd_entries_touched"] += 1
+            tests += 1
             if ((packed & ~(grown * ones)) + low) & top != top:
-                return None  # some minimal edge lies inside the overlap
-        return once | e, grown
-
-    for family, (_, twice) in _colex_walk(len(masks), k, (0, 0), grow):
-        overlap = VertexSet(h.n, twice)
-        return RankWitness(
-            t=minimize(h, overlap.complement()),
-            edge_family=tuple(VertexSet(h.n, masks[i]) for i in family),
-            overlap=overlap,
-        )
-    return None
+                i += 1  # some minimal edge lies inside the overlap
+                continue
+        family[j] = i
+        if j == last:
+            overlap = VertexSet(h.n, grown)
+            witness = RankWitness(
+                t=minimize(h, overlap.complement()),
+                edge_family=tuple(VertexSet(h.n, masks[f]) for f in reversed(family)),
+                overlap=overlap,
+            )
+            break
+        j += 1
+        onces[j] = once | e
+        twices[j] = grown
+        bound = i
+        i = last - j
+    if counters is not None:
+        counters["bd_entries_touched"] += tests
+    return witness
 
 
 def rank_at_least(

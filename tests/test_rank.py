@@ -21,14 +21,13 @@ from transversal.generators import (
 from transversal.hitting import is_hitting_set, is_minimal_hitting_set, minimize
 from transversal.rank import (
     RankWitness,
-    _colex_walk,
     _irredundant_seeds,
     rank_at_least,
     rank_at_least_bd,
     rank_at_least_lookahead,
     transversal_rank,
 )
-from transversal.oracle import brute_rank
+from transversal.oracle import brute_rank, brute_tr
 
 from conftest import build_corpus, random_hypergraph
 
@@ -61,6 +60,15 @@ def colex_combinations(n: int, size: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(n), size), key=lambda c: c[::-1])
 
 
+def count_cut(h, seed, k) -> bool:
+    """Whether the uncovered-edge count cut drops ``seed`` asked for k:
+    some prefix P of its highest members has fewer than k - |P|
+    uncovered edges."""
+    return any(
+        fresh_state(h, seed[-i:])[0].bit_count() < k - i for i in range(1, len(seed) + 1)
+    )
+
+
 def in_order_within(items, seq) -> bool:
     """Whether ``items`` is a subsequence of ``seq``."""
     rest = iter(seq)
@@ -78,9 +86,11 @@ def test_colex_order():
     ]
     assert list(colex_combinations(3, 0)) == [()]
     assert list(colex_combinations(2, 3)) == []
-    # the walk both scans share, never cut, visits exactly that order
+    # over n singleton edges every member keeps its own private edge, so
+    # the seed walk cuts nothing and visits exactly that order
     for n, size in ((4, 2), (3, 0), (2, 3), (7, 3)):
-        walked = [s for s, _ in _colex_walk(n, size, 0, lambda state, v: state)]
+        h = Hypergraph(n, [(v,) for v in range(n)])
+        walked = [s for s, _ in _irredundant_seeds(h, size)]
         assert walked == colex_combinations(n, size), (n, size)
 
 
@@ -132,15 +142,29 @@ class TestLookahead:
                 for seed, state in got:
                     assert state == fresh_state(h, seed), (h, seed)
 
-    def test_targeted_walk_keeps_every_succeeding_seed(self, corpus):
+    def test_targeted_walk_keeps_every_succeeding_seed(self, corpus, corpus_tr):
         """Asked for k, the walk yields every seed of the plain walk that
         extends to k or more vertices, in order, each with its plain
-        state, and no seed outside the plain walk."""
+        state, and no seed outside the plain walk.  No seed it drops lies
+        in a minimal hitting set of k or more vertices (``brute_tr``), and
+        on each bounded-rank input the dead-prefix cut drops some seed
+        that the uncovered-edge count cut keeps."""
         rng = random.Random(8)
-        cases = [h for h in corpus if h.m and all(h.edge_masks())]
-        cases += [uniform_instance(rng, rng.randint(6, 10), rng.randint(8, 24), 3) for _ in range(30)]
+        cases = [
+            (h, tr) for h, tr in zip(corpus, corpus_tr) if h.m and all(h.edge_masks())
+        ]
+        for _ in range(30):
+            h = uniform_instance(rng, rng.randint(6, 10), rng.randint(8, 24), 3)
+            cases.append((h, brute_tr(h)))
+        ranked = []
+        for _ in range(4):
+            n = rng.randint(10, 14)
+            h = bounded_rank_instance(rng, n, rng.randint(n, 3 * n), rng.randint(2, 4))
+            ranked.append(h)
+            cases.append((h, brute_tr(h)))
         cut = 0
-        for h in cases:
+        dead_cut = Counter()
+        for h, tr in cases:
             for k in range(2, h.n + 2):
                 plain = list(_irredundant_seeds(h, k - 2))
                 targeted = list(_irredundant_seeds(h, k - 2, k))
@@ -153,7 +177,17 @@ class TestLookahead:
                 assert in_order_within(targeted, plain), (h, k)
                 assert in_order_within(hits, targeted), (h, k)
                 cut += len(plain) - len(targeted)
+                kept = {seed for seed, _ in targeted}
+                large = [t.mask for t in tr if len(t) >= k]
+                for seed, _ in plain:
+                    if seed in kept:
+                        continue
+                    sm = VertexSet.from_iterable(h.n, seed).mask
+                    assert not any(t & sm == sm for t in large), (h, k, seed)
+                    if not count_cut(h, seed, k):
+                        dead_cut[id(h)] += 1
         assert cut > 1_000
+        assert all(dead_cut[id(h)] for h in ranked)
 
     def test_matches_full_colex_scan(self, corpus):
         """The seed skip keeps the first hit of the plain colex scan."""
@@ -183,7 +217,8 @@ class TestLookahead:
                 assert got.t == minimize(h, cover)
 
     def test_exact_rank_skips_redundant_seeds(self, monkeypatch):
-        # the plain colex scan made 39,284 find_higher_order calls here
+        # the plain colex scan made 39,284 find_higher_order calls here,
+        # and the walk without its dead-prefix cut 1,211
         calls = 0
         real = rank.find_higher_order
 
@@ -193,14 +228,19 @@ class TestLookahead:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rank, "find_higher_order", counted)
+        counters: Counter = Counter()
         ranks = [
             transversal_rank(
-                uniform_instance(random.Random(s), 16, 40, 3), method="lookahead"
+                uniform_instance(random.Random(s), 16, 40, 3),
+                method="lookahead",
+                counters=counters,
             )
             for s in range(4)
         ]
         assert ranks == [11, 10, 10, 11]
-        assert calls == 1_211
+        assert calls == 1_008
+        # the prefixes the seed walks built, seeds included
+        assert counters["lookahead_prefixes"] == 17_760
 
 
 class TestEdgeFamilyRoute:
@@ -360,8 +400,8 @@ class TestTreeRank:
     def test_matches_deciders(self):
         # each decider where it answers within seconds: on uniform_instance
         # the edge-family route answers k = 10 in 0.2 s but its k = 12 "no"
-        # takes about 9 s, and on br30 the look-ahead's k = 18 alone takes
-        # about 25 s
+        # takes about 9 s, and on br30 the look-ahead's scan takes about
+        # 5 s (a CI step runs it)
         for s, want in zip(range(4), [11, 10, 10, 11]):
             h = uniform_instance(random.Random(s), 16, 40, 3)
             assert self.check(h) == want

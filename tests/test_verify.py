@@ -6,9 +6,10 @@ from collections import Counter
 import pytest
 
 from transversal import Hypergraph, VertexSet, rank
-from transversal.hitting import is_minimal_hitting_set
+from transversal.hitting import is_minimal_hitting_set, is_minimal_mask
 from transversal.oracle import brute_tr
 from transversal.verify import (
+    Equal,
     MissingSolution,
     NotSubset,
     verify_tr,
@@ -125,3 +126,39 @@ def test_verification_calls_no_rank_decider(monkeypatch, corpus, corpus_tr):
             outcome = verify_tr(Hypergraph(h.n, keep), h)
             assert isinstance(outcome, MissingSolution)
             assert outcome.t.mask in masks(tr) - masks(keep)
+
+
+def test_subset_check_names_the_first_failing_edge():
+    """Check 1 tests each edge of G against all of H's edges at once; it
+    names the same edge of G as a loop over ``is_minimal_mask``, and
+    otherwise the dual check answers."""
+    rng = random.Random(99)
+    pairs = [
+        (Hypergraph(0, []), Hypergraph(0, [])),
+        (Hypergraph(0, [()]), Hypergraph(0, [])),
+        (Hypergraph(0, [()]), Hypergraph(0, [()])),
+        (Hypergraph(3, [(0,), ()]), Hypergraph(3, [])),
+        (Hypergraph(3, [(1, 2), (0,)]), Hypergraph(3, [(), (0, 1)])),
+    ]
+    for _ in range(400):
+        h = random_hypergraph(rng, n_max=8, m_max=10, empty_edge_p=0.05)
+        if rng.random() < 0.1:
+            h = Hypergraph(h.n, [])
+        tr = [t.mask for t in brute_tr(h)]
+        pool = tr + [rng.getrandbits(h.n) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(pool)
+        g = Hypergraph(h.n, [VertexSet(h.n, t) for t in pool[: rng.randint(0, len(pool))]])
+        pairs.append((g, h))
+    failing = 0
+    for g, h in pairs:
+        want = next(
+            (ge for ge in g.edge_masks() if not is_minimal_mask(h.edge_masks(), ge)), None
+        )
+        outcome = verify_tr(g, h)
+        if want is None:
+            assert isinstance(outcome, (Equal, MissingSolution)), (g, h)
+            assert outcome.equal == (masks(g.edges) == masks(brute_tr(h))), (g, h)
+        else:
+            assert outcome == NotSubset(VertexSet(h.n, want)), (g, h)
+            failing += 1
+    assert 100 < failing < len(pairs) - 100

@@ -122,10 +122,21 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     h = _load(args.path)
     solutions: list[VertexSet] = []
     run = enumerate_tr if args.method == "tree" else enumerate_incremental
-    # opened first, so a path that cannot be written fails before any output
-    with open(args.stats, "w", encoding="utf-8") if args.stats else nullcontext() as fh:
+    # an append-mode open before the run fails on a path that cannot be
+    # written, before any output, and truncates nothing; the file is
+    # written after the run, so a run that fails leaves it as it was (a
+    # file that open created is removed)
+    created = bool(args.stats) and not os.path.exists(args.stats)
+    if args.stats:
+        open(args.stats, "a", encoding="utf-8").close()
+    try:
         stats = run(h, _stream_sink(args, h, solutions), limit=args.limit).to_json()
-        if fh is not None:
+    except BaseException:
+        if created:
+            os.remove(args.stats)
+        raise
+    if args.stats:
+        with open(args.stats, "w", encoding="utf-8") as fh:
             json.dump(stats, fh, indent=2)
             fh.write("\n")
     _respond(

@@ -2,30 +2,30 @@
 solution X avoiding Y, then decide whether any minimal hitting set with at
 least two more vertices remains, and if so grow the forbidden set.
 
-That decision searches the product of per-x candidate private edges
-depth-first in ``itertools.product`` order, cutting a prefix as soon as
-some unhit reduced edge has no unblocked vertex left (the pruning rule of
-Murakami and Uno's MMCS), so it returns the same first witness as the full
-product walk while visiting only a fraction of it.  Before that walk it
-tests the product's first combination as a whole: one that passes is the
-first witness, and one that fails where every family has one candidate
-ends the search.  Both give the walk's answer and its count of product
-iterations, since blocking only grows along a combination.
+The queries read X's edge classification, as in MMCS: the edges disjoint
+from X (``uncov``) and, per member of X, the edges meeting X only there
+(``crit``), both as edge-index bitmasks.  ``include_vertex`` adds one
+vertex to it.  A tree search carries it down its include path and passes
+each node's to ``extend`` as ``state``.  The look-ahead rank decider's
+seed walk makes the same update inline and passes each seed's to
+``find_higher_order``.  Without ``state`` it is folded from the root over
+X's members.
 
-Both queries, ``extend`` and ``find_higher_order``, start from one head,
-``build_reduced_families``, read from this module's globals at every
-call.  It takes an edge classification of X: the edges disjoint from X
-(``uncov``) and, per member of X, the edges meeting X only there
-(``crit``), both as edge-index bitmasks, as in MMCS.  The classification
-has one construction, ``include_vertex``, which adds one vertex to it: a
-tree search carries it down its include path and passes each node's to
-``extend`` as ``state``, the look-ahead rank decider's seed walk makes
-the same update inline, after its cheaper cuts, and passes each seed's
-to ``find_higher_order``, and without ``state`` it is folded from the
-root over X's members.  The head then reduces only the edges
-the classification names by Y.  Everything here is pure over an
-immutable hypergraph and only reads ``state``, so concurrent calls on a
-shared hypergraph are fine.
+Both queries start from one head, ``build_reduced_families``, read from
+this module's globals at every call.  It reduces the unhit edges by Y and
+leaves the candidate private edges as the ``crit`` bits name them.
+
+The decision searches the product of the members' candidate private
+edges depth-first, in ``itertools.product`` order.  It cuts a prefix as
+soon as some unhit edge has no unblocked vertex left (the pruning rule of
+Murakami and Uno's MMCS).  So it returns the same first witness as the
+full product walk while visiting only a fraction of it.  Before the walk
+it tests the product's first combination as a whole.  One that passes is
+the first witness; one that fails where every member has one candidate
+ends the search.  Both give the walk's answer and its count.
+
+Everything here is pure over an immutable hypergraph and only reads
+``state``, so concurrent calls on a shared hypergraph are fine.
 """
 
 from __future__ import annotations
@@ -80,24 +80,25 @@ def include_vertex(uncov: int, crit: list[int], ev: int) -> tuple[int, list[int]
 
 def build_reduced_families(
     h: Hypergraph, x: VertexSet, y: VertexSet, state: tuple[int, list[int]] | None = None
-) -> tuple[list[int], list[int], int, list[list[int]], int] | None:
+) -> tuple[list[int], list[int], int] | None:
     """The head of ``extend`` and ``find_higher_order``: validate, take
     X's edge classification ``state`` (or fold it from the root) and
-    reduce its families by Y.
+    reduce its unhit edges by Y.
 
-    Returns ``(crit, unhit, forced, per_x, veto)``: X's critical masks;
-    the unhit reduced edges (edge-index order, their indices the bits of
-    ``uncov``) and their intersection ``forced`` (-1 when there are
-    none); per member of X its candidate private edges reduced by Y (in
-    the order of the bits of its ``crit`` mask), and ``veto``, the union
-    over members of those edges' intersections.  An empty ``unhit`` means
-    that X is itself a minimal hitting set; ``per_x`` is then left empty
-    and ``veto`` 0.  None means that X has no extension avoiding Y at
-    all: a member of X has no candidate private edge, or an edge lies
-    inside Y.  Only an edge disjoint from X can lie inside Y, so the
-    unhit pass is the whole dead-edge check.  On an edgeless hypergraph
-    X = {} is the one minimal hitting set and any other X has a member
-    without a private edge.
+    Returns ``(crit, unhit, forced)``: X's critical masks, whose bits
+    index X's candidate private edges; the unhit edges reduced by Y, in
+    edge-index order (their indices are the bits of ``uncov``); and their
+    intersection ``forced``, -1 when there are none.  An empty ``unhit``
+    means that X is itself a minimal hitting set.  None means that X has
+    no extension avoiding Y: a member of X has no candidate private edge,
+    or an edge lies inside Y.  Only an edge disjoint from X can lie
+    inside Y, so the unhit pass is the whole dead-edge check.  On an
+    edgeless hypergraph X = {} is the one minimal hitting set, and any
+    other X has a member without a private edge.
+
+    The candidates are not reduced: every test made on them asks whether
+    an unhit reduced edge keeps a vertex outside them, and those edges
+    miss Y already.
     """
     if x.n != h.n or y.n != h.n:
         raise ValueError("X and Y must live in the hypergraph's universe")
@@ -114,7 +115,7 @@ def build_reduced_families(
         return None
     edges = h.edge_masks()
     keep = ~y.mask
-    # the bit loops here are inlined: they run at every node
+    # the bit loop is inlined: it runs at every node
     unhit: list[int] = []
     forced = -1
     while uncov:
@@ -125,111 +126,102 @@ def build_reduced_families(
         unhit.append(em)
         forced &= em
         uncov ^= low
-    per_x: list[list[int]] = []
-    veto = 0
-    if unhit:
-        for c in crit:
-            if c & (c - 1) == 0:
-                # one candidate: it is the family and its own core
-                em = edges[c.bit_length() - 1] & keep
-                per_x.append([em])
-                veto |= em
-                continue
-            fam = []
-            core = -1
-            while c:
-                low = c & -c
-                em = edges[low.bit_length() - 1] & keep
-                fam.append(em)
-                core &= em
-                c ^= low
-            per_x.append(fam)
-            veto |= core
-    return crit, unhit, forced, per_x, veto
+    return crit, unhit, forced
 
 
 def _higher_order_combo(
-    per_x: list[list[int]], unhit: list[int], forced: int, counters: Counter | None
+    crit: list[int],
+    edges: tuple[int, ...],
+    unhit: list[int],
+    forced: int,
+    counters: Counter | None,
 ) -> list[int] | None:
-    """Search the Cartesian product of candidate private edges for a
-    combination proving a higher-order extension; return the chosen
-    position in each family, or None if there is none.
+    """Search the product of X's candidate private edges for a
+    combination proving a higher-order extension; return the chosen edge
+    index per member of X, or None if there is none.
 
-    The walk is a depth-first odometer over ``per_x`` in x-ascending
-    order, trying each family's candidates as they come, so the product
-    is visited in ``itertools.product`` order.  A prefix is cut as soon as
-    some unhit reduced edge lies inside ``forced`` plus the chosen edges:
-    blocking only grows, so no completion of that prefix can succeed, and
-    the first combination returned is the first one of the full product.
+    Member i's candidates are the edges named by the bits of ``crit[i]``,
+    read from ``edges``.  The product is searched in ``itertools.product``
+    order, and a prefix is cut as soon as some unhit edge lies inside
+    ``forced`` plus the chosen edges (``_odometer``).
 
-    Two shortcuts settle a product before the odometer starts, by testing
-    its first combination (each family's first candidate) as a whole.  If
-    it leaves every unhit edge a free vertex, it is returned: each of its
-    prefixes blocks less, so the odometer would accept it with no cut.  If
-    it fails and every family has one candidate, the product is that one
-    combination and the answer is None after one cut prefix.  Either way
-    the answer and the count are the odometer's.
+    The first combination (each member's lowest bit) is tested as a whole
+    first.  If it leaves every unhit edge a free vertex, it is returned:
+    each of its prefixes blocks less, so the odometer would accept it
+    with no cut.
 
     ``product_iterations`` counts the cut prefixes plus the accepted
     combination.  These are disjoint blocks of the product, so the count
     stays within the product size and hence within Delta^|X|.  The empty
-    product (X = empty) contributes exactly one combination.
+    product (X = empty) counts one combination.
     """
     if forced in unhit:
-        # that unhit reduced edge is their intersection: nothing avoids it
+        # that unhit edge is their intersection: nothing avoids it
         return None
-    depth = len(per_x)
-    # the product's first combination, tested as a whole
+    chosen = [(c & -c).bit_length() - 1 for c in crit]
     taken = forced
-    for fam in per_x:
-        taken |= fam[0]
+    for j in chosen:
+        taken |= edges[j]
     free = ~taken
+    cuts = 0
     for em in unhit:
         if not em & free:
+            chosen, cuts = _odometer(crit, edges, unhit, forced)
+            break
+    if counters is not None:
+        counters["product_iterations"] += cuts + (chosen is not None)
+    return chosen
+
+
+def _odometer(
+    crit: list[int], edges: tuple[int, ...], unhit: list[int], forced: int
+) -> tuple[list[int] | None, int]:
+    """The depth-first walk of the product: the first combination that
+    leaves every unhit edge a free vertex, as edge indices (or None), and
+    the number of prefixes cut on the way.
+
+    It tries each member's ``crit`` bits from the lowest up.  Blocking
+    only grows along a combination, so no completion of a cut prefix can
+    succeed, and the combination returned is the first one of the full
+    product.  When every member has one candidate, the product is that
+    one combination, which the caller saw fail: one cut prefix.
+    """
+    for c in crit:
+        if c & (c - 1):
             break
     else:
-        # its prefixes block less, so each passes: the odometer accepts
-        # it with no cut
-        if counters is not None:
-            counters["product_iterations"] += 1
-        return [0] * depth
-    for fam in per_x:
-        if len(fam) > 1:
-            break
-    else:
-        # the product is this one combination: one cut prefix
-        if counters is not None:
-            counters["product_iterations"] += 1
-        return None
-    pos = [0] * (depth + 1)
+        return None, 1
+    depth = len(crit)
+    # rest[i]: member i's untried candidates, the current one lowest
+    rest = list(crit)
     # blocked[i]: forced plus the edges chosen at depths < i
     blocked = [forced] * (depth + 1)
     cuts = 0
     i = 0
     while i < depth:
-        fam = per_x[i]
-        if pos[i] == len(fam):
-            if i == 0:
-                if counters is not None:
-                    counters["product_iterations"] += cuts
-                return None
-            i -= 1
-            pos[i] += 1
-            continue
-        free = ~(blocked[i] | fam[pos[i]])
-        for em in unhit:
-            if not em & free:
-                cuts += 1
-                pos[i] += 1
+        r = rest[i]
+        b = blocked[i]
+        while r:
+            after = r & (r - 1)
+            free = ~(b | edges[(r ^ after).bit_length() - 1])
+            for em in unhit:
+                if not em & free:
+                    cuts += 1
+                    r = after
+                    break
+            else:
                 break
-        else:
+        if r:
+            rest[i] = r
             i += 1
             blocked[i] = ~free
-            pos[i] = 0
-    if counters is not None:
-        counters["product_iterations"] += cuts + 1
-    del pos[depth]
-    return pos
+        elif i == 0:
+            return None, cuts
+        else:
+            rest[i] = crit[i]
+            i -= 1
+            rest[i] &= rest[i] - 1
+    return [(r & -r).bit_length() - 1 for r in rest], cuts
 
 
 def extend(
@@ -247,9 +239,10 @@ def extend(
     remain.
 
     On CONTINUE the forbidden set grows by the vertices that would
-    complete x in a single step and by those that would strip a member of
-    x of its last candidate private edge; no remaining extension can use
-    either kind.
+    complete x in a single step (``forced``) and by the veto: the
+    vertices that lie in every candidate private edge of some member, so
+    that adding one would strip that member of its last private edge.
+    No remaining extension can use either kind.
 
     ``state`` is the edge classification of ``x`` as ``(uncov, crit)``:
     the edge-index mask of the edges disjoint from x, and one edge-index
@@ -262,18 +255,31 @@ def extend(
     reduced = build_reduced_families(h, x, y, state)
     if reduced is None:
         return _HALT
-    _crit, unhit, forced, per_x, veto = reduced
+    crit, unhit, forced = reduced
     if not unhit:
         # x hits everything and each of its vertices kept a private edge
         if sink is not None:
             sink(x)
         return _HALT
+    edges = h.edge_masks()
+    # Y is not removed from the veto: forced misses Y, and y_plus holds it.
+    # A member lies in each of its candidates, so a core down to one
+    # vertex is that member alone and no later candidate changes it.
+    veto = 0
+    for c in crit:
+        after = c & (c - 1)
+        core = edges[(c ^ after).bit_length() - 1]
+        while after and core & (core - 1):
+            c = after
+            after = c & (c - 1)
+            core &= edges[(c ^ after).bit_length() - 1]
+        veto |= core
     ones = forced & ~veto
     if ones and sink is not None:
         n, xm = h.n, x.mask
         for b in iter_bits(ones):
             sink(VertexSet(n, xm | (1 << b)))
-    if _higher_order_combo(per_x, unhit, forced, counters) is None:
+    if _higher_order_combo(crit, edges, unhit, forced, counters) is None:
         return _HALT
     y_plus = (y.mask | forced | veto) & ~x.mask
     return ExtensionOutcome(VertexSet(h.n, y_plus))
@@ -297,6 +303,11 @@ def find_higher_order(
 ) -> HigherOrderWitness | None:
     """Decide higher-order extendability without emitting solutions.
 
+    The witness holds ``forced`` and the first combination of candidate
+    private edges that the product search accepts, as one edge index per
+    member of x.  None means no higher-order extension avoids ``y``.  No
+    veto is computed: only ``extend`` grows a forbidden set.
+
     ``state`` is x's edge classification, as for ``extend``; when it is
     None it is carried from the root.
     """
@@ -305,17 +316,8 @@ def find_higher_order(
     reduced = build_reduced_families(h, x, y, state)
     if reduced is None or not reduced[1]:
         return None
-    crit, unhit, forced, per_x, _veto = reduced
-    pos = _higher_order_combo(per_x, unhit, forced, counters)
-    if pos is None:
+    crit, unhit, forced = reduced
+    chosen = _higher_order_combo(crit, h.edge_masks(), unhit, forced, counters)
+    if chosen is None:
         return None
-    # each member's chosen edge index is the p-th lowest bit of its crit mask
-    chosen = []
-    for c, p in zip(crit, pos):
-        for _ in range(p):
-            c &= c - 1
-        chosen.append((c & -c).bit_length() - 1)
-    return HigherOrderWitness(
-        forced=VertexSet(h.n, forced),
-        edge_indices=tuple(chosen),
-    )
+    return HigherOrderWitness(forced=VertexSet(h.n, forced), edge_indices=tuple(chosen))

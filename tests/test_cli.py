@@ -426,6 +426,17 @@ def test_unwritable_stats_path_fails_before_any_output(capsys, tmp_path, pairs):
     assert err.startswith("error: ")
 
 
+def test_failed_run_leaves_the_stats_file_as_it_was(capsys, tmp_path, pairs):
+    kept = tmp_path / "kept.json"
+    kept.write_text("hello world")
+    absent = tmp_path / "absent.json"
+    for path in (kept, absent):
+        code, out, err = run(capsys, "enumerate", "--stats", str(path), "--limit", "-1", pairs)
+        assert (code, out, err) == (2, "", "error: limit must be non-negative\n")
+    assert kept.read_text() == "hello world"
+    assert not absent.exists()
+
+
 def test_bench_has_no_json_flag(capsys):
     argv = ["bench", "--family", "uniform", "--seed", "1", "--n", "5", "--m", "5",
             "--arity", "2", "--json"]

@@ -88,17 +88,16 @@ def test_emitted_order_is_ascending():
 def test_reduced_families_structure():
     h = Hypergraph(5, [(0, 1, 4), (0, 2), (2, 3), (1, 2)])
     x = VertexSet.of(5, 0)
-    crit, unhit, forced, per_x, veto = build_reduced_families(h, x, VertexSet.of(5, 4))
-    assert len(crit) == len(per_x) == 1
-    # every candidate private edge still contains its vertex, and is the
-    # edge its crit bit names, reduced by Y
-    for c, fam, v in zip(crit, per_x, x):
-        pairs = list(zip(iter_bits(c), fam))
-        assert len(pairs) == len(fam)
-        assert all(em >> v & 1 for _, em in pairs)
-        assert all(em == h.edge_masks()[idx] & ~0b10000 for idx, em in pairs)
-    # unhit reduced edges are disjoint from X
-    assert unhit and all(em & 1 == 0 for em in unhit)
+    y = VertexSet.of(5, 4)
+    crit, unhit, forced = build_reduced_families(h, x, y)
+    assert len(crit) == len(x) == 1
+    # every bit of a member's crit mask names an edge meeting X at that
+    # member alone: its candidate private edges, as they stand in h
+    edges = h.edge_masks()
+    for c, v in zip(crit, x):
+        assert c == sum(1 << i for i, em in enumerate(edges) if em & x.mask == 1 << v)
+    # unhit reduced edges are the edges disjoint from X, reduced by Y
+    assert unhit == [em & ~y.mask for em in edges if em & x.mask == 0]
     assert forced == unhit[0] & unhit[1]
 
 
@@ -142,11 +141,18 @@ def test_find_higher_order_returns_certificate():
     assert h.edges[w.edge_indices[0]].members() == (0, 1)
 
 
+def _reduced(crit, edges, y):
+    """Per member, its candidate private edges as ``(edge index, edge
+    reduced by Y)`` pairs, in the order of the bits of its crit mask."""
+    return [[(i, edges[i] & ~y) for i in iter_bits(c)] for c in crit]
+
+
 def _reference_odometer(per_x, unhit, forced, counters):
-    """The product search without its shortcuts: the depth-first odometer
-    alone, cutting a prefix as soon as some unhit edge lies inside
-    ``forced`` plus the chosen edges, and counting the cut prefixes plus
-    the accepted combination."""
+    """The product search without its shortcuts, over families of
+    ``(edge index, reduced edge)`` pairs: the depth-first odometer alone,
+    cutting a prefix as soon as some unhit edge lies inside ``forced``
+    plus the chosen edges, and counting the cut prefixes plus the
+    accepted combination.  Returns the chosen edge indices."""
     if forced in unhit:
         return None
     depth = len(per_x)
@@ -163,7 +169,7 @@ def _reference_odometer(per_x, unhit, forced, counters):
             i -= 1
             pos[i] += 1
             continue
-        free = ~(blocked[i] | fam[pos[i]])
+        free = ~(blocked[i] | fam[pos[i]][1])
         for em in unhit:
             if not em & free:
                 cuts += 1
@@ -174,48 +180,55 @@ def _reference_odometer(per_x, unhit, forced, counters):
             blocked[i] = ~free
             pos[i] = 0
     counters["product_iterations"] += cuts + 1
-    return pos[:depth]
+    return [fam[p][0] for fam, p in zip(per_x, pos)]
 
 
 def _product_case(rng):
-    """Random ``(per_x, unhit, forced)`` over at most 8 vertices: nonempty
-    unhit edges and their intersection, and nonempty families, either all
-    singletons or of mixed sizes."""
+    """Random ``(crit, edges, unhit, forced, y)`` over at most 8 vertices:
+    nonempty unhit edges missing Y and their intersection, raw candidate
+    edges that may meet Y, and nonempty crit masks over those edges,
+    either all one bit or of mixed sizes."""
     n = rng.randint(2, 8)
     full = (1 << n) - 1
-    unhit = [rng.randint(1, full) for _ in range(rng.randint(1, 5))]
+    # vertex 0 stays out of Y, so an unhit edge emptied by Y can take it
+    y = rng.randint(0, full) & rng.randint(0, full) & ~1
+    unhit = [rng.randint(1, full) & ~y or 1 for _ in range(rng.randint(1, 5))]
     if rng.random() < 0.1:
         # one unhit edge inside all the others: it is their intersection
         unhit = [unhit[0]] + [em | unhit[0] for em in unhit[1:]]
     forced = -1
     for em in unhit:
         forced &= em
+    edges = [rng.randint(1, full) for _ in range(rng.randint(1, 6))]
+    full_crit = (1 << len(edges)) - 1
     singletons = rng.random() < 0.4
-    per_x = [
-        [rng.randint(1, full) for _ in range(1 if singletons else rng.randint(1, 3))]
+    crit = [
+        1 << rng.randrange(len(edges)) if singletons else rng.randint(1, full_crit)
         for _ in range(rng.randint(0, 4))
     ]
-    return per_x, unhit, forced
+    return crit, edges, unhit, forced, y
 
 
 def test_product_shortcuts_match_the_odometer():
-    """The first-combination test and the one-combination product give
-    the odometer's positions and its exact ``product_iterations``."""
+    """On raw candidate edges, the product search gives the edge indices
+    and the exact ``product_iterations`` of the plain odometer over the
+    candidates reduced by Y, through both shortcuts and the walk."""
     rng = random.Random(4242)
     kinds: Counter = Counter()
     for _ in range(4000):
-        per_x, unhit, forced = _product_case(rng)
+        crit, edges, unhit, forced, y = _product_case(rng)
+        per_x = _reduced(crit, edges, y)
         want_counters: Counter = Counter()
         want = _reference_odometer(per_x, unhit, forced, want_counters)
         got_counters: Counter = Counter()
-        got = extension._higher_order_combo(per_x, unhit, forced, got_counters)
-        assert got == want, (per_x, unhit, forced)
+        got = extension._higher_order_combo(crit, edges, unhit, forced, got_counters)
+        assert got == want, (crit, edges, unhit, forced, y)
         assert got_counters["product_iterations"] == want_counters["product_iterations"]
-        assert extension._higher_order_combo(per_x, unhit, forced, None) == want
+        assert extension._higher_order_combo(crit, edges, unhit, forced, None) == want
         # the shapes the shortcuts and the odometer each settle
         blocked = forced
         for fam in per_x:
-            blocked |= fam[0]
+            blocked |= fam[0][1]
         first_passes = all(em & ~blocked for em in unhit)
         one_combination = all(len(fam) == 1 for fam in per_x)
         if forced in unhit:
@@ -232,14 +245,14 @@ def test_product_shortcuts_match_the_odometer():
 
 
 def _reference_edge_indices(h, x, y):
-    """First combination of the full candidate product that leaves every
-    unhit reduced edge unblocked, found by plain exhaustion."""
+    """First combination of the full product of candidate private edges,
+    reduced by Y here, that leaves every unhit reduced edge unblocked,
+    found by plain exhaustion."""
     reduced = build_reduced_families(h, x, y)
     if reduced is None or not reduced[1]:
         return None
-    crit, unhit, forced, per_x, _veto = reduced
-    families = [list(zip(iter_bits(c), fam)) for c, fam in zip(crit, per_x)]
-    for combo in itertools.product(*families):
+    crit, unhit, forced = reduced
+    for combo in itertools.product(*_reduced(crit, h.edge_masks(), y.mask)):
         blocked = forced
         for _, em in combo:
             blocked |= em
@@ -265,10 +278,11 @@ def test_pruned_search_matches_full_product(corpus):
             got = None if w is None else w.edge_indices
             assert got == _reference_edge_indices(h, x, y), (h, x, y)
             reduced = build_reduced_families(h, x, y)
-            per_x = [] if reduced is None else reduced[3]
-            assert counters["product_iterations"] <= math.prod(len(f) for f in per_x)
+            crit = [] if reduced is None else reduced[0]
+            assert counters["product_iterations"] <= math.prod(c.bit_count() for c in crit)
             want: Counter = Counter()
             if reduced is not None and reduced[1]:
+                per_x = _reduced(crit, h.edge_masks(), y.mask)
                 _reference_odometer(per_x, reduced[1], reduced[2], want)
             assert counters["product_iterations"] == want["product_iterations"]
 

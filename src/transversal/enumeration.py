@@ -41,9 +41,9 @@ class DelayStats:
     however many nodes the run visits: the outputs, the completed
     extension calls, the histogram of the partial solution's size at
     those calls (at most n+1 keys), the deepest stack, and the worst gap
-    between outputs in ns and in calls, counting the lead-in before the
-    first output and the tail until termination.  ``work`` is the run's
-    work counter, handed to every extension call."""
+    between outputs in ns, in calls and in product iterations, counting
+    the lead-in before the first output and the tail until termination.
+    ``work`` is the run's work counter, handed to every extension call."""
 
     started_ns: int = field(default_factory=time.perf_counter_ns)
     finished_ns: int = 0
@@ -54,6 +54,7 @@ class DelayStats:
     max_stack_depth: int = 0
     max_delay_ns: int = 0
     max_gap_calls: int = 0
+    max_gap_product_iterations: int = 0
 
     @property
     def total_ns(self) -> int:
@@ -69,6 +70,7 @@ class DelayStats:
             "calls": self.calls,
             "max_delay_ns": self.max_delay_ns,
             "max_gap_calls": self.max_gap_calls,
+            "max_gap_product_iterations": self.max_gap_product_iterations,
             "max_stack_depth": self.max_stack_depth,
             "total_ns": self.total_ns,
             "extend_call_histogram": {
@@ -110,12 +112,13 @@ def _walk_tree(
     with no free vertex meeting an uncovered edge breaks ``extend``'s
     promise and raises ``RuntimeError``.
 
-    Each stack entry is (X, Y, uncov, crit): X and Y as vertex masks,
-    then X's edge classification (see ``extend``).  The exclude child
-    shares its parent's classification; the include child of v updates
-    it with v's incidence mask in O(|X|) integer operations.  The
-    recursion is an explicit stack, so live state is the root-to-leaf
-    path of entries.
+    Each stack entry is (X, Y, state): X and Y as vertex masks, then X's
+    edge classification ``(uncov, crit, veto)`` (see ``extend``).  The
+    exclude child shares its parent's triple; the include child of v
+    updates it with v's incidence mask in O(|X|) integer operations,
+    refolding the veto's part for only the members whose candidates v
+    removes, and for v (``include_vertex``).  The recursion is an
+    explicit stack, so live state is the root-to-leaf path of entries.
 
     ``prune(X, Y, uncov)``, when given, is asked at every node before its
     extension call; a node it answers True for is dropped with its whole
@@ -130,11 +133,12 @@ def _walk_tree(
     full = (1 << n) - 1
     work = stats.work
     histogram = stats.x_size_histogram
-    stack: list[tuple[int, int, int, list[int]]] = [(0, 0, (1 << h.m) - 1, [])]
+    stack: list[tuple[int, int, tuple]] = [(0, 0, ((1 << h.m) - 1, [], 0))]
     while stack:
         if len(stack) > stats.max_stack_depth:
             stats.max_stack_depth = len(stack)
-        xm, ym, uncov, crit = stack.pop()
+        xm, ym, state = stack.pop()
+        uncov = state[0]
         if prune is not None and prune(xm, ym, uncov):
             continue
         outcome: ExtensionOutcome = extend(
@@ -143,7 +147,7 @@ def _walk_tree(
             VertexSet(n, ym),
             deliver,
             counters=work,
-            state=(uncov, crit),
+            state=state,
         )
         stats.calls += 1
         histogram[xm.bit_count()] += 1
@@ -173,11 +177,10 @@ def _walk_tree(
                     break
                 through ^= low
             else:
-                stack.append((xm, ypm | vbit, uncov, crit))
+                stack.append((xm, ypm | vbit, state))
             # include branch, visited first: v is above every member of X,
             # so its critical edges go last
-            child_uncov, child_crit = include_vertex(uncov, crit, ev)
-            stack.append((xm | vbit, ypm, child_uncov, child_crit))
+            stack.append((xm | vbit, ypm, include_vertex(state, ev, edges)))
 
 
 def stream(
@@ -190,16 +193,20 @@ def stream(
     normally, and the tail gap ends with it; ``limit`` 0 runs nothing."""
     if limit is not None and limit < 0:
         raise ValueError("limit must be non-negative")
-    gap_ns, gap_calls = stats.started_ns, 0
+    work = stats.work
+    gap_ns, gap_calls, gap_iterations = stats.started_ns, 0, work["product_iterations"]
 
     def end_gap(now_ns: int) -> None:
-        nonlocal gap_ns, gap_calls
+        nonlocal gap_ns, gap_calls, gap_iterations
+        iterations = work["product_iterations"]
         delay, calls = now_ns - gap_ns, stats.calls - gap_calls
         if delay > stats.max_delay_ns:
             stats.max_delay_ns = delay
         if calls > stats.max_gap_calls:
             stats.max_gap_calls = calls
-        gap_ns, gap_calls = now_ns, stats.calls
+        if iterations - gap_iterations > stats.max_gap_product_iterations:
+            stats.max_gap_product_iterations = iterations - gap_iterations
+        gap_ns, gap_calls, gap_iterations = now_ns, stats.calls, iterations
 
     def out(t: VertexSet) -> None:
         stats.outputs += 1
@@ -224,8 +231,9 @@ def enumerate_tr(
 ) -> DelayStats:
     """Stream every minimal hitting set of ``h`` exactly once, by one
     unpruned walk of the look-ahead search tree (``_walk_tree``).  Each
-    node carries its edge classification, so it reduces only the edges
-    that classification names instead of scanning all m.
+    node carries its edge classification and veto, so it reduces only
+    the edges that classification names instead of scanning all m, and
+    refolds no veto core that its include step left as it was.
 
     The walk calls ``extend`` only on nodes that can still be extended
     (``_walk_tree``'s rules (a) and (b)): each call it skips would emit

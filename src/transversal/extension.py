@@ -4,12 +4,13 @@ least two more vertices remains, and if so grow the forbidden set.
 
 The queries read X's edge classification, as in MMCS: the edges disjoint
 from X (``uncov``) and, per member of X, the edges meeting X only there
-(``crit``), both as edge-index bitmasks.  ``include_vertex`` adds one
-vertex to it.  A tree search carries it down its include path and passes
-each node's to ``extend`` as ``state``.  The look-ahead rank decider's
-seed walk makes the same update inline and passes each seed's to
-``find_higher_order``.  Without ``state`` it is folded from the root over
-X's members.
+(``crit``), both as edge-index bitmasks, plus the veto that ``extend``
+adds to the forbidden set.  ``include_vertex`` adds one vertex to it.  A
+tree search carries it down its include path and passes each node's to
+``extend`` as ``state``.  The look-ahead rank decider's seed walk makes
+the ``(uncov, crit)`` update inline and passes each seed's to
+``find_higher_order``, which needs no veto.  Without ``state`` it is
+folded from the root over X's members.
 
 Both queries start from one head, ``build_reduced_families``, read from
 this module's globals at every call.  It reduces the unhit edges by Y and
@@ -68,22 +69,69 @@ class ExtensionOutcome:
 _HALT = ExtensionOutcome(None)
 
 
-def include_vertex(uncov: int, crit: list[int], ev: int) -> tuple[int, list[int]]:
-    """The edge classification of X + v from X's and v's incidence mask
-    ``ev``, in O(|X|) integer operations: v's critical edges are the
-    uncovered ones it meets, appended last, and its edges leave ``uncov``
-    and every other member's mask."""
-    child = [c & ~ev for c in crit]
-    child.append(uncov & ev)
-    return uncov & ~ev, child
+def _core(c: int, edges: tuple[int, ...]) -> int:
+    """The intersection of the edges named by the bits of ``c``, 0 when
+    there are none.  A member lies in each of its candidates, so a core
+    down to one vertex is that member alone and no later candidate
+    changes it."""
+    if not c:
+        return 0
+    after = c & (c - 1)
+    core = edges[(c ^ after).bit_length() - 1]
+    while after and core & (core - 1):
+        c = after
+        after = c & (c - 1)
+        core &= edges[(c ^ after).bit_length() - 1]
+    return core
+
+
+def include_vertex(
+    state: tuple[int, list[int], int], ev: int, edges: tuple[int, ...]
+) -> tuple[int, list[int], int]:
+    """The edge classification ``(uncov, crit, veto)`` of X + v from X's
+    ``state`` and v's incidence mask ``ev``: v's critical edges are the
+    uncovered ones it meets, appended last, and its edges leave
+    ``uncov`` and every other member's mask.
+
+    The veto is the union over the members of the intersection of their
+    candidate private edges (their core).  A core only grows as
+    candidates leave, so the child's veto is X's ORed with the refolded
+    cores of the members whose mask v met, and with v's own core.
+    Everything else is O(|X|) integer operations."""
+    uncov, crit, veto = state
+    nev = ~ev
+    child = [c & nev for c in crit]
+    # on sparse inputs most include steps change no member's candidates
+    if child != crit:
+        for c, d in zip(crit, child):
+            if c != d:
+                veto |= _core(d, edges)
+    own = uncov & ev
+    child.append(own)
+    return uncov & nev, child, veto | _core(own, edges)
+
+
+def _classify(h: Hypergraph, x: VertexSet) -> tuple[int, list[int], int]:
+    """X's edge classification folded from the root's (every edge
+    uncovered, no members, no veto) over its members ascending, as a
+    tree search does."""
+    if x.n != h.n:
+        raise ValueError("X and Y must live in the hypergraph's universe")
+    edges = h.edge_masks()
+    state = ((1 << h.m) - 1, [], 0)
+    for v in iter_bits(x.mask):
+        state = include_vertex(state, h.incidence[v], edges)
+    return state
 
 
 def build_reduced_families(
-    h: Hypergraph, x: VertexSet, y: VertexSet, state: tuple[int, list[int]] | None = None
+    h: Hypergraph, x: VertexSet, y: VertexSet, state: tuple | None = None
 ) -> tuple[list[int], list[int], int] | None:
     """The head of ``extend`` and ``find_higher_order``: validate, take
     X's edge classification ``state`` (or fold it from the root) and
-    reduce its unhit edges by Y.
+    reduce its unhit edges by Y.  Only ``state``'s first two fields,
+    ``uncov`` and ``crit``, are read, so the pair and the triple with
+    the veto both serve.
 
     Returns ``(crit, unhit, forced)``: X's critical masks, whose bits
     index X's candidate private edges; the unhit edges reduced by Y, in
@@ -105,12 +153,9 @@ def build_reduced_families(
     if x.mask & y.mask:
         raise ValueError("X and Y must be disjoint")
     if state is None:
-        # fold X's classification from the root's (every edge uncovered,
-        # no members) over its members ascending, as a tree search does
-        state = ((1 << h.m) - 1, [])
-        for v in iter_bits(x.mask):
-            state = include_vertex(*state, h.incidence[v])
-    uncov, crit = state
+        state = _classify(h, x)
+    uncov = state[0]
+    crit = state[1]
     if 0 in crit:
         return None
     edges = h.edge_masks()
@@ -231,7 +276,7 @@ def extend(
     sink: Sink | None = None,
     *,
     counters: Counter | None = None,
-    state: tuple[int, list[int]] | None = None,
+    state: tuple[int, list[int], int] | None = None,
 ) -> ExtensionOutcome:
     """Send every minimal extension of ``x`` avoiding ``y`` that has at
     most one extra vertex to ``sink`` (x itself first if minimal, then
@@ -244,14 +289,17 @@ def extend(
     that adding one would strip that member of its last private edge.
     No remaining extension can use either kind.
 
-    ``state`` is the edge classification of ``x`` as ``(uncov, crit)``:
-    the edge-index mask of the edges disjoint from x, and one edge-index
-    mask per member of x (ascending) of the edges meeting x only there.
-    ``enumerate_tr`` carries it down its search tree and passes it at
-    every node, so the node touches only the edges it names; it is only
-    read.  When it is None (the CLI and direct callers) it is carried
-    from the root, one member of x at a time.  Y does not enter it.
+    ``state`` is the edge classification of ``x`` as ``(uncov, crit,
+    veto)``: the edge-index mask of the edges disjoint from x, one
+    edge-index mask per member of x (ascending) of the edges meeting x
+    only there, and the veto as a vertex mask.  ``enumerate_tr`` carries
+    it down its search tree and passes it at every node, so the node
+    touches only the edges it names; it is only read.  When it is None
+    (the CLI and direct callers) it is folded from the root by
+    ``include_vertex``, one member of x at a time.  Y does not enter it.
     """
+    if state is None:
+        state = _classify(h, x)
     reduced = build_reduced_families(h, x, y, state)
     if reduced is None:
         return _HALT
@@ -261,25 +309,14 @@ def extend(
         if sink is not None:
             sink(x)
         return _HALT
-    edges = h.edge_masks()
     # Y is not removed from the veto: forced misses Y, and y_plus holds it.
-    # A member lies in each of its candidates, so a core down to one
-    # vertex is that member alone and no later candidate changes it.
-    veto = 0
-    for c in crit:
-        after = c & (c - 1)
-        core = edges[(c ^ after).bit_length() - 1]
-        while after and core & (core - 1):
-            c = after
-            after = c & (c - 1)
-            core &= edges[(c ^ after).bit_length() - 1]
-        veto |= core
+    veto = state[2]
     ones = forced & ~veto
     if ones and sink is not None:
         n, xm = h.n, x.mask
         for b in iter_bits(ones):
             sink(VertexSet(n, xm | (1 << b)))
-    if _higher_order_combo(crit, edges, unhit, forced, counters) is None:
+    if _higher_order_combo(crit, h.edge_masks(), unhit, forced, counters) is None:
         return _HALT
     y_plus = (y.mask | forced | veto) & ~x.mask
     return ExtensionOutcome(VertexSet(h.n, y_plus))
@@ -306,10 +343,11 @@ def find_higher_order(
     The witness holds ``forced`` and the first combination of candidate
     private edges that the product search accepts, as one edge index per
     member of x.  None means no higher-order extension avoids ``y``.  No
-    veto is computed: only ``extend`` grows a forbidden set.
+    veto is read: only ``extend`` grows a forbidden set.
 
-    ``state`` is x's edge classification, as for ``extend``; when it is
-    None it is carried from the root.
+    ``state`` is x's edge classification ``(uncov, crit)``, as for
+    ``extend`` but without the veto; when it is None it is folded from
+    the root.
     """
     if y is None:
         y = VertexSet(h.n)

@@ -80,8 +80,8 @@ def test_incremental_stats_report_the_search_work(capsys, tmp_path):
 
 
 def test_enumerate_stats_report_calls_gap_and_depth(capsys, tmp_path):
-    # the walk's call count, its worst gap in calls and its deepest stack
-    # on bd40, as DelayStats keeps them
+    # the walk's call count, its worst gap in calls and in product
+    # iterations, and its deepest stack on bd40, as DelayStats keeps them
     path = tmp_path / "bd40.hg"
     path.write_text(serialize(bounded_degree_instance(random.Random(1), 40, 80, 4)))
     stats_path = tmp_path / "stats.json"
@@ -89,9 +89,12 @@ def test_enumerate_stats_report_calls_gap_and_depth(capsys, tmp_path):
     assert code == 0
     payload = json.loads(stats_path.read_text())
     assert payload["outputs"] == len(out.splitlines()) == 4059
-    assert (payload["calls"], payload["max_gap_calls"], payload["max_stack_depth"]) == (
-        16_039, 20, 9
-    )
+    assert (
+        payload["calls"],
+        payload["max_gap_calls"],
+        payload["max_gap_product_iterations"],
+        payload["max_stack_depth"],
+    ) == (16_039, 20, 87, 9)
     assert payload["calls"] == sum(payload["extend_call_histogram"].values())
 
 

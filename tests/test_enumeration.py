@@ -14,7 +14,7 @@ from transversal.cliques import (
     enumerate_maximal_hypercliques,
     enumerate_maximal_independent_sets,
 )
-from transversal.core import minimize_edges
+from transversal.core import minimize_edges, uniform_complement
 from transversal.enumeration import (
     DelayStats,
     StopEnumeration,
@@ -38,6 +38,9 @@ from conftest import log_extend_calls, logged_run, masks, random_hypergraph, wal
 
 BD40 = bounded_degree_instance(random.Random(1), 40, 80, 4)
 BR30 = bounded_rank_instance(random.Random(2), 30, 60, 3)
+# bench's sparse class, and a high-degree 3-uniform complement (44 edges)
+BD5 = bounded_degree_instance(random.Random(5), 40, 80, 4)
+UNIFORM3_COMPLEMENT = uniform_complement(uniform_instance(random.Random(0), 9, 40, 3), 3)
 
 
 def run(h, method=enumerate_tr, **kw):
@@ -177,13 +180,16 @@ def test_bounded_gap_between_outputs():
 
 def test_online_stats_match_the_extend_call_log(monkeypatch):
     """The running aggregates equal what a wrapper of ``extend`` counts:
-    the calls, the worst gap in calls, the |X| histogram and the product
-    iterations."""
+    the calls, the worst gap in calls and in product iterations, the |X|
+    histogram and the product iterations."""
     log = log_extend_calls(monkeypatch)
     for h in gap_instances() + [BD40]:
         _, stats, windows = logged_run(log, h)
         assert stats.calls == len(log)
         assert stats.max_gap_calls == max(len(w) for w in windows)
+        assert stats.max_gap_product_iterations == max(
+            sum(it for _, _, it in w) for w in windows
+        )
         assert stats.x_size_histogram == Counter(xm.bit_count() for xm, _, _ in log)
         assert len(stats.x_size_histogram) <= h.n + 1
         assert stats.product_iterations == sum(it for _, _, it in log)
@@ -258,18 +264,37 @@ def _fresh_state(h, xm):
     return uncov, crit
 
 
+def _fresh_veto(h, crit):
+    """The union over X's members of the intersection of their candidate
+    private edges, each intersection taken over every edge its mask
+    names."""
+    edges = h.edge_masks()
+    veto = 0
+    for c in crit:
+        if c:
+            core = (1 << h.n) - 1
+            for idx in range(h.m):
+                if c >> idx & 1:
+                    core &= edges[idx]
+            veto |= core
+    return veto
+
+
 def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
-    """At every node the (uncov, crit) state the tree search carries equals
-    the classification counted from scratch, and extend given that state
-    emits and returns exactly what it does without it."""
+    """At every node the (uncov, crit, veto) state the tree search carries
+    equals the classification and veto counted from scratch, and extend
+    given that state emits and returns exactly what it does without it.
+    The corpus, bd40 and bench's sparse class carry low-degree
+    classifications; the 3-uniform complement carries high-degree ones."""
     real = enumeration.extend
     nodes = 0
 
     def checked(h, x, y, sink=None, *, counters=None, state=None):
         nonlocal nodes
         nodes += 1
-        uncov, crit = state
+        uncov, crit, veto = state
         assert (uncov, list(crit)) == _fresh_state(h, x.mask), (h, x, y)
+        assert veto == _fresh_veto(h, crit), (h, x, y)
         fresh_got: list[VertexSet] = []
         fresh = real(h, x, y, fresh_got.append)
         got: list[VertexSet] = []
@@ -286,6 +311,10 @@ def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
         enumerate_tr(h)
     # the root of each of the corpus's 33 edgeless instances is one node
     assert nodes == 17_618
+    for h, calls in ((BD5, 12_895), (UNIFORM3_COMPLEMENT, 100)):
+        nodes = 0
+        enumerate_tr(h)
+        assert nodes == calls
 
 
 def _walk_every_free_vertex(h: Hypergraph) -> list[int]:
@@ -296,23 +325,24 @@ def _walk_every_free_vertex(h: Hypergraph) -> list[int]:
     if h.m == 0:
         return [0]
     h = minimize_edges(h)
+    edges = h.edge_masks()
     incidence = h.incidence
     full = (1 << h.n) - 1
     got: list[int] = []
-    stack = [(0, 0, (1 << h.m) - 1, [])]
+    stack = [(0, 0, ((1 << h.m) - 1, [], 0))]
     while stack:
-        xm, ym, uncov, crit = stack.pop()
+        xm, ym, state = stack.pop()
         outcome = extend(
             h, VertexSet(h.n, xm), VertexSet(h.n, ym),
-            lambda t: got.append(t.mask), state=(uncov, crit),
+            lambda t: got.append(t.mask), state=state,
         )
         if outcome.continues:
             ypm = outcome.y_plus.mask
             rest = full & ~(xm | ypm)
             vbit = rest & -rest
-            stack.append((xm, ypm | vbit, uncov, crit))
+            stack.append((xm, ypm | vbit, state))
             stack.append(
-                (xm | vbit, ypm, *include_vertex(uncov, crit, incidence[vbit.bit_length() - 1]))
+                (xm | vbit, ypm, include_vertex(state, incidence[vbit.bit_length() - 1], edges))
             )
     return got
 

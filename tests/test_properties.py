@@ -1,0 +1,130 @@
+"""Seeded differential and metamorphic checks of the tree search.
+
+A fixed seed draws ``COUNT`` random hypergraphs with n <= 10 and m <= 14,
+some holding the empty edge or an edge drawn twice (``random_hypergraph``).
+On each:
+
+- ``enumerate_tr`` gives ``brute_tr``'s sets, with no repeats;
+- Tr(Tr(H)) = min H (Berge's duality);
+- relabelling the vertices by a random permutation relabels Tr(H) the
+  same way, a property the order-pinning digests cannot see.
+
+A failing instance is shrunk, by dropping edges and then vertices while
+the check still fails, and the failure prints its ``.hg`` text.
+"""
+
+from __future__ import annotations
+
+import random
+from typing import Callable
+
+import pytest
+
+from transversal import Hypergraph, VertexSet
+from transversal.core import iter_bits, minimize_edges, serialize
+from transversal.enumeration import enumerate_tr
+from transversal.oracle import brute_tr
+
+from conftest import random_hypergraph
+
+SEED = 0x7A2B
+COUNT = 300
+
+# a check maps (H, permutation seed) to a failure message, or None
+Check = Callable[[Hypergraph, int], "str | None"]
+
+
+def tr_masks(h: Hypergraph) -> list[int]:
+    got: list[int] = []
+    enumerate_tr(h, lambda t: got.append(t.mask))
+    return got
+
+
+def matches_oracle(h: Hypergraph, _seed: int) -> str | None:
+    got = tr_masks(h)
+    if len(got) != len(set(got)):
+        return f"repeated outputs: {sorted(got)}"
+    want = {t.mask for t in brute_tr(h)}
+    if set(got) != want:
+        return f"tree {sorted(got)} != oracle {sorted(want)}"
+    return None
+
+
+def duality(h: Hypergraph, _seed: int) -> str | None:
+    tr = Hypergraph(h.n, [VertexSet(h.n, t) for t in tr_masks(h)])
+    back = set(tr_masks(tr))
+    want = set(minimize_edges(h).edge_masks())
+    if back != want:
+        return f"Tr(Tr(H)) {sorted(back)} != min H {sorted(want)}"
+    return None
+
+
+def relabelling(h: Hypergraph, seed: int) -> str | None:
+    perm = random.Random(seed).sample(range(h.n), h.n)
+
+    def moved(mask: int) -> int:
+        return sum(1 << perm[v] for v in iter_bits(mask))
+
+    g = Hypergraph(h.n, [VertexSet(h.n, moved(e)) for e in h.edge_masks()])
+    got = set(tr_masks(g))
+    want = {moved(t) for t in tr_masks(h)}
+    if got != want:
+        return f"Tr(pi H) {sorted(got)} != pi Tr(H) {sorted(want)}, pi = {perm}"
+    return None
+
+
+def _without_vertex(h: Hypergraph, v: int) -> Hypergraph:
+    """H restricted to the other vertices, renumbered in order."""
+    low = (1 << v) - 1
+    return Hypergraph(
+        h.n - 1,
+        [VertexSet(h.n - 1, (e & low) | (e >> (v + 1) << v)) for e in h.edge_masks()],
+    )
+
+
+def shrink(h: Hypergraph, fails: Callable[[Hypergraph], bool]) -> Hypergraph:
+    """Drop one edge, else one vertex, while ``fails`` still holds."""
+    while True:
+        masks = h.edge_masks()
+        smaller = [
+            Hypergraph(h.n, [VertexSet(h.n, e) for j, e in enumerate(masks) if j != i])
+            for i in range(len(masks))
+        ] + [_without_vertex(h, v) for v in range(h.n)]
+        for g in smaller:
+            if fails(g):
+                h = g
+                break
+        else:
+            return h
+
+
+INSTANCES = [random_hypergraph(random.Random(SEED + i), 10, 14, 0.02) for i in range(COUNT)]
+
+
+def test_the_draw_covers_the_degenerate_shapes():
+    assert sum(0 in h.edge_masks() for h in INSTANCES) >= 30
+    assert sum(h.duplicates_dropped > 0 for h in INSTANCES) >= 100
+    assert sum(h.m == 0 for h in INSTANCES) >= 5
+    assert sum(not h.is_sperner() for h in INSTANCES) >= 100
+
+
+@pytest.mark.parametrize("check", [matches_oracle, duality, relabelling])
+def test_property_holds_on_random_hypergraphs(check: Check):
+    for i, h in enumerate(INSTANCES):
+        seed = SEED + i
+        failure = check(h, seed)
+        if failure is not None:
+            small = shrink(h, lambda g: check(g, seed) is not None)
+            pytest.fail(
+                f"{check.__name__} fails on instance {i}: {failure}\n"
+                f"shrunk to {check(small, seed)} on:\n{serialize(small)}"
+            )
+
+
+def test_shrink_keeps_a_failing_core():
+    # "some edge has two vertices" shrinks to one edge on a two-vertex
+    # universe: the edges go first, then every vertex outside (0, 4),
+    # and 4 is renumbered 1 as the vertices below it go
+    h = Hypergraph(5, [(0, 1), (1, 2, 3), (3, 4), (0, 4)])
+    small = shrink(h, lambda g: any(e.bit_count() >= 2 for e in g.edge_masks()))
+    assert (small.n, small.edge_masks()) == (2, (0b11,))

@@ -43,7 +43,8 @@ class DelayStats:
     those calls (at most n+1 keys), the deepest stack, and the worst gap
     between outputs in ns, in calls and in product iterations, counting
     the lead-in before the first output and the tail until termination.
-    ``work`` is the run's work counter, handed to every extension call."""
+    ``work`` is the run's work counter, handed to every extension call:
+    it tallies ``product_iterations`` and ``veto_certified``."""
 
     started_ns: int = field(default_factory=time.perf_counter_ns)
     finished_ns: int = 0
@@ -77,6 +78,7 @@ class DelayStats:
                 str(k): v for k, v in sorted(self.x_size_histogram.items())
             },
             "product_iterations": self.product_iterations,
+            "veto_certified": self.work["veto_certified"],
         }
 
 

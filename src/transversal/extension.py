@@ -25,6 +25,15 @@ it tests the product's first combination as a whole.  One that passes is
 the first witness; one that fails where every member has one candidate
 ends the search.  Both give the walk's answer and its count.
 
+``extend`` makes that decision inline, since it runs at every tree node,
+and between the first-combination test and the walk it checks a "no"
+certificate: an unhit edge inside ``forced`` plus the veto.  Every
+candidate of a member contains the member's core, so every combination
+blocks the veto, and the walk could only cut each prefix.  A certified
+"no" counts one cut prefix, the empty one, in ``product_iterations``, and
+one in ``veto_certified``.  ``find_higher_order`` needs the witness and
+reads no veto, so it keeps ``_higher_order_combo``.
+
 Everything here is pure over an immutable hypergraph and only reads
 ``state``, so concurrent calls on a shared hypergraph are fine.
 """
@@ -199,6 +208,10 @@ def _higher_order_combo(
     combination.  These are disjoint blocks of the product, so the count
     stays within the product size and hence within Delta^|X|.  The empty
     product (X = empty) counts one combination.
+
+    ``extend`` makes the same tests inline, without building ``chosen``;
+    ``test_extension.py``'s differential tests hold the two copies to one
+    answer and one count.
     """
     if forced in unhit:
         # that unhit edge is their intersection: nothing avoids it
@@ -289,6 +302,15 @@ def extend(
     that adding one would strip that member of its last private edge.
     No remaining extension can use either kind.
 
+    The decision is ``_higher_order_combo``'s, made inline: ``forced``
+    as an unhit edge, then the first combination as a whole, then the
+    veto certificate, and only then the odometer.  The certificate
+    answers "no" when some unhit edge lies inside ``forced`` plus the
+    veto: each candidate contains its member's core, so every
+    combination blocks that edge.  It counts one product iteration (the
+    empty prefix, cut) and one ``veto_certified``; every other answer
+    counts as ``_higher_order_combo`` does.
+
     ``state`` is the edge classification of ``x`` as ``(uncov, crit,
     veto)``: the edge-index mask of the edges disjoint from x, one
     edge-index mask per member of x (ascending) of the edges meeting x
@@ -314,12 +336,40 @@ def extend(
     ones = forced & ~veto
     if ones and sink is not None:
         n, xm = h.n, x.mask
-        for b in iter_bits(ones):
-            sink(VertexSet(n, xm | (1 << b)))
-    if _higher_order_combo(crit, h.edge_masks(), unhit, forced, counters) is None:
+        while ones:
+            low = ones & -ones
+            sink(VertexSet(n, xm | low))
+            ones ^= low
+    if forced in unhit:
+        # that unhit edge is their intersection: nothing avoids it
         return _HALT
-    y_plus = (y.mask | forced | veto) & ~x.mask
-    return ExtensionOutcome(VertexSet(h.n, y_plus))
+    # _higher_order_combo's shortcuts, inlined: this runs at every node
+    edges = h.edge_masks()
+    taken = forced
+    for c in crit:
+        taken |= edges[(c & -c).bit_length() - 1]
+    free = ~taken
+    for em in unhit:
+        if not em & free:
+            break
+    else:
+        if counters is not None:
+            counters["product_iterations"] += 1
+        return ExtensionOutcome(VertexSet(h.n, (y.mask | forced | veto) & ~x.mask))
+    # every combination blocks forced and each member's core
+    free = ~(forced | veto)
+    for em in unhit:
+        if not em & free:
+            if counters is not None:
+                counters["product_iterations"] += 1
+                counters["veto_certified"] += 1
+            return _HALT
+    chosen, cuts = _odometer(crit, edges, unhit, forced)
+    if counters is not None:
+        counters["product_iterations"] += cuts + (chosen is not None)
+    if chosen is None:
+        return _HALT
+    return ExtensionOutcome(VertexSet(h.n, (y.mask | forced | veto) & ~x.mask))
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,16 @@ def enum_runs(corpus):
         return [logged_run(log, h) for h in corpus]
 
 
+def assert_log_covers_the_run(windows, stats) -> None:
+    """The extend log cut into ``windows`` saw every extension call of the
+    run and all its product iterations, so budgets read from it cannot
+    pass on a walk that stopped calling ``enumeration.extend``."""
+    log = [call for window in windows for call in window]
+    assert log or not stats.calls
+    assert len(log) == stats.calls
+    assert sum(it for _xm, _ym, it in log) == stats.product_iterations
+
+
 def test_c01_enumeration_correctness(corpus):
     from transversal.oracle import brute_tr
 
@@ -334,7 +344,8 @@ def test_c08_clique_bijection_and_count_independence():
 def test_c09_iteration_budgets(corpus, enum_runs):
     rng = random.Random(0xB4D6E7)
     product_calls = bd_checks = minimize_checks = 0
-    for h, (_got, _stats, windows) in zip(corpus, enum_runs):
+    for h, (_got, stats, windows) in zip(corpus, enum_runs):
+        assert_log_covers_the_run(windows, stats)
         delta = h.max_degree
         for window in windows:
             for xm, _ym, iterations in window:
@@ -402,6 +413,7 @@ def test_c10_delay_trend_at_stated_parameters(monkeypatch):
         assert rank_at_least_bd(h, kstar + 1) is None
 
         got, stats, windows = logged_run(log, h, run=walk_raw_edges)
+        assert_log_covers_the_run(windows, stats)
         in_order: list[VertexSet] = []
         enumerate_tr(h, in_order.append)
         assert [t.mask for t in got] == [t.mask for t in in_order], h

@@ -81,7 +81,8 @@ def test_incremental_stats_report_the_search_work(capsys, tmp_path):
 
 def test_enumerate_stats_report_calls_gap_and_depth(capsys, tmp_path):
     # the walk's call count, its worst gap in calls and in product
-    # iterations, and its deepest stack on bd40, as DelayStats keeps them
+    # iterations, its deepest stack and its certified "no" answers on
+    # bd40, as DelayStats keeps them
     path = tmp_path / "bd40.hg"
     path.write_text(serialize(bounded_degree_instance(random.Random(1), 40, 80, 4)))
     stats_path = tmp_path / "stats.json"
@@ -94,7 +95,8 @@ def test_enumerate_stats_report_calls_gap_and_depth(capsys, tmp_path):
         payload["max_gap_calls"],
         payload["max_gap_product_iterations"],
         payload["max_stack_depth"],
-    ) == (16_039, 20, 87, 9)
+        payload["veto_certified"],
+    ) == (16_039, 20, 44, 9, 1_952)
     assert payload["calls"] == sum(payload["extend_call_histogram"].values())
 
 

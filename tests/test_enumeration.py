@@ -244,7 +244,8 @@ def test_bd40_tree_work_counts():
     got, stats = run(BD40)
     assert len(got) == 4059
     assert stats.calls == 16_039
-    assert stats.product_iterations == 22_606
+    assert stats.product_iterations == 18_431
+    assert stats.work["veto_certified"] == 1_952
     assert stats.max_stack_depth == 9
     assert stats.x_size_histogram == {
         0: 5, 1: 24, 2: 156, 3: 953, 4: 2862, 5: 4563, 6: 4556, 7: 2390, 8: 530

@@ -4,10 +4,11 @@ import itertools
 import math
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from transversal import Hypergraph, VertexSet, extension, rank
+from transversal import Hypergraph, VertexSet, enumeration, extension, rank
 from transversal.enumeration import enumerate_tr
 from transversal.extension import (
     build_reduced_families,
@@ -209,12 +210,43 @@ def _product_case(rng):
     return crit, edges, unhit, forced, y
 
 
-def test_product_shortcuts_match_the_odometer():
+def _check_decision(outcome, counters, ref, ref_counters, reduced, veto, kinds):
+    """``extend``'s inline decision against the product search's answer
+    ``ref`` and count over the node's reduction ``(crit, unhit,
+    forced)``: the same continue/halt answer, and the same
+    ``product_iterations`` unless the veto certified the "no".  It does
+    so exactly on the "no" answers that the forced test leaves and whose
+    unhit edge lies inside ``forced`` plus the veto, counting one cut
+    prefix each.  Returns the product iterations the certificate saved."""
+    certified = counters["veto_certified"]
+    assert certified in (0, 1)
+    assert outcome.continues == (ref is not None)
+    certifiable = False
+    if ref is None and reduced is not None and reduced[1]:
+        _crit, unhit, forced = reduced
+        certifiable = forced not in unhit and any(
+            not em & ~(forced | veto) for em in unhit
+        )
+    assert certified == certifiable
+    if certified:
+        assert counters["product_iterations"] == 1
+        kinds["certified no"] += 1
+        return ref_counters["product_iterations"] - 1
+    assert counters["product_iterations"] == ref_counters["product_iterations"]
+    kinds["yes" if ref is not None else "walked no"] += 1
+    return 0
+
+
+def test_product_shortcuts_match_the_odometer(monkeypatch):
     """On raw candidate edges, the product search gives the edge indices
     and the exact ``product_iterations`` of the plain odometer over the
-    candidates reduced by Y, through both shortcuts and the walk."""
+    candidates reduced by Y, through both shortcuts and the walk.  Fed
+    the same case through its module head, with the veto folded from
+    the case's own candidates, ``extend`` decides and counts as the
+    product search does, apart from the certified "no" answers."""
     rng = random.Random(4242)
     kinds: Counter = Counter()
+    decisions: Counter = Counter()
     for _ in range(4000):
         crit, edges, unhit, forced, y = _product_case(rng)
         per_x = _reduced(crit, edges, y)
@@ -225,6 +257,27 @@ def test_product_shortcuts_match_the_odometer():
         assert got == want, (crit, edges, unhit, forced, y)
         assert got_counters["product_iterations"] == want_counters["product_iterations"]
         assert extension._higher_order_combo(crit, edges, unhit, forced, None) == want
+        # each member's core, folded in full: _core's early stop assumes
+        # the member lies in its candidates, which these cases need not
+        veto = 0
+        for c in crit:
+            core = -1
+            for i in iter_bits(c):
+                core &= edges[i]
+            veto |= core
+        monkeypatch.setattr(
+            extension, "build_reduced_families", lambda *_: (crit, unhit, forced)
+        )
+        h = SimpleNamespace(n=8, edge_masks=lambda: tuple(edges))
+        counters: Counter = Counter()
+        outcome = extension.extend(
+            h, VertexSet(8), VertexSet(8, y), counters=counters, state=(0, crit, veto)
+        )
+        _check_decision(
+            outcome, counters, want, want_counters, (crit, unhit, forced), veto, decisions
+        )
+        if outcome.continues:
+            assert outcome.y_plus.mask == y | forced | veto
         # the shapes the shortcuts and the odometer each settle
         blocked = forced
         for fam in per_x:
@@ -242,6 +295,43 @@ def test_product_shortcuts_match_the_odometer():
         else:
             kinds["first fails, " + ("yes" if want is not None else "no")] += 1
     assert min(kinds.values()) >= 50 and len(kinds) == 7, kinds
+    assert min(decisions.values()) >= 200 and len(decisions) == 3, decisions
+
+
+def test_extend_decides_as_the_product_search_on_tree_nodes(corpus, monkeypatch):
+    """At every node of the corpus trees and of bd40's, ``extend``
+    answers and counts as the product search over the node's own
+    reduction and carried veto.  On bd40 the search's counts sum to the
+    22,606 product iterations the walk made before the certificate, and
+    the walk's to that less each certified run's count above 1."""
+    real = extension.extend
+    kinds: Counter = Counter()
+    totals: Counter = Counter()
+
+    def checked(h, x, y, sink=None, *, counters=None, state=None):
+        mine: Counter = Counter()
+        outcome = real(h, x, y, sink, counters=mine, state=state)
+        counters.update(mine)
+        reduced = build_reduced_families(h, x, y, state)
+        ref, ref_counters = None, Counter()
+        if reduced is not None and reduced[1]:
+            crit, unhit, forced = reduced
+            ref = extension._higher_order_combo(crit, h.edge_masks(), unhit, forced, ref_counters)
+        totals["saved"] += _check_decision(
+            outcome, mine, ref, ref_counters, reduced, state[2], kinds
+        )
+        totals["reference"] += ref_counters["product_iterations"]
+        return outcome
+
+    monkeypatch.setattr(enumeration, "extend", checked)
+    for h in corpus:
+        enumerate_tr(h)
+    assert min(kinds.values()) >= 30 and len(kinds) == 3, kinds
+    totals.clear()
+    stats = enumerate_tr(bounded_degree_instance(random.Random(1), 40, 80, 4))
+    assert totals["reference"] == 22_606
+    assert totals["reference"] - totals["saved"] == stats.product_iterations == 18_431
+    assert stats.work["veto_certified"] == 1_952
 
 
 def _reference_edge_indices(h, x, y):

@@ -417,10 +417,10 @@ class TestTreeRank:
     def test_work_counts(self):
         conf16 = edge_complement(bounded_degree_instance(random.Random(3), 16, 30, 3))
         for h, want, nodes, pruned, product in (
-            (bd40(), 9, 907, 494, 1_337),
+            (bd40(), 9, 907, 494, 1_255),
             (br30(), 18, 18, 3, 17),
             # the tree conformal_degree(conf16) walks
-            (edge_complement(conf16), 5, 158, 74, 209),
+            (edge_complement(conf16), 5, 158, 74, 198),
         ):
             counters: Counter = Counter()
             assert transversal_rank(h, counters=counters) == want

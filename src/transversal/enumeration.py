@@ -44,7 +44,8 @@ class DelayStats:
     between outputs in ns, in calls and in product iterations, counting
     the lead-in before the first output and the tail until termination.
     ``work`` is the run's work counter, handed to every extension call:
-    it tallies ``product_iterations`` and ``veto_certified``."""
+    it tallies ``product_iterations``, ``veto_certified`` and
+    ``candidates_dropped``."""
 
     started_ns: int = field(default_factory=time.perf_counter_ns)
     finished_ns: int = 0
@@ -79,6 +80,7 @@ class DelayStats:
             },
             "product_iterations": self.product_iterations,
             "veto_certified": self.work["veto_certified"],
+            "candidates_dropped": self.work["candidates_dropped"],
         }
 
 

@@ -25,6 +25,17 @@ it tests the product's first combination as a whole.  One that passes is
 the first witness; one that fails where every member has one candidate
 ends the search.  Both give the walk's answer and its count.
 
+A candidate matters to the walk only through its trace on the unhit
+edges, and when m >> n most candidates repeat or hold an earlier one's
+trace.  So the first time a member below the top runs out, the walk
+sifts its candidates once for every later prefix (``_sift``, as in
+MMCS's candidate pruning): it drops one that blocks an unhit edge by
+itself and one whose trace holds an earlier kept candidate's.  Neither
+lies in the first witness, so answers and witnesses stay the full
+product's, and ``product_iterations`` can only fall; the dropped
+candidates count in ``candidates_dropped``.  A walk that never backtracks
+never sifts.
+
 ``extend`` makes that decision inline, since it runs at every tree node,
 and between the first-combination test and the walk it checks a "no"
 certificate: an unhit edge inside ``forced`` plus the veto.  Every
@@ -207,7 +218,8 @@ def _higher_order_combo(
     ``product_iterations`` counts the cut prefixes plus the accepted
     combination.  These are disjoint blocks of the product, so the count
     stays within the product size and hence within Delta^|X|.  The empty
-    product (X = empty) counts one combination.
+    product (X = empty) counts one combination.  ``candidates_dropped``
+    counts the candidates the walk's sift dropped.
 
     ``extend`` makes the same tests inline, without building ``chosen``;
     ``test_extension.py``'s differential tests hold the two copies to one
@@ -221,40 +233,84 @@ def _higher_order_combo(
     for j in chosen:
         taken |= edges[j]
     free = ~taken
-    cuts = 0
+    cuts = dropped = 0
     for em in unhit:
         if not em & free:
-            chosen, cuts = _odometer(crit, edges, unhit, forced)
+            chosen, cuts, dropped = _odometer(crit, edges, unhit, forced)
             break
     if counters is not None:
         counters["product_iterations"] += cuts + (chosen is not None)
+        counters["candidates_dropped"] += dropped
     return chosen
+
+
+def _sift(c: int, edges: tuple[int, ...], unhit: list[int], forced: int) -> int:
+    """The bits of ``c`` left once the candidates that no first witness
+    needs are dropped: one that blocks an unhit edge by itself, with
+    ``forced`` (rule a), and one whose trace on the span of the unhit
+    edges outside ``forced`` holds the trace of an earlier kept candidate
+    (rule b).  Such a candidate blocks, on the span, all that the earlier
+    one blocks, so any completion it takes the earlier one takes first."""
+    span = 0
+    for em in unhit:
+        span |= em
+    span &= ~forced
+    kept = 0
+    traces: list[int] = []
+    while c:
+        low = c & -c
+        c ^= low
+        e = edges[low.bit_length() - 1]
+        p = e & span
+        for t in traces:
+            if not t & ~p:
+                break
+        else:
+            free = ~(forced | e)
+            for em in unhit:
+                if not em & free:
+                    break
+            else:
+                traces.append(p)
+                kept |= low
+    return kept
 
 
 def _odometer(
     crit: list[int], edges: tuple[int, ...], unhit: list[int], forced: int
-) -> tuple[list[int] | None, int]:
+) -> tuple[list[int] | None, int, int]:
     """The depth-first walk of the product: the first combination that
-    leaves every unhit edge a free vertex, as edge indices (or None), and
-    the number of prefixes cut on the way.
+    leaves every unhit edge a free vertex, as edge indices (or None), the
+    number of prefixes cut on the way, and the number of candidates
+    ``_sift`` dropped.
 
     It tries each member's ``crit`` bits from the lowest up.  Blocking
     only grows along a combination, so no completion of a cut prefix can
     succeed, and the combination returned is the first one of the full
     product.  When every member has one candidate, the product is that
     one combination, which the caller saw fail: one cut prefix.
+
+    The first time a member below the top runs out of candidates, it is
+    sifted (``_sift``) before it is walked again for the next prefix, and
+    each later prefix walks the kept bits only; a member left with none
+    ends the walk with "no".  No dropped candidate lies in the first
+    witness, so the answer stays the full product's.  Each cut of the
+    sifted walk is a cut of the plain one, so the count can only fall.
     """
     for c in crit:
         if c & (c - 1):
             break
     else:
-        return None, 1
+        return None, 1, 0
     depth = len(crit)
     # rest[i]: member i's untried candidates, the current one lowest
     rest = list(crit)
+    # sifted[i]: member i's kept candidates from its first run-out on, 0
+    # until then
+    sifted = [0] * depth
     # blocked[i]: forced plus the edges chosen at depths < i
     blocked = [forced] * (depth + 1)
-    cuts = 0
+    cuts = dropped = 0
     i = 0
     while i < depth:
         r = rest[i]
@@ -274,12 +330,18 @@ def _odometer(
             i += 1
             blocked[i] = ~free
         elif i == 0:
-            return None, cuts
+            return None, cuts, dropped
         else:
-            rest[i] = crit[i]
+            kept = sifted[i]
+            if not kept:
+                kept = sifted[i] = _sift(crit[i], edges, unhit, forced)
+                dropped += (crit[i] ^ kept).bit_count()
+                if not kept:
+                    return None, cuts, dropped
+            rest[i] = kept
             i -= 1
             rest[i] &= rest[i] - 1
-    return [(r & -r).bit_length() - 1 for r in rest], cuts
+    return [(r & -r).bit_length() - 1 for r in rest], cuts, dropped
 
 
 def extend(
@@ -364,9 +426,10 @@ def extend(
                 counters["product_iterations"] += 1
                 counters["veto_certified"] += 1
             return _HALT
-    chosen, cuts = _odometer(crit, edges, unhit, forced)
+    chosen, cuts, dropped = _odometer(crit, edges, unhit, forced)
     if counters is not None:
         counters["product_iterations"] += cuts + (chosen is not None)
+        counters["candidates_dropped"] += dropped
     if chosen is None:
         return _HALT
     return ExtensionOutcome(VertexSet(h.n, (y.mask | forced | veto) & ~x.mask))

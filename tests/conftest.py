@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from transversal import Hypergraph, VertexSet, enumeration
+from transversal import Hypergraph, VertexSet, enumeration, extension
 from transversal.oracle import brute_tr
 
 CORPUS_SEED = 0x5E7C0DE
@@ -57,6 +57,13 @@ def corpus_tr(corpus) -> list[list]:
 
 def masks(sets) -> set[int]:
     return {s.mask for s in sets}
+
+
+def unsift(monkeypatch) -> None:
+    """Make the product search keep every candidate while ``monkeypatch``
+    is active, so it walks as the plain odometer does: the same answers,
+    and the count before the sift."""
+    monkeypatch.setattr(extension, "_sift", lambda c, *_: c)
 
 
 def log_extend_calls(monkeypatch) -> list[tuple[int, int, int]]:

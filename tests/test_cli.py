@@ -18,6 +18,8 @@ from transversal.core import VertexSet
 from transversal.generators import bounded_degree_instance, uniform_instance
 from transversal.rank import transversal_rank
 
+from conftest import unsift
+
 
 @pytest.fixture
 def matchings(tmp_path):
@@ -79,10 +81,11 @@ def test_incremental_stats_report_the_search_work(capsys, tmp_path):
     assert payload["extend_call_histogram"] == {}
 
 
-def test_enumerate_stats_report_calls_gap_and_depth(capsys, tmp_path):
+def test_enumerate_stats_report_calls_gap_and_depth(capsys, monkeypatch, tmp_path):
     # the walk's call count, its worst gap in calls and in product
-    # iterations, its deepest stack and its certified "no" answers on
-    # bd40, as DelayStats keeps them
+    # iterations, its deepest stack, its certified "no" answers and the
+    # candidates the product search's sift dropped on bd40, as DelayStats
+    # keeps them
     path = tmp_path / "bd40.hg"
     path.write_text(serialize(bounded_degree_instance(random.Random(1), 40, 80, 4)))
     stats_path = tmp_path / "stats.json"
@@ -96,8 +99,18 @@ def test_enumerate_stats_report_calls_gap_and_depth(capsys, tmp_path):
         payload["max_gap_product_iterations"],
         payload["max_stack_depth"],
         payload["veto_certified"],
-    ) == (16_039, 20, 44, 9, 1_952)
+        payload["candidates_dropped"],
+    ) == (16_039, 20, 30, 9, 1_952, 361)
     assert payload["calls"] == sum(payload["extend_call_histogram"].values())
+    # over the plain odometer only the product work moves: its worst gap
+    # holds 44 product iterations
+    unsift(monkeypatch)
+    code, plain_out, _ = run(capsys, "enumerate", "--stats", str(stats_path), str(path))
+    assert code == 0 and plain_out == out
+    plain = json.loads(stats_path.read_text())
+    assert (plain["calls"], plain["max_gap_product_iterations"], plain["candidates_dropped"]) == (
+        16_039, 44, 0
+    )
 
 
 def test_enumerate_json_schema(capsys, pairs):

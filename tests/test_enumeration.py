@@ -34,7 +34,7 @@ from transversal.generators import (
 )
 from transversal.oracle import brute_tr
 
-from conftest import log_extend_calls, logged_run, masks, random_hypergraph, walk_raw_edges
+from conftest import log_extend_calls, logged_run, masks, random_hypergraph, unsift, walk_raw_edges
 
 BD40 = bounded_degree_instance(random.Random(1), 40, 80, 4)
 BR30 = bounded_rank_instance(random.Random(2), 30, 60, 3)
@@ -237,19 +237,28 @@ def test_br30_product_work_stays_pruned():
     assert stats.product_iterations == 72
 
 
-def test_bd40_tree_work_counts():
+def test_bd40_tree_work_counts(monkeypatch):
     # sparse bounded-degree instance: pins the search tree the carried
     # edge classification walks over the 13 minimal edges of 17, and the
-    # product work inside it
+    # product work inside it; over the plain odometer the same tree makes
+    # 18,431 product iterations (test_extension.py derives the 333 the
+    # sift saves call by call)
     got, stats = run(BD40)
     assert len(got) == 4059
     assert stats.calls == 16_039
-    assert stats.product_iterations == 18_431
+    assert stats.product_iterations == 18_098
     assert stats.work["veto_certified"] == 1_952
+    assert stats.work["candidates_dropped"] == 361
     assert stats.max_stack_depth == 9
     assert stats.x_size_histogram == {
         0: 5, 1: 24, 2: 156, 3: 953, 4: 2862, 5: 4563, 6: 4556, 7: 2390, 8: 530
     }
+    unsift(monkeypatch)
+    plain, plain_stats = run(BD40)
+    assert plain == got
+    assert (plain_stats.calls, plain_stats.x_size_histogram) == (stats.calls, stats.x_size_histogram)
+    assert plain_stats.product_iterations == 18_431
+    assert plain_stats.work["candidates_dropped"] == 0
 
 
 def _fresh_state(h, xm):

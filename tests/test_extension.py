@@ -149,11 +149,13 @@ def _reduced(crit, edges, y):
 
 
 def _reference_odometer(per_x, unhit, forced, counters):
-    """The product search without its shortcuts, over families of
-    ``(edge index, reduced edge)`` pairs: the depth-first odometer alone,
-    cutting a prefix as soon as some unhit edge lies inside ``forced``
-    plus the chosen edges, and counting the cut prefixes plus the
-    accepted combination.  Returns the chosen edge indices."""
+    """The product search without its shortcuts or its sift, over
+    families of ``(edge index, reduced edge)`` pairs: the depth-first
+    odometer alone, cutting a prefix as soon as some unhit edge lies
+    inside ``forced`` plus the chosen edges, and counting the cut
+    prefixes plus the accepted combination.  Each time a member below
+    the top runs out of candidates it counts one ``run_outs``.  Returns
+    the chosen edge indices."""
     if forced in unhit:
         return None
     depth = len(per_x)
@@ -167,6 +169,7 @@ def _reference_odometer(per_x, unhit, forced, counters):
             if i == 0:
                 counters["product_iterations"] += cuts
                 return None
+            counters["run_outs"] += 1
             i -= 1
             pos[i] += 1
             continue
@@ -182,6 +185,60 @@ def _reference_odometer(per_x, unhit, forced, counters):
             pos[i] = 0
     counters["product_iterations"] += cuts + 1
     return [fam[p][0] for fam, p in zip(per_x, pos)]
+
+
+def _sift_by_the_rules(c, edges, unhit, forced):
+    """The bits of ``c`` that neither rule drops, each candidate judged
+    on its own: (a) some unhit edge lies inside ``forced`` plus it; (b)
+    its trace on ``span`` (the unhit edges' union less ``forced``) holds
+    the trace of some earlier candidate.  Rule (b) here reads every
+    earlier candidate, kept or not: one dropped by (a) passes (a) on to
+    any candidate whose trace holds its own, and one dropped by (b)
+    passes on the earlier trace it holds."""
+    span = 0
+    for em in unhit:
+        span |= em
+    span &= ~forced
+    bits = list(iter_bits(c))
+    kept = 0
+    for at, j in enumerate(bits):
+        trace = edges[j] & span
+        alone = any(not em & ~(forced | edges[j]) for em in unhit)
+        holds = any(not edges[a] & span & ~trace for a in bits[:at])
+        if not (alone or holds):
+            kept |= 1 << j
+    return kept
+
+
+@pytest.fixture
+def sifts(monkeypatch):
+    """Check every sift the product search makes against the rules, and
+    tally its calls and the candidates it drops."""
+    real = extension._sift
+    tally: Counter = Counter()
+
+    def checked(c, edges, unhit, forced):
+        kept = real(c, edges, unhit, forced)
+        assert kept == _sift_by_the_rules(c, edges, unhit, forced), (c, edges, unhit, forced)
+        tally["calls"] += 1
+        tally["dropped"] += (c ^ kept).bit_count()
+        return kept
+
+    monkeypatch.setattr(extension, "_sift", checked)
+    return tally
+
+
+def _check_count(counters, ref_counters):
+    """The sifted walk's ``product_iterations`` against the plain
+    odometer's: never more, and the same, with nothing dropped, when no
+    member ran out of candidates (the sift runs only at a run-out).
+    Returns the cuts the sift saved."""
+    got = counters["product_iterations"]
+    want = ref_counters["product_iterations"]
+    assert got <= want
+    if not ref_counters["run_outs"]:
+        assert got == want and not counters["candidates_dropped"]
+    return want - got
 
 
 def _product_case(rng):
@@ -210,14 +267,15 @@ def _product_case(rng):
     return crit, edges, unhit, forced, y
 
 
-def _check_decision(outcome, counters, ref, ref_counters, reduced, veto, kinds):
-    """``extend``'s inline decision against the product search's answer
+def _check_decision(outcome, counters, ref, ref_counters, reduced, veto, kinds, saved):
+    """``extend``'s inline decision against the plain odometer's answer
     ``ref`` and count over the node's reduction ``(crit, unhit,
-    forced)``: the same continue/halt answer, and the same
-    ``product_iterations`` unless the veto certified the "no".  It does
+    forced)``: the same continue/halt answer, and the count
+    ``_check_count`` allows unless the veto certified the "no".  It does
     so exactly on the "no" answers that the forced test leaves and whose
     unhit edge lies inside ``forced`` plus the veto, counting one cut
-    prefix each.  Returns the product iterations the certificate saved."""
+    prefix each.  Adds the product iterations the certificate and the
+    sift saved to ``saved``."""
     certified = counters["veto_certified"]
     assert certified in (0, 1)
     assert outcome.continues == (ref is not None)
@@ -231,22 +289,24 @@ def _check_decision(outcome, counters, ref, ref_counters, reduced, veto, kinds):
     if certified:
         assert counters["product_iterations"] == 1
         kinds["certified no"] += 1
-        return ref_counters["product_iterations"] - 1
-    assert counters["product_iterations"] == ref_counters["product_iterations"]
+        saved["certified"] += ref_counters["product_iterations"] - 1
+        return
+    saved["sifted"] += _check_count(counters, ref_counters)
     kinds["yes" if ref is not None else "walked no"] += 1
-    return 0
 
 
-def test_product_shortcuts_match_the_odometer(monkeypatch):
+def test_product_shortcuts_match_the_odometer(monkeypatch, sifts):
     """On raw candidate edges, the product search gives the edge indices
-    and the exact ``product_iterations`` of the plain odometer over the
-    candidates reduced by Y, through both shortcuts and the walk.  Fed
-    the same case through its module head, with the veto folded from
-    the case's own candidates, ``extend`` decides and counts as the
-    product search does, apart from the certified "no" answers."""
+    of the plain odometer over the candidates reduced by Y, through both
+    shortcuts and the sifted walk, and the count ``_check_count``
+    allows.  Fed the same case through its module head, with the veto
+    folded from the case's own candidates, ``extend`` decides as the
+    plain odometer does and counts as the product search does, apart
+    from the certified "no" answers."""
     rng = random.Random(4242)
     kinds: Counter = Counter()
     decisions: Counter = Counter()
+    saved: Counter = Counter()
     for _ in range(4000):
         crit, edges, unhit, forced, y = _product_case(rng)
         per_x = _reduced(crit, edges, y)
@@ -255,7 +315,8 @@ def test_product_shortcuts_match_the_odometer(monkeypatch):
         got_counters: Counter = Counter()
         got = extension._higher_order_combo(crit, edges, unhit, forced, got_counters)
         assert got == want, (crit, edges, unhit, forced, y)
-        assert got_counters["product_iterations"] == want_counters["product_iterations"]
+        if _check_count(got_counters, want_counters):
+            kinds["sift cut fewer"] += 1
         assert extension._higher_order_combo(crit, edges, unhit, forced, None) == want
         # each member's core, folded in full: _core's early stop assumes
         # the member lies in its candidates, which these cases need not
@@ -274,8 +335,10 @@ def test_product_shortcuts_match_the_odometer(monkeypatch):
             h, VertexSet(8), VertexSet(8, y), counters=counters, state=(0, crit, veto)
         )
         _check_decision(
-            outcome, counters, want, want_counters, (crit, unhit, forced), veto, decisions
+            outcome, counters, want, want_counters, (crit, unhit, forced), veto, decisions, saved
         )
+        if not counters["veto_certified"]:
+            assert counters["product_iterations"] == got_counters["product_iterations"]
         if outcome.continues:
             assert outcome.y_plus.mask == y | forced | veto
         # the shapes the shortcuts and the odometer each settle
@@ -294,16 +357,20 @@ def test_product_shortcuts_match_the_odometer(monkeypatch):
             kinds["first passes"] += 1
         else:
             kinds["first fails, " + ("yes" if want is not None else "no")] += 1
-    assert min(kinds.values()) >= 50 and len(kinds) == 7, kinds
+    assert min(kinds.values()) >= 50 and len(kinds) == 8, kinds
     assert min(decisions.values()) >= 200 and len(decisions) == 3, decisions
+    assert saved["sifted"] > 0 and sifts["dropped"] > 0
 
 
-def test_extend_decides_as_the_product_search_on_tree_nodes(corpus, monkeypatch):
+def test_extend_decides_as_the_product_search_on_tree_nodes(corpus, monkeypatch, sifts):
     """At every node of the corpus trees and of bd40's, ``extend``
-    answers and counts as the product search over the node's own
-    reduction and carried veto.  On bd40 the search's counts sum to the
-    22,606 product iterations the walk made before the certificate, and
-    the walk's to that less each certified run's count above 1."""
+    answers as the plain odometer over the node's own reduction and
+    carried veto, and counts as ``_check_decision`` allows.  On bd40 the
+    plain odometer's counts sum to the 22,606 product iterations the
+    walk made before the certificate and the sift.  The walk's count is
+    that less each certified run's count above 1 (4,175 in all, the
+    walk's 18,431 before the sift) and less the cuts the sift saved
+    (333)."""
     real = extension.extend
     kinds: Counter = Counter()
     totals: Counter = Counter()
@@ -316,10 +383,9 @@ def test_extend_decides_as_the_product_search_on_tree_nodes(corpus, monkeypatch)
         ref, ref_counters = None, Counter()
         if reduced is not None and reduced[1]:
             crit, unhit, forced = reduced
-            ref = extension._higher_order_combo(crit, h.edge_masks(), unhit, forced, ref_counters)
-        totals["saved"] += _check_decision(
-            outcome, mine, ref, ref_counters, reduced, state[2], kinds
-        )
+            per_x = _reduced(crit, h.edge_masks(), y.mask)
+            ref = _reference_odometer(per_x, unhit, forced, ref_counters)
+        _check_decision(outcome, mine, ref, ref_counters, reduced, state[2], kinds, totals)
         totals["reference"] += ref_counters["product_iterations"]
         return outcome
 
@@ -328,10 +394,14 @@ def test_extend_decides_as_the_product_search_on_tree_nodes(corpus, monkeypatch)
         enumerate_tr(h)
     assert min(kinds.values()) >= 30 and len(kinds) == 3, kinds
     totals.clear()
+    sifts.clear()
     stats = enumerate_tr(bounded_degree_instance(random.Random(1), 40, 80, 4))
     assert totals["reference"] == 22_606
-    assert totals["reference"] - totals["saved"] == stats.product_iterations == 18_431
+    assert (totals["certified"], totals["sifted"]) == (4_175, 333)
+    assert totals["reference"] - totals["certified"] - totals["sifted"] == stats.product_iterations
+    assert stats.product_iterations == 18_098
     assert stats.work["veto_certified"] == 1_952
+    assert sifts["dropped"] == stats.work["candidates_dropped"] == 361
 
 
 def _reference_edge_indices(h, x, y):
@@ -351,7 +421,10 @@ def _reference_edge_indices(h, x, y):
     return None
 
 
-def test_pruned_search_matches_full_product(corpus):
+def test_pruned_search_matches_full_product(corpus, sifts):
+    """``find_higher_order``'s witness is the full product's first, and
+    its count is within the product's size and as ``_check_count``
+    allows against the plain odometer."""
     rng = random.Random(20240)
     for h in corpus:
         for _ in range(8):
@@ -374,7 +447,8 @@ def test_pruned_search_matches_full_product(corpus):
             if reduced is not None and reduced[1]:
                 per_x = _reduced(crit, h.edge_masks(), y.mask)
                 _reference_odometer(per_x, reduced[1], reduced[2], want)
-            assert counters["product_iterations"] == want["product_iterations"]
+            _check_count(counters, want)
+    assert sifts["dropped"] > 0
 
 
 def test_queries_reduce_through_the_module_head(monkeypatch):

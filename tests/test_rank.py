@@ -29,7 +29,7 @@ from transversal.rank import (
 )
 from transversal.oracle import brute_rank, brute_tr
 
-from conftest import build_corpus, random_hypergraph
+from conftest import build_corpus, random_hypergraph, unsift
 
 MATCHING3 = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])
 
@@ -414,20 +414,30 @@ class TestTreeRank:
         assert transversal_rank(h, method="bd") == 9
         assert transversal_rank(h, method="lookahead") == 9
 
-    def test_work_counts(self):
+    def test_work_counts(self, monkeypatch):
         conf16 = edge_complement(bounded_degree_instance(random.Random(3), 16, 30, 3))
-        for h, want, nodes, pruned, product in (
-            (bd40(), 9, 907, 494, 1_255),
-            (br30(), 18, 18, 3, 17),
+        cases = (
+            (bd40(), 9, 907, 494, 1_252, 1_255),
+            (br30(), 18, 18, 3, 17, 17),
             # the tree conformal_degree(conf16) walks
-            (edge_complement(conf16), 5, 158, 74, 198),
-        ):
+            (edge_complement(conf16), 5, 158, 74, 195, 198),
+        )
+
+        def check(h, want, nodes, pruned, product):
             counters: Counter = Counter()
             assert transversal_rank(h, counters=counters) == want
             assert counters["tree_nodes"] == nodes
             assert counters["tree_pruned"] == pruned
             # the walk's extension work reaches the caller's counter
             assert counters["product_iterations"] == product
+
+        for h, want, nodes, pruned, product, _ in cases:
+            check(h, want, nodes, pruned, product)
+        # the same walk over the plain odometer: only the product count
+        # moves, and only where the sift dropped a candidate
+        unsift(monkeypatch)
+        for h, want, nodes, pruned, _, plain in cases:
+            check(h, want, nodes, pruned, plain)
 
 
 def test_decider_scan_jumps_past_each_witness(monkeypatch):

@@ -36,14 +36,15 @@ product's, and ``product_iterations`` can only fall; the dropped
 candidates count in ``candidates_dropped``.  A walk that never backtracks
 never sifts.
 
-``extend`` makes that decision inline, since it runs at every tree node,
-and between the first-combination test and the walk it checks a "no"
-certificate: an unhit edge inside ``forced`` plus the veto.  Every
-candidate of a member contains the member's core, so every combination
-blocks the veto, and the walk could only cut each prefix.  A certified
-"no" counts one cut prefix, the empty one, in ``product_iterations``, and
-one in ``veto_certified``.  ``find_higher_order`` needs the witness and
-reads no veto, so it keeps ``_higher_order_combo``.
+Both queries call one decision, ``_higher_order_combo``, with the veto
+as its argument.  Between the first-combination test and the walk it
+checks a "no" certificate: an unhit edge inside ``forced`` plus the veto.
+Every candidate of a member contains the member's core, so every
+combination blocks the veto, and the walk could only cut each prefix.  A
+certified "no" counts one cut prefix, the empty one, in
+``product_iterations``, and one in ``veto_certified``.
+``find_higher_order`` reads no veto and passes 0, where the certificate
+never fires.
 
 Everything here is pure over an immutable hypergraph and only reads
 ``state``, so concurrent calls on a shared hypergraph are fine.
@@ -199,45 +200,64 @@ def _higher_order_combo(
     edges: tuple[int, ...],
     unhit: list[int],
     forced: int,
+    veto: int,
     counters: Counter | None,
 ) -> list[int] | None:
-    """Search the product of X's candidate private edges for a
-    combination proving a higher-order extension; return the chosen edge
-    index per member of X, or None if there is none.
+    """The product decision of both queries: search the product of X's
+    candidate private edges for a combination proving a higher-order
+    extension, or return None if there is none.  The combination comes
+    as one candidate mask per member of X whose lowest bit names the
+    chosen edge, so a first combination that passes is ``crit`` itself
+    and nothing is built for ``extend``, which needs only the answer.
 
     Member i's candidates are the edges named by the bits of ``crit[i]``,
     read from ``edges``.  The product is searched in ``itertools.product``
     order, and a prefix is cut as soon as some unhit edge lies inside
     ``forced`` plus the chosen edges (``_odometer``).
 
-    The first combination (each member's lowest bit) is tested as a whole
-    first.  If it leaves every unhit edge a free vertex, it is returned:
-    each of its prefixes blocks less, so the odometer would accept it
-    with no cut.
+    Three tests come before the walk.  ``forced`` as an unhit edge is
+    their intersection, so nothing avoids it.  The first combination
+    (each member's lowest bit) is tested as a whole: if it leaves every
+    unhit edge a free vertex, it is returned, since each of its prefixes
+    blocks less and the odometer would accept it with no cut.  Then the
+    veto certificate answers "no" when some unhit edge lies inside
+    ``forced`` plus ``veto``: each candidate contains its member's core,
+    so every combination blocks that edge.  It counts one cut prefix, the
+    empty one, and one ``veto_certified``.  ``extend`` passes X's veto;
+    ``find_higher_order`` passes 0, where the certificate cannot fire:
+    every unhit edge holds ``forced``, so one inside it would be
+    ``forced`` itself, which the first test answered.
 
     ``product_iterations`` counts the cut prefixes plus the accepted
     combination.  These are disjoint blocks of the product, so the count
     stays within the product size and hence within Delta^|X|.  The empty
     product (X = empty) counts one combination.  ``candidates_dropped``
     counts the candidates the walk's sift dropped.
-
-    ``extend`` makes the same tests inline, without building ``chosen``;
-    ``test_extension.py``'s differential tests hold the two copies to one
-    answer and one count.
     """
     if forced in unhit:
         # that unhit edge is their intersection: nothing avoids it
         return None
-    chosen = [(c & -c).bit_length() - 1 for c in crit]
     taken = forced
-    for j in chosen:
-        taken |= edges[j]
+    for c in crit:
+        taken |= edges[(c & -c).bit_length() - 1]
     free = ~taken
-    cuts = dropped = 0
     for em in unhit:
         if not em & free:
-            chosen, cuts, dropped = _odometer(crit, edges, unhit, forced)
             break
+    else:
+        if counters is not None:
+            counters["product_iterations"] += 1
+        return crit
+    if veto:
+        # every combination blocks forced and each member's core
+        free = ~(forced | veto)
+        for em in unhit:
+            if not em & free:
+                if counters is not None:
+                    counters["product_iterations"] += 1
+                    counters["veto_certified"] += 1
+                return None
+    chosen, cuts, dropped = _odometer(crit, edges, unhit, forced)
     if counters is not None:
         counters["product_iterations"] += cuts + (chosen is not None)
         counters["candidates_dropped"] += dropped
@@ -280,9 +300,9 @@ def _odometer(
     crit: list[int], edges: tuple[int, ...], unhit: list[int], forced: int
 ) -> tuple[list[int] | None, int, int]:
     """The depth-first walk of the product: the first combination that
-    leaves every unhit edge a free vertex, as edge indices (or None), the
-    number of prefixes cut on the way, and the number of candidates
-    ``_sift`` dropped.
+    leaves every unhit edge a free vertex, as masks whose lowest bits
+    name its edges (or None), the number of prefixes cut on the way, and
+    the number of candidates ``_sift`` dropped.
 
     It tries each member's ``crit`` bits from the lowest up.  Blocking
     only grows along a combination, so no completion of a cut prefix can
@@ -341,7 +361,7 @@ def _odometer(
             rest[i] = kept
             i -= 1
             rest[i] &= rest[i] - 1
-    return [(r & -r).bit_length() - 1 for r in rest], cuts, dropped
+    return rest, cuts, dropped
 
 
 def extend(
@@ -364,14 +384,9 @@ def extend(
     that adding one would strip that member of its last private edge.
     No remaining extension can use either kind.
 
-    The decision is ``_higher_order_combo``'s, made inline: ``forced``
-    as an unhit edge, then the first combination as a whole, then the
-    veto certificate, and only then the odometer.  The certificate
-    answers "no" when some unhit edge lies inside ``forced`` plus the
-    veto: each candidate contains its member's core, so every
-    combination blocks that edge.  It counts one product iteration (the
-    empty prefix, cut) and one ``veto_certified``; every other answer
-    counts as ``_higher_order_combo`` does.
+    The decision is ``_higher_order_combo``'s, the one that
+    ``find_higher_order`` makes too, called with x's veto, so that its
+    certificate can answer "no" before the product walk.
 
     ``state`` is the edge classification of ``x`` as ``(uncov, crit,
     veto)``: the edge-index mask of the edges disjoint from x, one
@@ -402,35 +417,7 @@ def extend(
             low = ones & -ones
             sink(VertexSet(n, xm | low))
             ones ^= low
-    if forced in unhit:
-        # that unhit edge is their intersection: nothing avoids it
-        return _HALT
-    # _higher_order_combo's shortcuts, inlined: this runs at every node
-    edges = h.edge_masks()
-    taken = forced
-    for c in crit:
-        taken |= edges[(c & -c).bit_length() - 1]
-    free = ~taken
-    for em in unhit:
-        if not em & free:
-            break
-    else:
-        if counters is not None:
-            counters["product_iterations"] += 1
-        return ExtensionOutcome(VertexSet(h.n, (y.mask | forced | veto) & ~x.mask))
-    # every combination blocks forced and each member's core
-    free = ~(forced | veto)
-    for em in unhit:
-        if not em & free:
-            if counters is not None:
-                counters["product_iterations"] += 1
-                counters["veto_certified"] += 1
-            return _HALT
-    chosen, cuts, dropped = _odometer(crit, edges, unhit, forced)
-    if counters is not None:
-        counters["product_iterations"] += cuts + (chosen is not None)
-        counters["candidates_dropped"] += dropped
-    if chosen is None:
+    if _higher_order_combo(crit, h.edge_masks(), unhit, forced, veto, counters) is None:
         return _HALT
     return ExtensionOutcome(VertexSet(h.n, (y.mask | forced | veto) & ~x.mask))
 
@@ -455,8 +442,9 @@ def find_higher_order(
 
     The witness holds ``forced`` and the first combination of candidate
     private edges that the product search accepts, as one edge index per
-    member of x.  None means no higher-order extension avoids ``y``.  No
-    veto is read: only ``extend`` grows a forbidden set.
+    member of x.  None means no higher-order extension avoids ``y``.  It
+    makes ``extend``'s decision, ``_higher_order_combo``, with veto 0: no
+    veto is read, since only ``extend`` grows a forbidden set.
 
     ``state`` is x's edge classification ``(uncov, crit)``, as for
     ``extend`` but without the veto; when it is None it is folded from
@@ -468,7 +456,8 @@ def find_higher_order(
     if reduced is None or not reduced[1]:
         return None
     crit, unhit, forced = reduced
-    chosen = _higher_order_combo(crit, h.edge_masks(), unhit, forced, counters)
+    chosen = _higher_order_combo(crit, h.edge_masks(), unhit, forced, 0, counters)
     if chosen is None:
         return None
-    return HigherOrderWitness(forced=VertexSet(h.n, forced), edge_indices=tuple(chosen))
+    indices = tuple((r & -r).bit_length() - 1 for r in chosen)
+    return HigherOrderWitness(forced=VertexSet(h.n, forced), edge_indices=indices)

@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
@@ -228,6 +227,11 @@ def sifts(monkeypatch):
     return tally
 
 
+def _indices(chosen):
+    """The edge indices that the product decision's masks name."""
+    return None if chosen is None else [(c & -c).bit_length() - 1 for c in chosen]
+
+
 def _check_count(counters, ref_counters):
     """The sifted walk's ``product_iterations`` against the plain
     odometer's: never more, and the same, with nothing dropped, when no
@@ -267,10 +271,10 @@ def _product_case(rng):
     return crit, edges, unhit, forced, y
 
 
-def _check_decision(outcome, counters, ref, ref_counters, reduced, veto, kinds, saved):
-    """``extend``'s inline decision against the plain odometer's answer
-    ``ref`` and count over the node's reduction ``(crit, unhit,
-    forced)``: the same continue/halt answer, and the count
+def _check_decision(yes, counters, ref, ref_counters, reduced, veto, kinds, saved):
+    """A decision made with the veto, answering ``yes``, against the
+    plain odometer's answer ``ref`` and count over the node's reduction
+    ``(crit, unhit, forced)``: the same answer, and the count
     ``_check_count`` allows unless the veto certified the "no".  It does
     so exactly on the "no" answers that the forced test leaves and whose
     unhit edge lies inside ``forced`` plus the veto, counting one cut
@@ -278,7 +282,7 @@ def _check_decision(outcome, counters, ref, ref_counters, reduced, veto, kinds, 
     sift saved to ``saved``."""
     certified = counters["veto_certified"]
     assert certified in (0, 1)
-    assert outcome.continues == (ref is not None)
+    assert yes == (ref is not None)
     certifiable = False
     if ref is None and reduced is not None and reduced[1]:
         _crit, unhit, forced = reduced
@@ -295,14 +299,15 @@ def _check_decision(outcome, counters, ref, ref_counters, reduced, veto, kinds, 
     kinds["yes" if ref is not None else "walked no"] += 1
 
 
-def test_product_shortcuts_match_the_odometer(monkeypatch, sifts):
-    """On raw candidate edges, the product search gives the edge indices
-    of the plain odometer over the candidates reduced by Y, through both
-    shortcuts and the sifted walk, and the count ``_check_count``
-    allows.  Fed the same case through its module head, with the veto
-    folded from the case's own candidates, ``extend`` decides as the
-    plain odometer does and counts as the product search does, apart
-    from the certified "no" answers."""
+def test_product_shortcuts_match_the_odometer(sifts):
+    """On raw candidate edges, the one product decision with veto 0 (as
+    ``find_higher_order`` makes it) names the edge indices of the plain
+    odometer over the candidates reduced by Y, through both shortcuts and
+    the sifted walk, with the count ``_check_count`` allows and no
+    certified "no".  Given the veto folded from the case's own candidates
+    (as ``extend`` makes it), it decides as the plain odometer does and
+    counts as with veto 0, apart from the certified "no" answers."""
+    decide = extension._higher_order_combo
     rng = random.Random(4242)
     kinds: Counter = Counter()
     decisions: Counter = Counter()
@@ -313,11 +318,12 @@ def test_product_shortcuts_match_the_odometer(monkeypatch, sifts):
         want_counters: Counter = Counter()
         want = _reference_odometer(per_x, unhit, forced, want_counters)
         got_counters: Counter = Counter()
-        got = extension._higher_order_combo(crit, edges, unhit, forced, got_counters)
+        got = _indices(decide(crit, edges, unhit, forced, 0, got_counters))
         assert got == want, (crit, edges, unhit, forced, y)
+        assert got_counters["veto_certified"] == 0
         if _check_count(got_counters, want_counters):
             kinds["sift cut fewer"] += 1
-        assert extension._higher_order_combo(crit, edges, unhit, forced, None) == want
+        assert _indices(decide(crit, edges, unhit, forced, 0, None)) == want
         # each member's core, folded in full: _core's early stop assumes
         # the member lies in its candidates, which these cases need not
         veto = 0
@@ -326,21 +332,15 @@ def test_product_shortcuts_match_the_odometer(monkeypatch, sifts):
             for i in iter_bits(c):
                 core &= edges[i]
             veto |= core
-        monkeypatch.setattr(
-            extension, "build_reduced_families", lambda *_: (crit, unhit, forced)
-        )
-        h = SimpleNamespace(n=8, edge_masks=lambda: tuple(edges))
         counters: Counter = Counter()
-        outcome = extension.extend(
-            h, VertexSet(8), VertexSet(8, y), counters=counters, state=(0, crit, veto)
-        )
+        vetoed = _indices(decide(crit, edges, unhit, forced, veto, counters))
         _check_decision(
-            outcome, counters, want, want_counters, (crit, unhit, forced), veto, decisions, saved
+            vetoed is not None, counters, want, want_counters, (crit, unhit, forced), veto,
+            decisions, saved,
         )
         if not counters["veto_certified"]:
+            assert vetoed == want
             assert counters["product_iterations"] == got_counters["product_iterations"]
-        if outcome.continues:
-            assert outcome.y_plus.mask == y | forced | veto
         # the shapes the shortcuts and the odometer each settle
         blocked = forced
         for fam in per_x:
@@ -385,7 +385,9 @@ def test_extend_decides_as_the_product_search_on_tree_nodes(corpus, monkeypatch,
             crit, unhit, forced = reduced
             per_x = _reduced(crit, h.edge_masks(), y.mask)
             ref = _reference_odometer(per_x, unhit, forced, ref_counters)
-        _check_decision(outcome, mine, ref, ref_counters, reduced, state[2], kinds, totals)
+        _check_decision(
+            outcome.continues, mine, ref, ref_counters, reduced, state[2], kinds, totals
+        )
         totals["reference"] += ref_counters["product_iterations"]
         return outcome
 

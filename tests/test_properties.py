@@ -7,7 +7,12 @@ On each:
 - ``enumerate_tr`` gives ``brute_tr``'s sets, with no repeats;
 - Tr(Tr(H)) = min H (Berge's duality);
 - relabelling the vertices by a random permutation relabels Tr(H) the
-  same way, a property the order-pinning digests cannot see.
+  same way, a property the order-pinning digests cannot see;
+- the transversal rank by the tree, look-ahead and edge-family routes is
+  ``brute_rank``'s, and each decider answers "yes" at k exactly when
+  k <= rank, with a minimal hitting set of at least k vertices; an empty
+  edge is refused.  The look-ahead's "yes" and "no" come from
+  ``find_higher_order``, which makes ``extend``'s product decision.
 
 A failing instance is shrunk, by dropping edges and then vertices while
 the check still fails, and the failure prints its ``.hg`` text.
@@ -23,7 +28,9 @@ import pytest
 from transversal import Hypergraph, VertexSet
 from transversal.core import iter_bits, minimize_edges, serialize
 from transversal.enumeration import enumerate_tr
-from transversal.oracle import brute_tr
+from transversal.hitting import is_minimal_hitting_set
+from transversal.oracle import brute_rank, brute_tr
+from transversal.rank import rank_at_least, transversal_rank
 
 from conftest import random_hypergraph
 
@@ -73,6 +80,40 @@ def relabelling(h: Hypergraph, seed: int) -> str | None:
     return None
 
 
+def _refuses(call: Callable[[], object]) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+def rank_deciders(h: Hypergraph, _seed: int) -> str | None:
+    if 0 in h.edge_masks():
+        for method in ("tree", "lookahead", "bd"):
+            if not _refuses(lambda: transversal_rank(h, method=method)):
+                return f"transversal_rank by {method} accepts the empty edge"
+        for method in ("lookahead", "bd"):
+            if not _refuses(lambda: rank_at_least(h, 2, method=method)):
+                return f"rank_at_least by {method} accepts the empty edge"
+        return None
+    want = brute_rank(h)
+    for method in ("tree", "lookahead", "bd"):
+        got = transversal_rank(h, method=method)
+        if got != want:
+            return f"transversal_rank by {method} {got} != oracle {want}"
+    for method in ("lookahead", "bd"):
+        for k in range(1, want + 2):
+            witness = rank_at_least(h, k, method=method)
+            if (witness is not None) != (k <= want):
+                return f"rank_at_least({k}) by {method} is {witness}, rank {want}"
+            if witness is not None and (
+                len(witness.t) < k or not is_minimal_hitting_set(h, witness.t)
+            ):
+                return f"rank_at_least({k}) by {method} witness {witness.t.members()}"
+    return None
+
+
 def _without_vertex(h: Hypergraph, v: int) -> Hypergraph:
     """H restricted to the other vertices, renumbered in order."""
     low = (1 << v) - 1
@@ -108,7 +149,7 @@ def test_the_draw_covers_the_degenerate_shapes():
     assert sum(not h.is_sperner() for h in INSTANCES) >= 100
 
 
-@pytest.mark.parametrize("check", [matches_oracle, duality, relabelling])
+@pytest.mark.parametrize("check", [matches_oracle, duality, relabelling, rank_deciders])
 def test_property_holds_on_random_hypergraphs(check: Check):
     for i, h in enumerate(INSTANCES):
         seed = SEED + i

@@ -11,8 +11,7 @@ run, is an error.  Either makes the script exit 1.
 
 Run from anywhere, with pytest installed:
 
-    python3 tests/mutants.py            # every row
-    python3 tests/mutants.py NAME ...   # the named rows
+    python3 tests/mutants.py
 
 The file name keeps pytest from collecting it; it uses the stdlib only.
 """
@@ -108,14 +107,9 @@ def run(file: str, old: str, new: str, tests: list[str]) -> str:
     return f"error: pytest exit {done.returncode}: {' '.join(tail)}"
 
 
-def main(names: list[str]) -> int:
-    rows = [row for row in MUTANTS if not names or row[0] in names]
-    unknown = set(names) - {row[0] for row in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}")
-        return 1
+def main() -> int:
     bad = 0
-    for row in rows:
+    for row in MUTANTS:
         verdict = run(*row[1:])
         print(f"{row[0]}: {verdict}", flush=True)
         bad += verdict != "killed"
@@ -123,4 +117,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -388,6 +388,8 @@ def test_extend_decides_as_the_product_search_on_tree_nodes(corpus, monkeypatch,
         _check_decision(
             outcome.continues, mine, ref, ref_counters, reduced, state[2], kinds, totals
         )
+        if outcome.continues:
+            assert outcome.y_plus.mask == (y.mask | reduced[2] | state[2]) & ~x.mask
         totals["reference"] += ref_counters["product_iterations"]
         return outcome
 

@@ -64,6 +64,15 @@ class VertexSet:
         self.mask = mask
 
     @classmethod
+    def _from_mask(cls, n: int, mask: int) -> "VertexSet":
+        """Trusted construction: ``mask`` must be a subset of range(n), and
+        it is not checked again."""
+        s = cls.__new__(cls)
+        s.n = n
+        s.mask = mask
+        return s
+
+    @classmethod
     def of(cls, n: int, *members: int) -> "VertexSet":
         return cls(n, _mask_of(members, n))
 

@@ -43,6 +43,7 @@ class DelayStats:
     those calls (at most n+1 keys), the deepest stack, and the worst gap
     between outputs in ns, in calls and in product iterations, counting
     the lead-in before the first output and the tail until termination.
+    A tree walk adds its histogram and deepest stack when it ends.
     ``work`` is the run's work counter, handed to every extension call:
     it tallies ``product_iterations``, ``veto_certified`` and
     ``candidates_dropped``."""
@@ -117,46 +118,52 @@ def _walk_tree(
     promise and raises ``RuntimeError``.
 
     Each stack entry is (X, Y, state): X and Y as vertex masks, then X's
-    edge classification ``(uncov, crit, veto)`` (see ``extend``).  The
-    exclude child shares its parent's triple; the include child of v
-    updates it with v's incidence mask in O(|X|) integer operations,
-    refolding the veto's part for only the members whose candidates v
-    removes, and for v (``include_vertex``).  The recursion is an
-    explicit stack, so live state is the root-to-leaf path of entries.
+    edge classification ``(uncov, crit, veto, cand, first)`` (see
+    ``extend``).  The exclude child shares its parent's state; the
+    include child of v updates it with v's incidence mask
+    (``include_vertex``): in O(1) when v meets no member's candidate
+    edge, and otherwise refolding the veto for only the members whose
+    candidates v removes, and the first combination only when one of
+    them lost its lowest candidate.  The recursion is an explicit stack,
+    so live state is the root-to-leaf path of entries.
 
     ``prune(X, Y, uncov)``, when given, is asked at every node before its
     extension call; a node it answers True for is dropped with its whole
-    subtree.  ``stats`` records the stack depth and, after each completed
-    extension call, the call and |X| in its histogram; its ``work`` is
-    the counter handed to every extension call.  ``extend`` is read from
-    this module's globals at every call.
+    subtree.  ``stats`` counts each completed extension call as it ends;
+    the |X| histogram of those calls and the deepest stack are kept
+    locally and folded into ``stats`` when the walk ends, a stop raised
+    by ``deliver`` included.  Its ``work`` is the counter handed to every
+    extension call.  ``extend`` is read from this module's globals at
+    every call.
     """
     n = h.n
     edges = h.edge_masks()
     incidence = h.incidence
     full = (1 << n) - 1
     work = stats.work
-    histogram = stats.x_size_histogram
-    stack: list[tuple[int, int, tuple]] = [(0, 0, ((1 << h.m) - 1, [], 0))]
-    while stack:
-        if len(stack) > stats.max_stack_depth:
-            stats.max_stack_depth = len(stack)
-        xm, ym, state = stack.pop()
-        uncov = state[0]
-        if prune is not None and prune(xm, ym, uncov):
-            continue
-        outcome: ExtensionOutcome = extend(
-            h,
-            VertexSet(n, xm),
-            VertexSet(n, ym),
-            deliver,
-            counters=work,
-            state=state,
-        )
-        stats.calls += 1
-        histogram[xm.bit_count()] += 1
-        y_plus = outcome.y_plus
-        if y_plus is not None:
+    from_mask = VertexSet._from_mask
+    sizes = [0] * (n + 1)  # the |X| histogram of this walk's calls
+    deepest = 1
+    stack: list[tuple[int, int, tuple]] = [(0, 0, ((1 << h.m) - 1, [], 0, 0, 0))]
+    try:
+        while stack:
+            xm, ym, state = stack.pop()
+            uncov = state[0]
+            if prune is not None and prune(xm, ym, uncov):
+                continue
+            outcome: ExtensionOutcome = extend(
+                h,
+                from_mask(n, xm),
+                from_mask(n, ym),
+                deliver,
+                counters=work,
+                state=state,
+            )
+            stats.calls += 1
+            sizes[xm.bit_count()] += 1
+            y_plus = outcome.y_plus
+            if y_plus is None:
+                continue
             ypm = y_plus.mask
             rest = full & ~(xm | ypm)
             # rule (a): v must meet an uncovered edge
@@ -185,6 +192,15 @@ def _walk_tree(
             # include branch, visited first: v is above every member of X,
             # so its critical edges go last
             stack.append((xm | vbit, ypm, include_vertex(state, ev, edges)))
+            if len(stack) > deepest:
+                deepest = len(stack)
+    finally:
+        if deepest > stats.max_stack_depth:
+            stats.max_stack_depth = deepest
+        histogram = stats.x_size_histogram
+        for size, calls in enumerate(sizes):
+            if calls:
+                histogram[size] += calls
 
 
 def stream(
@@ -235,9 +251,10 @@ def enumerate_tr(
 ) -> DelayStats:
     """Stream every minimal hitting set of ``h`` exactly once, by one
     unpruned walk of the look-ahead search tree (``_walk_tree``).  Each
-    node carries its edge classification and veto, so it reduces only
-    the edges that classification names instead of scanning all m, and
-    refolds no veto core that its include step left as it was.
+    node carries its edge classification, veto and candidate unions, so
+    it reduces only the edges that classification names instead of
+    scanning all m, and refolds nothing that its include step left as it
+    was.
 
     The walk calls ``extend`` only on nodes that can still be extended
     (``_walk_tree``'s rules (a) and (b)): each call it skips would emit

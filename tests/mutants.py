@@ -34,6 +34,7 @@ EXTENSION = "transversal/extension.py"
 BD40_PINS = "tests/test_enumeration.py::test_bd40_tree_work_counts"
 SHORTCUTS = "tests/test_extension.py::test_product_shortcuts_match_the_odometer"
 TREE_NODES = "tests/test_extension.py::test_extend_decides_as_the_product_search_on_tree_nodes"
+CARRIED_STATE = "tests/test_enumeration.py::test_carried_state_matches_fresh_classification"
 
 MUTANTS = [
     (
@@ -42,7 +43,24 @@ MUTANTS = [
         EXTENSION,
         "    child = [c & nev for c in crit]\n",
         "    child = list(crit)\n",
-        ["tests/test_enumeration.py::test_carried_state_matches_fresh_classification"],
+        [CARRIED_STATE],
+    ),
+    (
+        # v's own candidates stay out of the union, so a later vertex that
+        # meets them takes the path that changes no member's candidates
+        "include-drops-own-from-cand",
+        EXTENSION,
+        "        return uncov ^ own, crit + [own], veto, cand | own, first | low\n",
+        "        return uncov ^ own, crit + [own], veto, cand, first | low\n",
+        [CARRIED_STATE, BD40_PINS],
+    ),
+    (
+        # the first combination keeps an edge v took from a member
+        "include-keeps-lost-first",
+        EXTENSION,
+        "        first = _lowest_union(child, edges)\n",
+        "        first |= low\n",
+        [CARRIED_STATE, BD40_PINS],
     ),
     (
         # unsound: member 0's first candidate is not in every combination

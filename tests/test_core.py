@@ -42,8 +42,9 @@ class TestVertexSet:
             VertexSet.of(3, 0) | VertexSet.of(4, 0)
 
     def test_mask_out_of_range(self):
-        with pytest.raises(ValueError):
-            VertexSet(2, 0b100)
+        for mask in (0b100, -1):
+            with pytest.raises(ValueError, match="outside the universe"):
+                VertexSet(2, mask)
         with pytest.raises(ValueError):
             VertexSet.of(2, 5)
 

@@ -181,10 +181,15 @@ def test_bounded_gap_between_outputs():
 def test_online_stats_match_the_extend_call_log(monkeypatch):
     """The running aggregates equal what a wrapper of ``extend`` counts:
     the calls, the worst gap in calls and in product iterations, the |X|
-    histogram and the product iterations."""
+    histogram and the product iterations.  The last run stops bd40 at
+    its 250th output, as the bench's streams do, so the walk's local
+    histogram and stack depth reach ``stats`` as the stop unwinds it."""
     log = log_extend_calls(monkeypatch)
-    for h in gap_instances() + [BD40]:
-        _, stats, windows = logged_run(log, h)
+    runs = [(h, None) for h in gap_instances() + [BD40]] + [(BD40, 250)]
+    for h, limit in runs:
+        _, stats, windows = logged_run(log, h, limit=limit)
+        if limit is not None:
+            assert (stats.outputs, stats.calls, stats.max_stack_depth) == (limit, 920, 8)
         assert stats.calls == len(log)
         assert stats.max_gap_calls == max(len(w) for w in windows)
         assert stats.max_gap_product_iterations == max(
@@ -274,6 +279,19 @@ def _fresh_state(h, xm):
     return uncov, crit
 
 
+def _fresh_unions(h, crit):
+    """The union of the ``crit`` masks, and that of each member's lowest
+    candidate edge, read edge by edge."""
+    edges = h.edge_masks()
+    cand = first = 0
+    for c in crit:
+        cand |= c
+        low = next((idx for idx in range(h.m) if c >> idx & 1), None)
+        if low is not None:
+            first |= edges[low]
+    return cand, first
+
+
 def _fresh_veto(h, crit):
     """The union over X's members of the intersection of their candidate
     private edges, each intersection taken over every edge its mask
@@ -291,9 +309,10 @@ def _fresh_veto(h, crit):
 
 
 def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
-    """At every node the (uncov, crit, veto) state the tree search carries
-    equals the classification and veto counted from scratch, and extend
-    given that state emits and returns exactly what it does without it.
+    """At every node the (uncov, crit, veto, cand, first) state the tree
+    search carries equals the classification, veto and unions counted
+    from scratch, and extend given that state emits and returns exactly
+    what it does without it.
     The corpus, bd40 and bench's sparse class carry low-degree
     classifications; the 3-uniform complement carries high-degree ones."""
     real = enumeration.extend
@@ -302,9 +321,10 @@ def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
     def checked(h, x, y, sink=None, *, counters=None, state=None):
         nonlocal nodes
         nodes += 1
-        uncov, crit, veto = state
+        uncov, crit, veto, cand, first = state
         assert (uncov, list(crit)) == _fresh_state(h, x.mask), (h, x, y)
         assert veto == _fresh_veto(h, crit), (h, x, y)
+        assert (cand, first) == _fresh_unions(h, crit), (h, x, y)
         fresh_got: list[VertexSet] = []
         fresh = real(h, x, y, fresh_got.append)
         got: list[VertexSet] = []
@@ -339,7 +359,7 @@ def _walk_every_free_vertex(h: Hypergraph) -> list[int]:
     incidence = h.incidence
     full = (1 << h.n) - 1
     got: list[int] = []
-    stack = [(0, 0, ((1 << h.m) - 1, [], 0))]
+    stack = [(0, 0, ((1 << h.m) - 1, [], 0, 0, 0))]
     while stack:
         xm, ym, state = stack.pop()
         outcome = extend(

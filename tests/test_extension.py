@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import random
@@ -10,6 +11,7 @@ import pytest
 from transversal import Hypergraph, VertexSet, enumeration, extension, rank
 from transversal.enumeration import enumerate_tr
 from transversal.extension import (
+    ExtensionOutcome,
     build_reduced_families,
     extend,
     find_higher_order,
@@ -50,6 +52,21 @@ def test_continue_with_veto_vertex():
     assert outcome.continues
     # vertex 1 would strip 0 of its only candidate private edge
     assert outcome.y_plus == VertexSet.of(6, 1)
+
+
+def test_trusted_results_behave_as_public_ones():
+    """``extend`` builds its outputs, its Y+ and its CONTINUE outcome
+    without the public checks.  They compare and hash as the checked
+    values do, and the outcome stays frozen.  (``test_core``'s
+    ``test_mask_out_of_range`` holds the public checks.)"""
+    h = Hypergraph(5, [(0, 1), (0, 2), (3, 4)])
+    got, outcome = collect(h, VertexSet.of(5, 3), VertexSet(5))
+    assert got == [VertexSet.of(5, 0, 3)]
+    assert hash(got[0]) == hash(VertexSet(5, 0b01001))
+    assert outcome == ExtensionOutcome(VertexSet.of(5, 0, 4))
+    assert hash(outcome) == hash(ExtensionOutcome(VertexSet(5, 0b10001)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.y_plus = None
 
 
 def test_rejects_overlapping_x_y_and_answers_edgeless():

@@ -282,7 +282,7 @@ def test_delay_trend_supplementary_monotone_in_degree(monkeypatch):
     work: Counter = Counter()
 
     def counted(h, x, y, sink=None, *, counters=None, state=None):
-        uncov, crit, _ = state
+        uncov, crit = state[:2]
         work["calls"] += 1
         work["edges_reduced"] += uncov.bit_count() + sum(c.bit_count() for c in crit)
         return real(h, x, y, sink, counters=counters, state=state)

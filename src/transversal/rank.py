@@ -9,20 +9,23 @@ are the paper's algorithms and carry its bounds for fixed k.  Their
 brute-force cross-check, ``oracle.brute_rank``, shares no code with them.
 
 Both scans walk their subsets in colex order, each by its own flat
-loop, top element first, and cut a prefix only when no completion can
-hit, so each keeps the full scan's first hit.  The look-ahead cuts a
-prefix P in which some vertex has lost its last private edge (no seed
-below it extends), and, asked for k, two more kinds:
-- one with fewer than k - |P| uncovered edges: each vertex a minimal
-  hitting set of k or more vertices adds to P needs a private edge of
-  its own, and that edge misses P;
-- a dead prefix, with an uncovered edge inside the union D of the only
-  private edges of the members that joined with exactly one.  A minimal
-  hitting set holding P must keep each such edge private, so it has no
-  other vertex of D and cannot hit that edge (the MMCS cut of Murakami
-  and Uno, on the seed walk).
+loop, top element first, and each keeps the full scan's first hit.  The
+look-ahead cuts a prefix P in which some vertex has lost its last
+private edge (no seed below it extends).  Asked for k, it also tries
+only canonical seeds: a minimal hitting set T of k or more vertices has
+one colex-smallest (k-2)-subset, its k-2 lowest vertices L(T), and the
+full scan's first hit S is L(T) for its own witness T: L(T) comes no
+later than S in colex order, and T extends it too.  So the walk skips a
+seed that no such T can have as L(T):
+- one below a prefix P with fewer than k - |P| uncovered edges: each
+  vertex T adds to P needs a private edge of its own, and that edge
+  misses P;
+- one below a prefix with an uncovered edge that meets no vertex above
+  the top member nor, while members are still to come, below the last
+  one chosen: T's vertices outside the seed lie above its top member.
 It hands each surviving seed's edge classification (``uncov``/``crit``,
-see ``extension.extend``) to ``find_higher_order``.
+see ``extension.extend``) to ``find_higher_order``, which still forbids
+no vertex, so the witness is the full scan's.
 The edge-family route cuts a prefix whose overlap (the vertices in two
 or more of its edges) already holds a minimal edge, since the overlap
 only grows; it makes at most Σ_{i<=k} C(m', i) overlap tests, each
@@ -70,23 +73,20 @@ def _irredundant_seeds(
     The walk carries the prefix's ``uncov``/``crit`` masks, updated as
     ``extension.include_vertex`` does; they only shrink as vertices join,
     so once one is 0 the colex block below the prefix is skipped (only a
-    vertex meeting their union can empty one).  Given ``k``, it also
-    skips the block below a prefix P that no minimal hitting set of k or
-    more vertices holds:
-    - when P has fewer than k - |P| uncovered edges: each vertex such a
-      set adds to P needs a private edge of its own, and that edge
-      misses P;
-    - when an uncovered edge lies inside D, the union of the private
-      edges of the members that joined with exactly one.  Such a
-      member's only private edge must stay private in any minimal
-      hitting set holding P, so that set has no other vertex of the
-      edge, and an uncovered edge inside D cannot be hit.  D only grows
-      and ``uncov`` only shrinks, so the test runs when D grows, on the
-      uncovered edges meeting its new vertices.
-    The tests that allocate nothing run first.  Each prefix that passes
-    every test (each seed included) is counted once, and the count is
-    added to ``counters["lookahead_prefixes"]`` when the walk ends or is
-    closed.
+    vertex meeting their union can empty one).  Given ``k``, it yields
+    only seeds that can be the ``size`` lowest vertices of a minimal
+    hitting set T of k or more vertices; the rest of such a T lies above
+    the seed's top member.  It skips a vertex v whose prefix P (v
+    included) fails either of two tests:
+    - P has at least k - |P| uncovered edges: each vertex T adds to P
+      needs a private edge of its own, and that edge misses P;
+    - each uncovered edge meets a vertex above the top member or, while
+      members are still to come, a vertex below v; ``above`` and
+      ``below`` hold, per vertex, the union of the edges meeting a
+      vertex above or below it.
+    Each prefix that passes every test (each seed included) is counted
+    once, and the count is added to ``counters["lookahead_prefixes"]``
+    when the walk ends or is closed.
     """
     n = h.n
     if size > n:
@@ -96,14 +96,18 @@ def _irredundant_seeds(
         yield (), (root, [])
         return
     incidence = h.incidence
-    edges = h.edge_masks()
+    if k is not None:
+        below = [0] * n
+        above = [0] * n
+        for v in range(1, n):
+            below[v] = below[v - 1] | incidence[v - 1]
+            above[n - 1 - v] = above[n - v] | incidence[n - v]
     last = size - 1
-    # per depth j (members chosen so far): the prefix's classification and
-    # D, and the vertex chosen there; members lie below ``bound``
+    # per depth j (members chosen so far): the prefix's classification,
+    # and the vertex chosen there; members lie below ``bound``
     uncovs = [root] * size
     privs = [0] * size  # the union of the members' private edges
     crits: list[list[int]] = [[]] * size
-    deads = [0] * size
     chosen = [0] * size
     prefixes = 0
     j = 0
@@ -125,29 +129,16 @@ def _irredundant_seeds(
                 v += 1  # v meets no uncovered edge, so it has no private one
                 continue
             child_uncov = uncov ^ cv
-            if k is not None and child_uncov.bit_count() < k - j - 1:
-                v += 1
-                continue
-            dead = deads[j]
-            if k is not None and not cv & (cv - 1):
-                e = edges[cv.bit_length() - 1]
-                fresh = e & ~dead & ~(1 << v)
-                if fresh:
-                    dead |= e
-                    near = 0
-                    while fresh:
-                        low = fresh & -fresh
-                        near |= incidence[low.bit_length() - 1]
-                        fresh ^= low
-                    near &= child_uncov
-                    while near:
-                        low = near & -near
-                        if not edges[low.bit_length() - 1] & ~dead:
-                            break  # an uncovered edge lies inside D
-                        near ^= low
-                    if near:
-                        v += 1
-                        continue
+            if k is not None:
+                if child_uncov.bit_count() < k - j - 1:
+                    v += 1
+                    continue
+                reach = above[chosen[0] if j else v]
+                if j < last:
+                    reach |= below[v]
+                if child_uncov & ~reach:
+                    v += 1  # no vertex that can still join meets some uncovered edge
+                    continue
             crit = crits[j]
             taken = privs[j] & ev  # the members' private edges v meets
             if taken:
@@ -173,7 +164,6 @@ def _irredundant_seeds(
             uncovs[j] = child_uncov
             privs[j] = privs[j - 1] ^ taken | cv
             crits[j] = child
-            deads[j] = dead
             bound = v
             v = last - j
     finally:
@@ -222,11 +212,13 @@ def rank_at_least_lookahead(
     """Witness a minimal hitting set of size >= k, or None.
 
     For k >= 2, a set of k-2 vertices with a higher-order minimal
-    extension is searched (colex order, first hit wins).  Seeds in which
-    some vertex has no private edge, or below a prefix with too few
-    uncovered edges left for k, or below a dead prefix, cannot extend and
-    are skipped without a ``find_higher_order`` call (see
-    ``_irredundant_seeds``), so the first hit is the full colex scan's.
+    extension is searched (colex order, first hit wins).  Only canonical
+    seeds are tried: ones in which every vertex keeps a private edge and
+    that can be the k-2 lowest vertices of a minimal hitting set of k or
+    more vertices (see ``_irredundant_seeds``).  The full colex scan's
+    first hit is such a seed for its own witness, and every seed before
+    it fails, so the first hit, asked with no vertex forbidden, is the
+    full scan's.
     From the certifying combination, the union of the seed with
     everything outside the chosen edges and the forced vertices is a
     hitting superset whose minimization necessarily keeps the seed and at

@@ -31,10 +31,15 @@ TIMEOUT_S = 300
 TESTS_FAILED = 1
 
 EXTENSION = "transversal/extension.py"
+RANK = "transversal/rank.py"
 BD40_PINS = "tests/test_enumeration.py::test_bd40_tree_work_counts"
 SHORTCUTS = "tests/test_extension.py::test_product_shortcuts_match_the_odometer"
 TREE_NODES = "tests/test_extension.py::test_extend_decides_as_the_product_search_on_tree_nodes"
 CARRIED_STATE = "tests/test_enumeration.py::test_carried_state_matches_fresh_classification"
+COLEX_SCAN = "tests/test_rank.py::TestLookahead::test_matches_full_colex_scan"
+PROPERTIES = "tests/test_properties.py::test_property_holds_on_random_hypergraphs"
+RANK_SKIPS = "tests/test_rank.py::TestLookahead::test_exact_rank_skips_redundant_seeds"
+BR30_LOOKAHEAD = "tests/test_rank.py::TestLookahead::test_br30_work_counts"
 
 MUTANTS = [
     (
@@ -94,6 +99,23 @@ MUTANTS = [
         "unhit, forced, 0, counters)",
         "unhit, forced, 1, counters)",
         ["tests/test_extension.py::test_pruned_search_matches_full_product"],
+    ),
+    (
+        # unsound: an uncovered edge must meet a vertex above the top
+        # member, though members still to come below v could hit it
+        "seed-interval-drops-below",
+        RANK,
+        "                if j < last:\n                    reach |= below[v]\n",
+        "",
+        [COLEX_SCAN, PROPERTIES + "[rank_deciders]"],
+    ),
+    (
+        # sound but weaker: the seed walk without its interval cut
+        "seed-interval-cut-removed",
+        RANK,
+        "                if child_uncov & ~reach:\n",
+        "                if False:\n",
+        [RANK_SKIPS, BR30_LOOKAHEAD],
     ),
 ]
 

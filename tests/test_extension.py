@@ -500,4 +500,4 @@ def test_queries_reduce_through_the_module_head(monkeypatch):
     heads = 0
     h = uniform_instance(random.Random(0), 16, 40, 3)
     assert rank.rank_at_least(h, 12, method="lookahead") is None
-    assert heads == queries == 111
+    assert heads == queries == 5

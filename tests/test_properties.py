@@ -12,7 +12,11 @@ On each:
   ``brute_rank``'s, and each decider answers "yes" at k exactly when
   k <= rank, with a minimal hitting set of at least k vertices; an empty
   edge is refused.  The look-ahead's "yes" and "no" come from
-  ``find_higher_order``, which makes ``extend``'s product decision.
+  ``find_higher_order``, which makes ``extend``'s product decision;
+- ``verify_tr`` finds G = Tr(H) (``brute_tr``) equal to H's transversal
+  hypergraph, and on G minus one set gives a ``MissingSolution`` whose
+  ``s`` is a minimal hitting set of that G holding no edge of H and
+  whose ``t`` is the dropped set.
 
 A failing instance is shrunk, by dropping edges and then vertices while
 the check still fails, and the failure prints its ``.hg`` text.
@@ -31,6 +35,7 @@ from transversal.enumeration import enumerate_tr
 from transversal.hitting import is_minimal_hitting_set
 from transversal.oracle import brute_rank, brute_tr
 from transversal.rank import rank_at_least, transversal_rank
+from transversal.verify import MissingSolution, verify_tr
 
 from conftest import random_hypergraph
 
@@ -114,6 +119,25 @@ def rank_deciders(h: Hypergraph, _seed: int) -> str | None:
     return None
 
 
+def verify_route(h: Hypergraph, seed: int) -> str | None:
+    tr = [t.mask for t in brute_tr(h)]
+    g = Hypergraph(h.n, [VertexSet(h.n, t) for t in tr])
+    got = verify_tr(g, h)
+    if not got.equal:
+        return f"verify_tr(Tr(H), H) is {got}"
+    if not tr:
+        return None
+    drop = random.Random(seed).randrange(len(tr))
+    g = Hypergraph(h.n, [VertexSet(h.n, t) for i, t in enumerate(tr) if i != drop])
+    got = verify_tr(g, h)
+    if not isinstance(got, MissingSolution) or got.t.mask != tr[drop]:
+        return f"verify_tr(Tr(H) - {tr[drop]}, H) is {got}"
+    s = got.s.mask
+    if not is_minimal_hitting_set(g, got.s) or any(e & s == e for e in h.edge_masks()):
+        return f"verify_tr(Tr(H) - {tr[drop]}, H) gives s = {got.s.members()}"
+    return None
+
+
 def _without_vertex(h: Hypergraph, v: int) -> Hypergraph:
     """H restricted to the other vertices, renumbered in order."""
     low = (1 << v) - 1
@@ -149,7 +173,9 @@ def test_the_draw_covers_the_degenerate_shapes():
     assert sum(not h.is_sperner() for h in INSTANCES) >= 100
 
 
-@pytest.mark.parametrize("check", [matches_oracle, duality, relabelling, rank_deciders])
+@pytest.mark.parametrize(
+    "check", [matches_oracle, duality, relabelling, rank_deciders, verify_route]
+)
 def test_property_holds_on_random_hypergraphs(check: Check):
     for i, h in enumerate(INSTANCES):
         seed = SEED + i

@@ -143,12 +143,20 @@ class TestLookahead:
                     assert state == fresh_state(h, seed), (h, seed)
 
     def test_targeted_walk_keeps_every_succeeding_seed(self, corpus, corpus_tr):
-        """Asked for k, the walk yields every seed of the plain walk that
-        extends to k or more vertices, in order, each with its plain
-        state, and no seed outside the plain walk.  No seed it drops lies
-        in a minimal hitting set of k or more vertices (``brute_tr``), and
-        on each bounded-rank input the dead-prefix cut drops some seed
-        that the uncovered-edge count cut keeps."""
+        """Asked for k, the walk yields seeds of the plain walk, in order,
+        each with its plain state.  It drops no seed that is the k - 2
+        lowest vertices of a minimal hitting set of k or more vertices
+        (``brute_tr``), its first ``find_higher_order`` hit is the plain
+        walk's, and on each bounded-rank input the interval cut drops some
+        seed that the uncovered-edge count cut keeps."""
+
+        def first_hit(h, walk):
+            for seed, state in walk:
+                found = find_higher_order(h, VertexSet.from_iterable(h.n, seed), state=state)
+                if found is not None:
+                    return seed, found
+            return None
+
         rng = random.Random(8)
         cases = [
             (h, tr) for h, tr in zip(corpus, corpus_tr) if h.m and all(h.edge_masks())
@@ -163,31 +171,22 @@ class TestLookahead:
             ranked.append(h)
             cases.append((h, brute_tr(h)))
         cut = 0
-        dead_cut = Counter()
+        interval_cut = Counter()
         for h, tr in cases:
             for k in range(2, h.n + 2):
                 plain = list(_irredundant_seeds(h, k - 2))
                 targeted = list(_irredundant_seeds(h, k - 2, k))
-                hits = [
-                    (seed, state)
-                    for seed, state in plain
-                    if find_higher_order(h, VertexSet.from_iterable(h.n, seed), state=state)
-                    is not None
-                ]
                 assert in_order_within(targeted, plain), (h, k)
-                assert in_order_within(hits, targeted), (h, k)
-                cut += len(plain) - len(targeted)
                 kept = {seed for seed, _ in targeted}
-                large = [t.mask for t in tr if len(t) >= k]
-                for seed, _ in plain:
-                    if seed in kept:
-                        continue
-                    sm = VertexSet.from_iterable(h.n, seed).mask
-                    assert not any(t & sm == sm for t in large), (h, k, seed)
-                    if not count_cut(h, seed, k):
-                        dead_cut[id(h)] += 1
+                lowest = {t.members()[: k - 2] for t in tr if len(t) >= k}
+                assert lowest <= kept, (h, k, lowest - kept)
+                assert first_hit(h, targeted) == first_hit(h, plain), (h, k)
+                cut += len(plain) - len(targeted)
+                interval_cut[id(h)] += sum(
+                    seed not in kept and not count_cut(h, seed, k) for seed, _ in plain
+                )
         assert cut > 1_000
-        assert all(dead_cut[id(h)] for h in ranked)
+        assert all(interval_cut[id(h)] for h in ranked)
 
     def test_matches_full_colex_scan(self, corpus):
         """The seed skip keeps the first hit of the plain colex scan."""
@@ -218,7 +217,9 @@ class TestLookahead:
 
     def test_exact_rank_skips_redundant_seeds(self, monkeypatch):
         # the plain colex scan made 39,284 find_higher_order calls here,
-        # and the walk without its dead-prefix cut 1,211
+        # the walk with only the uncovered-edge count cut 1,211, and with
+        # the dead-prefix cut 1,008 over 17,760 prefixes; the interval cut
+        # replaced the dead-prefix cut
         calls = 0
         real = rank.find_higher_order
 
@@ -238,9 +239,29 @@ class TestLookahead:
             for s in range(4)
         ]
         assert ranks == [11, 10, 10, 11]
-        assert calls == 1_008
+        assert calls == 106
         # the prefixes the seed walks built, seeds included
-        assert counters["lookahead_prefixes"] == 17_760
+        assert counters["lookahead_prefixes"] == 7_048
+
+    def test_br30_work_counts(self, monkeypatch):
+        # br30's rank is 18: per k, the answer and the find_higher_order
+        # calls, seed-walk prefixes and product iterations it took
+        calls = 0
+        real = rank.find_higher_order
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rank, "find_higher_order", counted)
+        h = br30()
+        for k, yes, want in ((18, True, (393, 10_749, 810)), (19, False, (218, 10_873, 374))):
+            calls = 0
+            counters: Counter = Counter()
+            assert (rank_at_least_lookahead(h, k, counters=counters) is not None) == yes
+            got = (calls, counters["lookahead_prefixes"], counters["product_iterations"])
+            assert got == want, k
 
 
 class TestEdgeFamilyRoute:

@@ -118,14 +118,12 @@ def _walk_tree(
     promise and raises ``RuntimeError``.
 
     Each stack entry is (X, Y, state): X and Y as vertex masks, then X's
-    edge classification ``(uncov, crit, veto, cand, first)`` (see
-    ``extend``).  The exclude child shares its parent's state; the
-    include child of v updates it with v's incidence mask
-    (``include_vertex``): in O(1) when v meets no member's candidate
-    edge, and otherwise refolding the veto for only the members whose
-    candidates v removes, and the first combination only when one of
-    them lost its lowest candidate.  The recursion is an explicit stack,
-    so live state is the root-to-leaf path of entries.
+    edge classification ``(uncov, crit, veto, cand)`` (see ``extend``).
+    The exclude child shares its parent's state; the include child of v
+    updates it with v's incidence mask (``include_vertex``): in O(1) when
+    v meets no member's candidate edge, and otherwise refolding the veto
+    for only the members whose candidates v removes.  The recursion is an
+    explicit stack, so live state is the root-to-leaf path of entries.
 
     ``prune(X, Y, uncov)``, when given, is asked at every node before its
     extension call; a node it answers True for is dropped with its whole
@@ -144,7 +142,7 @@ def _walk_tree(
     from_mask = VertexSet._from_mask
     sizes = [0] * (n + 1)  # the |X| histogram of this walk's calls
     deepest = 1
-    stack: list[tuple[int, int, tuple]] = [(0, 0, ((1 << h.m) - 1, [], 0, 0, 0))]
+    stack: list[tuple[int, int, tuple]] = [(0, 0, ((1 << h.m) - 1, [], 0, 0))]
     try:
         while stack:
             xm, ym, state = stack.pop()

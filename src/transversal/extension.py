@@ -4,17 +4,15 @@ least two more vertices remains, and if so grow the forbidden set.
 
 The queries read X's edge classification, as in MMCS: the edges disjoint
 from X (``uncov``) and, per member of X, the edges meeting X only there
-(``crit``), both as edge-index bitmasks, plus three unions: the veto
-that ``extend`` adds to the forbidden set, the ``crit`` masks'
-(``cand``), and each member's lowest candidate edge (``first``), which
-are the edges of the product's first combination.  ``include_vertex``
-adds one vertex to these five fields, refolding only the members whose
-candidates the vertex removes.  A tree search carries them down its
-include path and passes each node's to ``extend`` as ``state``.  The
-look-ahead rank decider's seed walk makes the ``(uncov, crit)`` update
-inline and passes each seed's to ``find_higher_order``, which needs no
-veto and folds ``first`` from ``crit``.  Without ``state`` it is folded
-from the root over X's members.
+(``crit``), both as edge-index bitmasks, plus two unions: the veto
+that ``extend`` adds to the forbidden set and the ``crit`` masks'
+(``cand``).  ``include_vertex`` adds one vertex to these four fields,
+refolding only the members whose candidates the vertex removes.  A tree
+search carries them down its include path and passes each node's to
+``extend`` as ``state``.  The look-ahead rank decider's seed walk makes
+the ``(uncov, crit)`` update inline and passes each seed's to
+``find_higher_order``, which needs no veto.  Without ``state`` it is
+folded from the root over X's members.
 
 Both queries start from one head, ``build_reduced_families``, read from
 this module's globals at every call.  It reduces the unhit edges by Y and
@@ -111,66 +109,45 @@ def _core(c: int, edges: tuple[int, ...]) -> int:
     return core
 
 
-def _lowest_union(crit: list[int], edges: tuple[int, ...]) -> int:
-    """The union of each member's lowest candidate edge, the vertices the
-    product's first combination blocks; a member without a candidate
-    adds nothing."""
-    first = 0
-    for c in crit:
-        if c:
-            first |= edges[(c & -c).bit_length() - 1]
-    return first
-
-
 def include_vertex(
-    state: tuple[int, list[int], int, int, int], ev: int, edges: tuple[int, ...]
-) -> tuple[int, list[int], int, int, int]:
-    """The edge classification ``(uncov, crit, veto, cand, first)`` of
-    X + v from X's ``state`` and v's incidence mask ``ev``: v's critical
-    edges are the uncovered ones it meets, appended last, and its edges
-    leave ``uncov`` and every other member's mask.
+    state: tuple[int, list[int], int, int], ev: int, edges: tuple[int, ...]
+) -> tuple[int, list[int], int, int]:
+    """The edge classification ``(uncov, crit, veto, cand)`` of X + v from
+    X's ``state`` and v's incidence mask ``ev``: v's critical edges are
+    the uncovered ones it meets, appended last, and its edges leave
+    ``uncov`` and every other member's mask.
 
     The veto is the union over the members of the intersection of their
-    candidate private edges (their core).  ``cand`` is the union of the
-    ``crit`` masks and ``first`` that of each member's lowest candidate
-    edge.  When v meets no edge of ``cand`` no member's candidates change,
-    so the child extends each field by v's own part alone.  Otherwise a
-    core only grows as candidates leave, so the child's veto is X's ORed
-    with the refolded cores of the members whose mask v met, and ``first``
-    is refolded only when one of them lost its lowest candidate."""
-    uncov, crit, veto, cand, first = state
+    candidate private edges (their core), and ``cand`` the union of the
+    ``crit`` masks.  When v meets no edge of ``cand`` no member's
+    candidates change, so the child extends each field by v's own part
+    alone.  Otherwise a core only grows as candidates leave, so the
+    child's veto is X's ORed with the refolded cores of the members whose
+    mask v met."""
+    uncov, crit, veto, cand = state
     own = uncov & ev
     if own:
         veto |= _core(own, edges)
-        low = edges[(own & -own).bit_length() - 1]
-    else:
-        low = 0
     if not cand & ev:
         # on sparse inputs most include steps change no member's candidates
-        return uncov ^ own, crit + [own], veto, cand | own, first | low
+        return uncov ^ own, crit + [own], veto, cand | own
     nev = ~ev
     child = [c & nev for c in crit]
-    lost = 0
     for c, d in zip(crit, child):
         if c != d:
             veto |= _core(d, edges)
-            lost |= c & -c & ev
     child.append(own)
-    if lost:
-        first = _lowest_union(child, edges)
-    else:
-        first |= low
-    return uncov ^ own, child, veto, cand & nev | own, first
+    return uncov ^ own, child, veto, cand & nev | own
 
 
-def _classify(h: Hypergraph, x: VertexSet) -> tuple[int, list[int], int, int, int]:
+def _classify(h: Hypergraph, x: VertexSet) -> tuple[int, list[int], int, int]:
     """X's edge classification folded from the root's (every edge
     uncovered, no members, no veto, no candidates) over its members
     ascending, as a tree search does."""
     if x.n != h.n:
         raise ValueError("X and Y must live in the hypergraph's universe")
     edges = h.edge_masks()
-    state = ((1 << h.m) - 1, [], 0, 0, 0)
+    state = ((1 << h.m) - 1, [], 0, 0)
     for v in iter_bits(x.mask):
         state = include_vertex(state, h.incidence[v], edges)
     return state
@@ -183,7 +160,7 @@ def build_reduced_families(
     X's edge classification ``state`` (or fold it from the root) and
     reduce its unhit edges by Y.  Only ``state``'s first two fields,
     ``uncov`` and ``crit``, are read, so the pair and the tree search's
-    five fields both serve.
+    four fields both serve.
 
     Returns ``(crit, unhit, forced)``: X's critical masks, whose bits
     index X's candidate private edges; the unhit edges reduced by Y, in
@@ -233,7 +210,6 @@ def _higher_order_combo(
     forced: int,
     veto: int,
     counters: Counter | None,
-    first: int | None = None,
 ) -> list[int] | None:
     """The product decision of both queries: search the product of X's
     candidate private edges for a combination proving a higher-order
@@ -249,15 +225,14 @@ def _higher_order_combo(
 
     Three tests come before the walk.  ``forced`` as an unhit edge is
     their intersection, so nothing avoids it.  The first combination
-    (each member's lowest bit) is tested as a whole, over ``first``, the
-    union of its edges, which the tree search carries and is otherwise
-    folded from ``crit``: if it leaves every unhit edge a free vertex, it
-    is returned, since each of its prefixes blocks less and the odometer
-    would accept it with no cut.  Then the veto certificate answers "no"
-    when some unhit edge lies inside ``forced`` plus ``veto``: each
-    candidate contains its member's core, so every combination blocks
-    that edge.  It counts one cut prefix, the empty one, and one
-    ``veto_certified``.  ``extend`` passes X's veto;
+    (each member's lowest bit) is tested as a whole, over the union of
+    its edges, folded here from ``crit``: if it leaves every unhit edge a
+    free vertex, it is returned, since each of its prefixes blocks less
+    and the odometer would accept it with no cut.  Then the veto
+    certificate answers "no" when some unhit edge lies inside ``forced``
+    plus ``veto``: each candidate contains its member's core, so every
+    combination blocks that edge.  It counts one cut prefix, the empty
+    one, and one ``veto_certified``.  ``extend`` passes X's veto;
     ``find_higher_order`` passes 0, where the certificate cannot fire:
     every unhit edge holds ``forced``, so one inside it would be
     ``forced`` itself, which the first test answered.
@@ -271,9 +246,11 @@ def _higher_order_combo(
     if forced in unhit:
         # that unhit edge is their intersection: nothing avoids it
         return None
-    if first is None:
-        first = _lowest_union(crit, edges)
-    free = ~(forced | first)
+    # every member has a candidate: build_reduced_families returned
+    first = forced
+    for c in crit:
+        first |= edges[(c & -c).bit_length() - 1]
+    free = ~first
     for em in unhit:
         if not em & free:
             break
@@ -404,7 +381,7 @@ def extend(
     sink: Sink | None = None,
     *,
     counters: Counter | None = None,
-    state: tuple[int, list[int], int, int, int] | None = None,
+    state: tuple[int, list[int], int, int] | None = None,
 ) -> ExtensionOutcome:
     """Send every minimal extension of ``x`` avoiding ``y`` that has at
     most one extra vertex to ``sink`` (x itself first if minimal, then
@@ -422,15 +399,14 @@ def extend(
     certificate can answer "no" before the product walk.
 
     ``state`` is the edge classification of ``x`` as ``(uncov, crit,
-    veto, cand, first)``: the edge-index mask of the edges disjoint from
-    x, one edge-index mask per member of x (ascending) of the edges
-    meeting x only there, the veto as a vertex mask, the union of the
-    ``crit`` masks, and the union of each member's lowest candidate edge
-    as a vertex mask (``include_vertex``).  ``enumerate_tr`` carries
-    it down its search tree and passes it at every node, so the node
-    touches only the edges it names; it is only read.  When it is None
-    (the CLI and direct callers) it is folded from the root by
-    ``include_vertex``, one member of x at a time.  Y does not enter it.
+    veto, cand)``: the edge-index mask of the edges disjoint from x, one
+    edge-index mask per member of x (ascending) of the edges meeting x
+    only there, the veto as a vertex mask, and the union of the ``crit``
+    masks (``include_vertex``).  ``enumerate_tr`` carries it down its
+    search tree and passes it at every node, so the node touches only
+    the edges it names; it is only read.  When it is None (the CLI and
+    direct callers) it is folded from the root by ``include_vertex``, one
+    member of x at a time.  Y does not enter it.
     """
     if state is None:
         state = _classify(h, x)
@@ -452,7 +428,7 @@ def extend(
             low = ones & -ones
             sink(_from_mask(n, xm | low))
             ones ^= low
-    if _higher_order_combo(crit, h.edge_masks(), unhit, forced, veto, counters, state[4]) is None:
+    if _higher_order_combo(crit, h.edge_masks(), unhit, forced, veto, counters) is None:
         return _HALT
     # one CONTINUE per live node: the frozen dataclass's __init__ is skipped
     outcome = object.__new__(ExtensionOutcome)

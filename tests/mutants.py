@@ -55,16 +55,8 @@ MUTANTS = [
         # meets them takes the path that changes no member's candidates
         "include-drops-own-from-cand",
         EXTENSION,
-        "        return uncov ^ own, crit + [own], veto, cand | own, first | low\n",
-        "        return uncov ^ own, crit + [own], veto, cand, first | low\n",
-        [CARRIED_STATE, BD40_PINS],
-    ),
-    (
-        # the first combination keeps an edge v took from a member
-        "include-keeps-lost-first",
-        EXTENSION,
-        "        first = _lowest_union(child, edges)\n",
-        "        first |= low\n",
+        "        return uncov ^ own, crit + [own], veto, cand | own\n",
+        "        return uncov ^ own, crit + [own], veto, cand\n",
         [CARRIED_STATE, BD40_PINS],
     ),
     (
@@ -81,6 +73,16 @@ MUTANTS = [
         EXTENSION,
         "            if not t & ~p:\n",
         "            if not p & ~t:\n",
+        [SHORTCUTS, BD40_PINS],
+    ),
+    (
+        # after a deeper member runs out, the member above it moves off its
+        # highest candidate instead of its current lowest one, so the walk
+        # skips combinations and may miss the first witness
+        "odometer-backtracks-highest-bit",
+        EXTENSION,
+        "            rest[i] &= rest[i] - 1\n",
+        "            rest[i] ^= 1 << (rest[i].bit_length() - 1)\n",
         [SHORTCUTS, BD40_PINS],
     ),
     (

@@ -279,17 +279,9 @@ def _fresh_state(h, xm):
     return uncov, crit
 
 
-def _fresh_unions(h, crit):
-    """The union of the ``crit`` masks, and that of each member's lowest
-    candidate edge, read edge by edge."""
-    edges = h.edge_masks()
-    cand = first = 0
-    for c in crit:
-        cand |= c
-        low = next((idx for idx in range(h.m) if c >> idx & 1), None)
-        if low is not None:
-            first |= edges[low]
-    return cand, first
+def _fresh_cand(h, crit):
+    """The union of the ``crit`` masks, read edge by edge."""
+    return sum(1 << idx for idx in range(h.m) if any(c >> idx & 1 for c in crit))
 
 
 def _fresh_veto(h, crit):
@@ -309,8 +301,8 @@ def _fresh_veto(h, crit):
 
 
 def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
-    """At every node the (uncov, crit, veto, cand, first) state the tree
-    search carries equals the classification, veto and unions counted
+    """At every node the (uncov, crit, veto, cand) state the tree search
+    carries equals the classification, veto and candidate union counted
     from scratch, and extend given that state emits and returns exactly
     what it does without it.
     The corpus, bd40 and bench's sparse class carry low-degree
@@ -321,10 +313,10 @@ def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
     def checked(h, x, y, sink=None, *, counters=None, state=None):
         nonlocal nodes
         nodes += 1
-        uncov, crit, veto, cand, first = state
+        uncov, crit, veto, cand = state
         assert (uncov, list(crit)) == _fresh_state(h, x.mask), (h, x, y)
         assert veto == _fresh_veto(h, crit), (h, x, y)
-        assert (cand, first) == _fresh_unions(h, crit), (h, x, y)
+        assert cand == _fresh_cand(h, crit), (h, x, y)
         fresh_got: list[VertexSet] = []
         fresh = real(h, x, y, fresh_got.append)
         got: list[VertexSet] = []
@@ -359,7 +351,7 @@ def _walk_every_free_vertex(h: Hypergraph) -> list[int]:
     incidence = h.incidence
     full = (1 << h.n) - 1
     got: list[int] = []
-    stack = [(0, 0, ((1 << h.m) - 1, [], 0, 0, 0))]
+    stack = [(0, 0, ((1 << h.m) - 1, [], 0, 0))]
     while stack:
         xm, ym, state = stack.pop()
         outcome = extend(

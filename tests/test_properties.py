@@ -4,7 +4,8 @@ A fixed seed draws ``COUNT`` random hypergraphs with n <= 10 and m <= 14,
 some holding the empty edge or an edge drawn twice (``random_hypergraph``).
 On each:
 
-- ``enumerate_tr`` gives ``brute_tr``'s sets, with no repeats;
+- ``enumerate_tr`` and ``enumerate_incremental`` each give
+  ``brute_tr``'s sets, with no repeats;
 - Tr(Tr(H)) = min H (Berge's duality);
 - relabelling the vertices by a random permutation relabels Tr(H) the
   same way, a property the order-pinning digests cannot see;
@@ -20,6 +21,15 @@ On each:
 
 A failing instance is shrunk, by dropping edges and then vertices while
 the check still fails, and the failure prints its ``.hg`` text.
+
+A second fixed seed draws ``UNIFORM_COUNT`` 3-uniform hypergraphs
+(``uniform_instance`` with n from 5 to 9 and m from 4 to 40).  On each,
+``enumerate_maximal_hypercliques`` gives ``brute_max_cliques``'s sets and
+``enumerate_maximal_independent_sets`` the complements of ``brute_tr``'s,
+each with no repeats.  Both run the tree search at high degree, on the
+draw's 3-uniform complement (empty on 22 draws that hold every triple,
+of degree up to 28 on the rest) and on the draw itself, so the product
+search's first-combination test and its sift run on most calls.
 """
 
 from __future__ import annotations
@@ -30,10 +40,15 @@ from typing import Callable
 import pytest
 
 from transversal import Hypergraph, VertexSet
+from transversal.cliques import (
+    enumerate_maximal_hypercliques,
+    enumerate_maximal_independent_sets,
+)
 from transversal.core import iter_bits, minimize_edges, serialize
-from transversal.enumeration import enumerate_tr
+from transversal.enumeration import enumerate_incremental, enumerate_tr
+from transversal.generators import uniform_instance
 from transversal.hitting import is_minimal_hitting_set
-from transversal.oracle import brute_rank, brute_tr
+from transversal.oracle import brute_max_cliques, brute_rank, brute_tr
 from transversal.rank import rank_at_least, transversal_rank
 from transversal.verify import MissingSolution, verify_tr
 
@@ -41,30 +56,40 @@ from conftest import random_hypergraph
 
 SEED = 0x7A2B
 COUNT = 300
+UNIFORM_SEED = 0x3C1D
+UNIFORM_COUNT = 60
 
 # a check maps (H, permutation seed) to a failure message, or None
 Check = Callable[[Hypergraph, int], "str | None"]
 
 
-def tr_masks(h: Hypergraph) -> list[int]:
+def output_masks(h: Hypergraph, route: Callable = enumerate_tr) -> list[int]:
     got: list[int] = []
-    enumerate_tr(h, lambda t: got.append(t.mask))
+    route(h, lambda t: got.append(t.mask))
     return got
 
 
-def matches_oracle(h: Hypergraph, _seed: int) -> str | None:
-    got = tr_masks(h)
+def _differs(name: str, got: list[int], want: set[int]) -> str | None:
+    """A failure message unless ``got`` is ``want`` with no repeats."""
     if len(got) != len(set(got)):
-        return f"repeated outputs: {sorted(got)}"
-    want = {t.mask for t in brute_tr(h)}
+        return f"{name} repeats outputs: {sorted(got)}"
     if set(got) != want:
-        return f"tree {sorted(got)} != oracle {sorted(want)}"
+        return f"{name} {sorted(got)} != oracle {sorted(want)}"
     return None
 
 
+def matches_oracle(h: Hypergraph, _seed: int) -> str | None:
+    return _differs("tree", output_masks(h), {t.mask for t in brute_tr(h)})
+
+
+def incremental_route(h: Hypergraph, _seed: int) -> str | None:
+    got = output_masks(h, enumerate_incremental)
+    return _differs("incremental", got, {t.mask for t in brute_tr(h)})
+
+
 def duality(h: Hypergraph, _seed: int) -> str | None:
-    tr = Hypergraph(h.n, [VertexSet(h.n, t) for t in tr_masks(h)])
-    back = set(tr_masks(tr))
+    tr = Hypergraph(h.n, [VertexSet(h.n, t) for t in output_masks(h)])
+    back = set(output_masks(tr))
     want = set(minimize_edges(h).edge_masks())
     if back != want:
         return f"Tr(Tr(H)) {sorted(back)} != min H {sorted(want)}"
@@ -78,8 +103,8 @@ def relabelling(h: Hypergraph, seed: int) -> str | None:
         return sum(1 << perm[v] for v in iter_bits(mask))
 
     g = Hypergraph(h.n, [VertexSet(h.n, moved(e)) for e in h.edge_masks()])
-    got = set(tr_masks(g))
-    want = {moved(t) for t in tr_masks(h)}
+    got = set(output_masks(g))
+    want = {moved(t) for t in output_masks(h)}
     if got != want:
         return f"Tr(pi H) {sorted(got)} != pi Tr(H) {sorted(want)}, pi = {perm}"
     return None
@@ -174,7 +199,8 @@ def test_the_draw_covers_the_degenerate_shapes():
 
 
 @pytest.mark.parametrize(
-    "check", [matches_oracle, duality, relabelling, rank_deciders, verify_route]
+    "check",
+    [matches_oracle, incremental_route, duality, relabelling, rank_deciders, verify_route],
 )
 def test_property_holds_on_random_hypergraphs(check: Check):
     for i, h in enumerate(INSTANCES):
@@ -186,6 +212,23 @@ def test_property_holds_on_random_hypergraphs(check: Check):
                 f"{check.__name__} fails on instance {i}: {failure}\n"
                 f"shrunk to {check(small, seed)} on:\n{serialize(small)}"
             )
+
+
+def test_clique_routes_match_the_oracles_on_uniform_hypergraphs():
+    rng = random.Random(UNIFORM_SEED)
+    for i in range(UNIFORM_COUNT):
+        h = uniform_instance(rng, rng.randint(5, 9), rng.randint(4, 40), 3)
+        full = (1 << h.n) - 1
+        failure = _differs(
+            "hypercliques",
+            output_masks(h, enumerate_maximal_hypercliques),
+            {c.mask for c in brute_max_cliques(h)},
+        ) or _differs(
+            "independent sets",
+            output_masks(h, enumerate_maximal_independent_sets),
+            {full & ~t.mask for t in brute_tr(h)},
+        )
+        assert failure is None, f"draw {i}: {failure}\n{serialize(h)}"
 
 
 def test_shrink_keeps_a_failing_core():

@@ -10,13 +10,13 @@ brute-force cross-check, ``oracle.brute_rank``, shares no code with them.
 
 Both scans walk their subsets in colex order, each by its own flat
 loop, top element first, and each keeps the full scan's first hit.  The
-look-ahead cuts a prefix P in which some vertex has lost its last
-private edge (no seed below it extends).  Asked for k, it also tries
-only canonical seeds: a minimal hitting set T of k or more vertices has
-one colex-smallest (k-2)-subset, its k-2 lowest vertices L(T), and the
-full scan's first hit S is L(T) for its own witness T: L(T) comes no
-later than S in colex order, and T extends it too.  So the walk skips a
-seed that no such T can have as L(T):
+look-ahead tries only canonical seeds: a minimal hitting set T of k or
+more vertices has one colex-smallest (k-2)-subset, its k-2 lowest
+vertices L(T), and the full scan's first hit S is L(T) for its own
+witness T: L(T) comes no later than S in colex order, and T extends it
+too.  So the walk skips a seed that no such T can have as L(T):
+- one below a prefix P in which some vertex has lost its last private
+  edge: every vertex of T keeps one;
 - one below a prefix P with fewer than k - |P| uncovered edges: each
   vertex T adds to P needs a private edge of its own, and that edge
   misses P;
@@ -61,34 +61,35 @@ __all__ = [
 
 
 def _irredundant_seeds(
-    h: Hypergraph, size: int, k: int | None = None, counters: Counter | None = None
+    h: Hypergraph, k: int, counters: Counter | None = None
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, list[int]]]]:
-    """The size-subsets of the vertices in which every member keeps a
-    private edge (one meeting the subset only in it), in colex order, each
-    with its edge classification ``(uncov, crit)`` (``crit`` ascending by
-    member, as ``extend`` takes it).
+    """The (k-2)-subsets of the vertices that can be the k-2 lowest
+    vertices of a minimal hitting set T of k or more vertices, in colex
+    order, each with its edge classification ``(uncov, crit)`` (``crit``
+    ascending by member, as ``extend`` takes it).
 
     One flat walk, top member first: a prefix is a set of high vertices
     and the next member is tried in ascending order below its lowest one.
     The walk carries the prefix's ``uncov``/``crit`` masks, updated as
-    ``extension.include_vertex`` does; they only shrink as vertices join,
-    so once one is 0 the colex block below the prefix is skipped (only a
-    vertex meeting their union can empty one).  Given ``k``, it yields
-    only seeds that can be the ``size`` lowest vertices of a minimal
-    hitting set T of k or more vertices; the rest of such a T lies above
-    the seed's top member.  It skips a vertex v whose prefix P (v
-    included) fails either of two tests:
+    ``extension.include_vertex`` does, and skips a vertex v whose prefix
+    P (v included) fails any of three tests:
+    - every member keeps a private edge: v meets an uncovered edge, and
+      no member's ``crit`` mask loses its last edge to v; the masks only
+      shrink as vertices join, so the colex block below a dead prefix
+      holds no seed;
     - P has at least k - |P| uncovered edges: each vertex T adds to P
       needs a private edge of its own, and that edge misses P;
     - each uncovered edge meets a vertex above the top member or, while
-      members are still to come, a vertex below v; ``above`` and
-      ``below`` hold, per vertex, the union of the edges meeting a
-      vertex above or below it.
+      members are still to come, a vertex below v: T's vertices outside
+      the seed lie above its top member.  ``above`` and ``below`` hold,
+      per vertex, the union of the edges meeting a vertex above or below
+      it.
     Each prefix that passes every test (each seed included) is counted
     once, and the count is added to ``counters["lookahead_prefixes"]``
     when the walk ends or is closed.
     """
     n = h.n
+    size = k - 2
     if size > n:
         return
     root = (1 << h.m) - 1
@@ -96,17 +97,15 @@ def _irredundant_seeds(
         yield (), (root, [])
         return
     incidence = h.incidence
-    if k is not None:
-        below = [0] * n
-        above = [0] * n
-        for v in range(1, n):
-            below[v] = below[v - 1] | incidence[v - 1]
-            above[n - 1 - v] = above[n - v] | incidence[n - v]
+    below = [0] * n
+    above = [0] * n
+    for v in range(1, n):
+        below[v] = below[v - 1] | incidence[v - 1]
+        above[n - 1 - v] = above[n - v] | incidence[n - v]
     last = size - 1
     # per depth j (members chosen so far): the prefix's classification,
     # and the vertex chosen there; members lie below ``bound``
     uncovs = [root] * size
-    privs = [0] * size  # the union of the members' private edges
     crits: list[list[int]] = [[]] * size
     chosen = [0] * size
     prefixes = 0
@@ -129,29 +128,20 @@ def _irredundant_seeds(
                 v += 1  # v meets no uncovered edge, so it has no private one
                 continue
             child_uncov = uncov ^ cv
-            if k is not None:
-                if child_uncov.bit_count() < k - j - 1:
-                    v += 1
-                    continue
-                reach = above[chosen[0] if j else v]
-                if j < last:
-                    reach |= below[v]
-                if child_uncov & ~reach:
-                    v += 1  # no vertex that can still join meets some uncovered edge
-                    continue
-            crit = crits[j]
-            taken = privs[j] & ev  # the members' private edges v meets
-            if taken:
-                for c in crit:
-                    if c & taken == c:
-                        break  # v takes every private edge of this member
-                if c & taken == c:
-                    v += 1
-                    continue
-                keep = ~taken
-                child = [c & keep for c in crit]
-            else:
-                child = crit.copy()
+            if child_uncov.bit_count() < k - j - 1:
+                v += 1
+                continue
+            reach = above[chosen[0] if j else v]
+            if j < last:
+                reach |= below[v]
+            if child_uncov & ~reach:
+                v += 1  # no vertex that can still join meets some uncovered edge
+                continue
+            nev = ~ev
+            child = [c & nev for c in crits[j]]
+            if 0 in child:
+                v += 1  # v takes every private edge of some member
+                continue
             child.append(cv)
             prefixes += 1
             chosen[j] = v
@@ -162,7 +152,6 @@ def _irredundant_seeds(
                 continue
             j += 1
             uncovs[j] = child_uncov
-            privs[j] = privs[j - 1] ^ taken | cv
             crits[j] = child
             bound = v
             v = last - j
@@ -213,12 +202,11 @@ def rank_at_least_lookahead(
 
     For k >= 2, a set of k-2 vertices with a higher-order minimal
     extension is searched (colex order, first hit wins).  Only canonical
-    seeds are tried: ones in which every vertex keeps a private edge and
-    that can be the k-2 lowest vertices of a minimal hitting set of k or
-    more vertices (see ``_irredundant_seeds``).  The full colex scan's
-    first hit is such a seed for its own witness, and every seed before
-    it fails, so the first hit, asked with no vertex forbidden, is the
-    full scan's.
+    seeds are tried: ones that pass ``_irredundant_seeds``'s three tests
+    for being the k-2 lowest vertices of a minimal hitting set of k or
+    more vertices.  The full colex scan's first hit is such a seed for
+    its own witness, and every seed before it fails, so the first hit,
+    asked with no vertex forbidden, is the full scan's.
     From the certifying combination, the union of the seed with
     everything outside the chosen edges and the forced vertices is a
     hitting superset whose minimization necessarily keeps the seed and at
@@ -232,7 +220,7 @@ def rank_at_least_lookahead(
     n = h.n
     full = (1 << n) - 1
     masks = h.edge_masks()
-    with closing(_irredundant_seeds(h, k - 2, k, counters)) as seeds:
+    with closing(_irredundant_seeds(h, k, counters)) as seeds:
         for seed_tuple, state in seeds:
             seed = VertexSet.from_iterable(n, seed_tuple)
             witness = find_higher_order(h, seed, counters=counters, state=state)

@@ -32,6 +32,7 @@ TESTS_FAILED = 1
 
 EXTENSION = "transversal/extension.py"
 RANK = "transversal/rank.py"
+CLI = "transversal/cli.py"
 BD40_PINS = "tests/test_enumeration.py::test_bd40_tree_work_counts"
 SHORTCUTS = "tests/test_extension.py::test_product_shortcuts_match_the_odometer"
 TREE_NODES = "tests/test_extension.py::test_extend_decides_as_the_product_search_on_tree_nodes"
@@ -107,7 +108,7 @@ MUTANTS = [
         # member, though members still to come below v could hit it
         "seed-interval-drops-below",
         RANK,
-        "                if j < last:\n                    reach |= below[v]\n",
+        "            if j < last:\n                reach |= below[v]\n",
         "",
         [COLEX_SCAN, PROPERTIES + "[rank_deciders]"],
     ),
@@ -115,9 +116,35 @@ MUTANTS = [
         # sound but weaker: the seed walk without its interval cut
         "seed-interval-cut-removed",
         RANK,
-        "                if child_uncov & ~reach:\n",
-        "                if False:\n",
+        "            if child_uncov & ~reach:\n",
+        "            if False:\n",
         [RANK_SKIPS, BR30_LOOKAHEAD],
+    ),
+    (
+        # sound but weaker: a prefix with a member that lost its last
+        # private edge still grows, so the answers hold and prefixes grow
+        "seed-walk-keeps-dead-member",
+        RANK,
+        "            if 0 in child:\n",
+        "            if False:\n",
+        [RANK_SKIPS, BR30_LOOKAHEAD],
+    ),
+    (
+        # unsound: the count cut asks one uncovered edge too many, a dead
+        # cut at k + 1 - |P|
+        "seed-count-cut-off-by-one",
+        RANK,
+        "< k - j - 1:",
+        "< k - j:",
+        [COLEX_SCAN, PROPERTIES + "[rank_deciders]"],
+    ),
+    (
+        # each dispatch builds its own parser instead of the cached one
+        "parser-built-per-call",
+        CLI,
+        "        args = _parser().parse_args(argv)\n",
+        "        args = build_parser().parse_args(argv)\n",
+        ["tests/test_cli.py::test_one_parser_per_process"],
     ),
 ]
 

@@ -17,24 +17,33 @@ On each:
 - ``verify_tr`` finds G = Tr(H) (``brute_tr``) equal to H's transversal
   hypergraph, and on G minus one set gives a ``MissingSolution`` whose
   ``s`` is a minimal hitting set of that G holding no edge of H and
-  whose ``t`` is the dropped set.
+  whose ``t`` is the dropped set;
+- the conformal degree is ``brute_conformal_degree``'s d, and for every
+  k from 1 to n + 1 ``is_k_conformal`` answers "conformal" exactly when
+  d <= k; each counterexample has more than k vertices, each of its
+  k-subsets lies inside some edge, and it lies inside none.  The
+  k-test asks the look-ahead decider about the edge complement, which
+  is dense where H is sparse.
 
 A failing instance is shrunk, by dropping edges and then vertices while
 the check still fails, and the failure prints its ``.hg`` text.
 
 A second fixed seed draws ``UNIFORM_COUNT`` 3-uniform hypergraphs
-(``uniform_instance`` with n from 5 to 9 and m from 4 to 40).  On each,
-``enumerate_maximal_hypercliques`` gives ``brute_max_cliques``'s sets and
-``enumerate_maximal_independent_sets`` the complements of ``brute_tr``'s,
-each with no repeats.  Both run the tree search at high degree, on the
-draw's 3-uniform complement (empty on 22 draws that hold every triple,
-of degree up to 28 on the rest) and on the draw itself, so the product
-search's first-combination test and its sift run on most calls.
+(``uniform_instance`` with n from 5 to 9 and m from 4 to the smaller of
+40 and C(n, 3) - 1).  On each, ``enumerate_maximal_hypercliques`` gives
+``brute_max_cliques``'s sets and ``enumerate_maximal_independent_sets``
+the complements of ``brute_tr``'s, each with no repeats.  Both run the
+tree search at high degree, on the draw's 3-uniform complement (never
+empty, since each draw misses some triple; of degree up to 28) and on
+the draw itself, so the product search's first-combination test and its
+sift run on most calls.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from math import comb
 from typing import Callable
 
 import pytest
@@ -44,11 +53,17 @@ from transversal.cliques import (
     enumerate_maximal_hypercliques,
     enumerate_maximal_independent_sets,
 )
+from transversal.conformal import conformal_degree, is_k_conformal
 from transversal.core import iter_bits, minimize_edges, serialize
 from transversal.enumeration import enumerate_incremental, enumerate_tr
 from transversal.generators import uniform_instance
 from transversal.hitting import is_minimal_hitting_set
-from transversal.oracle import brute_max_cliques, brute_rank, brute_tr
+from transversal.oracle import (
+    brute_conformal_degree,
+    brute_max_cliques,
+    brute_rank,
+    brute_tr,
+)
 from transversal.rank import rank_at_least, transversal_rank
 from transversal.verify import MissingSolution, verify_tr
 
@@ -57,7 +72,7 @@ from conftest import random_hypergraph
 SEED = 0x7A2B
 COUNT = 300
 UNIFORM_SEED = 0x3C1D
-UNIFORM_COUNT = 60
+UNIFORM_COUNT = 100
 
 # a check maps (H, permutation seed) to a failure message, or None
 Check = Callable[[Hypergraph, int], "str | None"]
@@ -163,6 +178,33 @@ def verify_route(h: Hypergraph, seed: int) -> str | None:
     return None
 
 
+def conformality(h: Hypergraph, _seed: int) -> str | None:
+    want = brute_conformal_degree(h)
+    got = conformal_degree(h)
+    if got != want:
+        return f"conformal_degree {got} != oracle {want}"
+    masks = h.edge_masks()
+
+    def inside(s: int) -> bool:
+        return any(s & ~e == 0 for e in masks)
+
+    for k in range(1, h.n + 2):
+        verdict = is_k_conformal(h, k)
+        if verdict.ok != (want <= k):
+            return f"is_k_conformal({k}) is {verdict}, degree {want}"
+        c = verdict.counterexample
+        if c is not None and (
+            len(c) <= k
+            or inside(c.mask)
+            or not all(
+                inside(sum(1 << v for v in sub))
+                for sub in itertools.combinations(c.members(), k)
+            )
+        ):
+            return f"is_k_conformal({k}) counterexample {c.members()}"
+    return None
+
+
 def _without_vertex(h: Hypergraph, v: int) -> Hypergraph:
     """H restricted to the other vertices, renumbered in order."""
     low = (1 << v) - 1
@@ -200,7 +242,15 @@ def test_the_draw_covers_the_degenerate_shapes():
 
 @pytest.mark.parametrize(
     "check",
-    [matches_oracle, incremental_route, duality, relabelling, rank_deciders, verify_route],
+    [
+        matches_oracle,
+        incremental_route,
+        duality,
+        relabelling,
+        rank_deciders,
+        verify_route,
+        conformality,
+    ],
 )
 def test_property_holds_on_random_hypergraphs(check: Check):
     for i, h in enumerate(INSTANCES):
@@ -217,7 +267,9 @@ def test_property_holds_on_random_hypergraphs(check: Check):
 def test_clique_routes_match_the_oracles_on_uniform_hypergraphs():
     rng = random.Random(UNIFORM_SEED)
     for i in range(UNIFORM_COUNT):
-        h = uniform_instance(rng, rng.randint(5, 9), rng.randint(4, 40), 3)
+        n = rng.randint(5, 9)
+        # fewer than every triple, so the complement keeps an edge
+        h = uniform_instance(rng, n, rng.randint(4, min(40, comb(n, 3) - 1)), 3)
         full = (1 << h.n) - 1
         failure = _differs(
             "hypercliques",

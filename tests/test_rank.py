@@ -60,6 +60,23 @@ def colex_combinations(n: int, size: int) -> list[tuple[int, ...]]:
     return sorted(itertools.combinations(range(n), size), key=lambda c: c[::-1])
 
 
+def keeps_private(h, seed, v) -> bool:
+    """Whether v has a private edge in ``seed``: one meeting it only in v."""
+    others = VertexSet.from_iterable(h.n, seed).without_vertex(v)
+    return any(v in e and e.isdisjoint(others) for e in h.edges)
+
+
+def irredundant_colex(h, size):
+    """The size-subsets in which every member keeps a private edge, in
+    colex order, each with its ``fresh_state``: the plain scan that the
+    seed walk filters."""
+    return [
+        (seed, fresh_state(h, seed))
+        for seed in colex_combinations(h.n, size)
+        if all(keeps_private(h, seed, v) for v in seed)
+    ]
+
+
 def count_cut(h, seed, k) -> bool:
     """Whether the uncovered-edge count cut drops ``seed`` asked for k:
     some prefix P of its highest members has fewer than k - |P|
@@ -69,13 +86,28 @@ def count_cut(h, seed, k) -> bool:
     )
 
 
+def interval_cut(h, seed) -> bool:
+    """Whether the interval cut drops ``seed``: some prefix P of its
+    highest members leaves an edge uncovered that meets no vertex above
+    the top member nor, while members are still to come, below P's
+    lowest one."""
+    for i in range(1, len(seed) + 1):
+        prefix = seed[-i:]
+        for e in h.edges:
+            if any(v in e for v in prefix):
+                continue
+            if not any(u > seed[-1] or (i < len(seed) and u < prefix[0]) for u in e):
+                return True
+    return False
+
+
 def in_order_within(items, seq) -> bool:
     """Whether ``items`` is a subsequence of ``seq``."""
     rest = iter(seq)
     return all(any(item == other for other in rest) for item in items)
 
 
-def test_colex_order():
+def test_colex_order(corpus):
     assert list(colex_combinations(4, 2)) == [
         (0, 1),
         (0, 2),
@@ -86,12 +118,11 @@ def test_colex_order():
     ]
     assert list(colex_combinations(3, 0)) == [()]
     assert list(colex_combinations(2, 3)) == []
-    # over n singleton edges every member keeps its own private edge, so
-    # the seed walk cuts nothing and visits exactly that order
-    for n, size in ((4, 2), (3, 0), (2, 3), (7, 3)):
-        h = Hypergraph(n, [(v,) for v in range(n)])
-        walked = [s for s, _ in _irredundant_seeds(h, size)]
-        assert walked == colex_combinations(n, size), (n, size)
+    # the seed walk visits its seeds in strictly increasing colex order
+    for h in corpus:
+        for k in range(2, h.n + 4):
+            keys = [seed[::-1] for seed, _ in _irredundant_seeds(h, k)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (h, k)
 
 
 class TestLookahead:
@@ -125,30 +156,26 @@ class TestLookahead:
         assert rank_at_least_lookahead(h, 1) is None
 
     def test_seed_walk_is_filtered_colex(self, corpus):
-        def keeps_private(h, seed, v):
-            others = VertexSet.from_iterable(h.n, seed).without_vertex(v)
-            return any(v in e and e.isdisjoint(others) for e in h.edges)
-
+        """Asked for k, the walk is the plain scan of (k-2)-subsets less
+        the seeds that the count cut or the interval cut drops, each with
+        its own edge classification."""
         for h in corpus:
-            for size in range(0, h.n + 2):
+            for k in range(2, h.n + 4):
                 want = [
-                    seed
-                    for seed in colex_combinations(h.n, size)
-                    if all(keeps_private(h, seed, v) for v in seed)
+                    (seed, state)
+                    for seed, state in irredundant_colex(h, k - 2)
+                    if not count_cut(h, seed, k) and not interval_cut(h, seed)
                 ]
-                got = list(_irredundant_seeds(h, size))
-                assert [seed for seed, _ in got] == want, (h, size)
-                # each seed comes with its own edge classification
-                for seed, state in got:
-                    assert state == fresh_state(h, seed), (h, seed)
+                assert list(_irredundant_seeds(h, k)) == want, (h, k)
 
     def test_targeted_walk_keeps_every_succeeding_seed(self, corpus, corpus_tr):
-        """Asked for k, the walk yields seeds of the plain walk, in order,
-        each with its plain state.  It drops no seed that is the k - 2
-        lowest vertices of a minimal hitting set of k or more vertices
-        (``brute_tr``), its first ``find_higher_order`` hit is the plain
-        walk's, and on each bounded-rank input the interval cut drops some
-        seed that the uncovered-edge count cut keeps."""
+        """Asked for k, the walk yields seeds of the plain scan
+        (``irredundant_colex``), in order, each with its plain state.  It
+        drops no seed that is the k - 2 lowest vertices of a minimal
+        hitting set of k or more vertices (``brute_tr``), its first
+        ``find_higher_order`` hit is the plain scan's, and on each
+        bounded-rank input the interval cut drops some seed that the
+        uncovered-edge count cut keeps."""
 
         def first_hit(h, walk):
             for seed, state in walk:
@@ -171,22 +198,22 @@ class TestLookahead:
             ranked.append(h)
             cases.append((h, brute_tr(h)))
         cut = 0
-        interval_cut = Counter()
+        interval_drops = Counter()
         for h, tr in cases:
             for k in range(2, h.n + 2):
-                plain = list(_irredundant_seeds(h, k - 2))
-                targeted = list(_irredundant_seeds(h, k - 2, k))
+                plain = irredundant_colex(h, k - 2)
+                targeted = list(_irredundant_seeds(h, k))
                 assert in_order_within(targeted, plain), (h, k)
                 kept = {seed for seed, _ in targeted}
                 lowest = {t.members()[: k - 2] for t in tr if len(t) >= k}
                 assert lowest <= kept, (h, k, lowest - kept)
                 assert first_hit(h, targeted) == first_hit(h, plain), (h, k)
                 cut += len(plain) - len(targeted)
-                interval_cut[id(h)] += sum(
+                interval_drops[id(h)] += sum(
                     seed not in kept and not count_cut(h, seed, k) for seed, _ in plain
                 )
         assert cut > 1_000
-        assert all(interval_cut[id(h)] for h in ranked)
+        assert all(interval_drops[id(h)] for h in ranked)
 
     def test_matches_full_colex_scan(self, corpus):
         """The seed skip keeps the first hit of the plain colex scan."""

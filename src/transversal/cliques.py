@@ -17,7 +17,7 @@ delivered.
 
 from __future__ import annotations
 
-from .core import Hypergraph, VertexSet, uniform_complement
+from .core import Hypergraph, VertexSet, _uniform_rank, uniform_complement
 from .enumeration import DelayStats, Sink, enumerate_tr, stream
 
 __all__ = [
@@ -25,19 +25,6 @@ __all__ = [
     "enumerate_maximal_hypercliques",
     "enumerate_maximal_independent_sets",
 ]
-
-def _uniform_rank(h: Hypergraph, r: int | None) -> int:
-    sizes = {e.bit_count() for e in h.edge_masks()}
-    if len(sizes) > 1:
-        raise ValueError("hypergraph is not uniform")
-    if sizes:
-        found = sizes.pop()
-        if r is not None and r != found:
-            raise ValueError(f"hypergraph is {found}-uniform, not {r}-uniform")
-        return found
-    if r is None:
-        raise ValueError("edge size is ambiguous for an edgeless hypergraph; pass r")
-    return r
 
 
 def _complements_of_tr(
@@ -72,9 +59,7 @@ def enumerate_maximal_cliques(
     between two outputs is polynomial in the graph size regardless of how
     many cliques came before.
     """
-    for e in g.edge_masks():
-        if e.bit_count() != 2:
-            raise ValueError("clique enumeration needs a 2-uniform hypergraph")
+    _uniform_rank(g, 2)
     n = g.n
     adj = [0] * n
     for e in g.edge_masks():

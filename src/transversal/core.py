@@ -445,6 +445,22 @@ def _subset_masks(vertices: Iterable[int], r: int) -> Iterator[int]:
 MAX_UNIFORM_COMPLEMENT_EDGES = 1 << 20
 
 
+def _uniform_rank(h: Hypergraph, r: int | None) -> int:
+    """The size every edge of ``h`` has, checked against ``r`` when given;
+    an edgeless ``h`` needs ``r``.  A ``ValueError`` otherwise."""
+    sizes = {e.bit_count() for e in h.edge_masks()}
+    if len(sizes) > 1:
+        raise ValueError("hypergraph is not uniform")
+    if sizes:
+        found = sizes.pop()
+        if r is not None and r != found:
+            raise ValueError(f"hypergraph is {found}-uniform, not {r}-uniform")
+        return found
+    if r is None:
+        raise ValueError("edge size is ambiguous for an edgeless hypergraph; pass r")
+    return r
+
+
 def uniform_complement(h: Hypergraph, r: int) -> Hypergraph:
     """All ``r``-subsets of the universe that are not edges of ``h``.
 
@@ -454,9 +470,7 @@ def uniform_complement(h: Hypergraph, r: int) -> Hypergraph:
     """
     if r < 0:
         raise ValueError("r must be non-negative")
-    for e in h.edge_masks():
-        if e.bit_count() != r:
-            raise ValueError("hypergraph is not r-uniform")
+    _uniform_rank(h, r)
     size = math.comb(h.n, r) - h.m
     if size > MAX_UNIFORM_COMPLEMENT_EDGES:
         raise ValueError(

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Callable
 
 from .core import Hypergraph
 
@@ -84,6 +85,26 @@ def bounded_degree_instance(
     return Hypergraph(n, edges)
 
 
+def _distinct_edges(
+    rng: random.Random, n: int, m: int, space: int, size: Callable[[], int]
+) -> Hypergraph:
+    """Up to ``m`` distinct edges, each ``size()`` vertices of the universe
+    drawn at random, in at most ``50·m`` attempts; stops once all
+    ``space`` edges the draws can give are drawn."""
+    goal = min(m, space)
+    edges: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
+    attempts = m * _ATTEMPT_FACTOR
+    while len(edges) < goal and attempts > 0:
+        attempts -= 1
+        edge = tuple(sorted(rng.sample(range(n), size())))
+        if edge in seen:
+            continue
+        seen.add(edge)
+        edges.append(edge)
+    return Hypergraph(n, edges)
+
+
 def bounded_rank_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergraph:
     """Up to ``m`` distinct edges of size between 1 and ``r``.
 
@@ -95,19 +116,8 @@ def bounded_rank_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergr
         raise ValueError("need m >= 0")
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    goal = min(m, _edge_space(n, r))
-    edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    attempts = m * _ATTEMPT_FACTOR
-    while len(edges) < goal and attempts > 0:
-        attempts -= 1
-        size = rng.randint(1, min(r, n))
-        edge = tuple(sorted(rng.sample(range(n), size)))
-        if edge in seen:
-            continue
-        seen.add(edge)
-        edges.append(edge)
-    return Hypergraph(n, edges)
+    top = min(r, n)
+    return _distinct_edges(rng, n, m, _edge_space(n, r), lambda: rng.randint(1, top))
 
 
 def uniform_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergraph:
@@ -121,18 +131,7 @@ def uniform_instance(rng: random.Random, n: int, m: int, r: int) -> Hypergraph:
         raise ValueError("need m >= 0")
     if not 1 <= r <= n:
         raise ValueError("need 1 <= r <= n")
-    goal = min(m, math.comb(n, r))
-    edges: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    attempts = m * _ATTEMPT_FACTOR
-    while len(edges) < goal and attempts > 0:
-        attempts -= 1
-        edge = tuple(sorted(rng.sample(range(n), r)))
-        if edge in seen:
-            continue
-        seen.add(edge)
-        edges.append(edge)
-    return Hypergraph(n, edges)
+    return _distinct_edges(rng, n, m, math.comb(n, r), lambda: r)
 
 
 def _pad_sequence(

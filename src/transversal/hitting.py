@@ -1,10 +1,20 @@
-"""Hitting-set predicates and minimization of a hitting set, on edge masks."""
+"""Hitting-set predicates and minimization of a hitting set, on edge masks.
+
+The package's one minimality test, ``_first_not_minimal``, packs H's
+edges in lanes (``core._pack_lanes``), as ``minimize_edges`` and the
+edge-family rank decider do, and tests each candidate t against all of
+them at once: lane i of ``packed & (t * ones)`` holds e_i & t.  An empty
+lane is an edge of H that t misses, and a lane with one vertex a private
+edge, so t is minimal when it leaves no lane empty and its one-vertex
+lanes cover it.  ``is_minimal_hitting_set`` asks it about one set, and
+``verify_tr`` about every edge of G against one packing of H.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
 
-from .core import Hypergraph, VertexSet
+from .core import Hypergraph, VertexSet, _pack_lanes
 
 __all__ = [
     "is_hitting_set",
@@ -17,17 +27,32 @@ def hits_all_masks(edge_masks: tuple[int, ...], t: int) -> bool:
     return all(e & t for e in edge_masks)
 
 
-def is_minimal_mask(edge_masks: tuple[int, ...], t: int) -> bool:
-    if not hits_all_masks(edge_masks, t):
-        return False
-    needed = 0
-    for e in edge_masks:
-        et = e & t
-        if et & (et - 1) == 0:  # exactly one bit: a private edge
-            needed |= et
-            if needed == t:
-                return True
-    return needed == t
+def _first_not_minimal(g_masks: tuple[int, ...], h_masks: tuple[int, ...], n: int) -> int | None:
+    """The first of ``g_masks`` that is no minimal hitting set of the edges
+    ``h_masks``, or None: the packed-lane test of the module docstring.
+    ``x & (x - 1)`` per lane finds the lanes with two or more vertices,
+    and the rest are folded onto the lowest lane."""
+    packed, ones, low, top = _pack_lanes(h_masks, n)
+    lane = (1 << n) - 1
+    # the shifts that fold every lane onto the lowest one
+    folds = []
+    lanes = len(h_masks)
+    while lanes > 1:
+        lanes = (lanes + 1) // 2
+        folds.append(lanes * (n + 1))
+    for ge in g_masks:
+        meet = packed & (ge * ones)
+        if (meet + low) & top != top:
+            return ge  # an edge of H misses ge
+        # x & (x - 1) per lane: adding each lane's top bit first keeps
+        # the subtraction inside the lane
+        multi = meet & ((meet | top) - ones)
+        singles = meet & ~((((multi + low) & top) >> n) * lane)
+        for shift in folds:
+            singles |= singles >> shift
+        if singles & lane != ge:
+            return ge  # a vertex of ge has no private edge
+    return None
 
 
 def is_hitting_set(h: Hypergraph, t: VertexSet) -> bool:
@@ -37,7 +62,7 @@ def is_hitting_set(h: Hypergraph, t: VertexSet) -> bool:
 
 def is_minimal_hitting_set(h: Hypergraph, t: VertexSet) -> bool:
     """True iff ``t`` hits every edge and each of its vertices has a private edge."""
-    return is_minimal_mask(h.edge_masks(), t.mask)
+    return _first_not_minimal((t.mask,), h.edge_masks(), h.n) is None
 
 
 def minimize(

@@ -4,16 +4,13 @@ incremental enumerator can turn into a fresh solution.
 
 Two checks: every edge of G must be a minimal hitting set of H, and
 every minimal hitting set of G must be an edge of H (the dual check of
-Eiter and Gottlob).  The first packs H's edges in lanes
-(``core._pack_lanes``), as ``minimize_edges`` and the edge-family rank
-decider do, and tests each edge g of G against all of them at once: an
-empty lane of ``packed & (g * ones)`` is an edge of H that g misses, and
-a lane with one vertex a private edge, so g passes when it leaves no
-lane empty and its one-vertex lanes cover it.  The lanes are packed
-only when G has an edge, and released before the dual check.  The
-second enumerates G's minimal hitting sets with the tree search and
-stops at the first that is no edge of H; the ones it passes are
-distinct edges of H, so at most m+1 are ever seen.  That first miss S
+Eiter and Gottlob).  The first is ``hitting``'s packed-lane minimality
+test, which packs H's edges once and tests every edge of G against all
+of them at once; the lanes are packed only when G has an edge, and
+released before the dual check.  The second enumerates G's minimal
+hitting sets with the tree search and stops at the first that is no
+edge of H; the ones it passes are distinct edges of H, so at most m+1
+are ever seen.  That first miss S
 is the counter-witness: the complement of S is a hitting set of H none
 of whose minimal subsets is already in G.  The check's sink records S
 and raises ``StopEnumeration``, which ends that inner enumeration only:
@@ -25,8 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Hypergraph, VertexSet, _pack_lanes
-from .hitting import minimize
+from .core import Hypergraph, VertexSet
+from .hitting import _first_not_minimal, minimize
 from . import enumeration
 
 __all__ = ["VerifyOutcome", "Equal", "NotSubset", "MissingSolution", "verify_tr"]
@@ -61,40 +58,6 @@ class MissingSolution(VerifyOutcome):
 
     s: VertexSet
     t: VertexSet
-
-
-def _first_not_minimal(g_masks: tuple[int, ...], h_masks: tuple[int, ...], n: int) -> int | None:
-    """The first of ``g_masks`` that is no minimal hitting set of the edges
-    ``h_masks``, or None.
-
-    H's edges are packed in lanes (``core._pack_lanes``), so each edge g
-    of G meets all of them at once: lane i of ``packed & (g * ones)``
-    holds e_i & g.  An empty lane is an edge g misses.  Otherwise g is
-    minimal when the lanes holding one vertex (private edges) cover g;
-    ``x & (x - 1)`` per lane finds the lanes with two or more, and the
-    rest are folded onto the lowest lane.
-    """
-    packed, ones, low, top = _pack_lanes(h_masks, n)
-    lane = (1 << n) - 1
-    # the shifts that fold every lane onto the lowest one
-    folds = []
-    lanes = len(h_masks)
-    while lanes > 1:
-        lanes = (lanes + 1) // 2
-        folds.append(lanes * (n + 1))
-    for ge in g_masks:
-        meet = packed & (ge * ones)
-        if (meet + low) & top != top:
-            return ge  # an edge of H misses ge
-        # x & (x - 1) per lane: adding each lane's top bit first keeps
-        # the subtraction inside the lane
-        multi = meet & ((meet | top) - ones)
-        singles = meet & ~((((multi + low) & top) >> n) * lane)
-        for shift in folds:
-            singles |= singles >> shift
-        if singles & lane != ge:
-            return ge  # a vertex of ge has no private edge
-    return None
 
 
 def verify_tr(

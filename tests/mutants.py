@@ -33,6 +33,8 @@ TESTS_FAILED = 1
 EXTENSION = "transversal/extension.py"
 RANK = "transversal/rank.py"
 CLI = "transversal/cli.py"
+HITTING = "transversal/hitting.py"
+GENERATORS = "transversal/generators.py"
 BD40_PINS = "tests/test_enumeration.py::test_bd40_tree_work_counts"
 SHORTCUTS = "tests/test_extension.py::test_product_shortcuts_match_the_odometer"
 TREE_NODES = "tests/test_extension.py::test_extend_decides_as_the_product_search_on_tree_nodes"
@@ -145,6 +147,27 @@ MUTANTS = [
         "        args = _parser().parse_args(argv)\n",
         "        args = build_parser().parse_args(argv)\n",
         ["tests/test_cli.py::test_one_parser_per_process"],
+    ),
+    (
+        # unsound: only the lowest lane's private edges count, so a set
+        # whose other vertices have private edges is called not minimal
+        "minimality-lanes-not-folded",
+        HITTING,
+        "        for shift in folds:\n            singles |= singles >> shift\n",
+        "",
+        [
+            "tests/test_hitting.py::test_predicates_match_their_definitions_on_every_subset",
+            "tests/test_verify.py::test_subset_check_names_the_first_failing_edge",
+        ],
+    ),
+    (
+        # an exhausted edge space no longer ends the draw loop, so the rng
+        # keeps drawing duplicates after the last new edge
+        "draw-ignores-exhausted-space",
+        GENERATORS,
+        "    goal = min(m, space)\n",
+        "    goal = m\n",
+        ["tests/test_generators.py::test_no_draw_follows_the_last_new_edge"],
     ),
 ]
 

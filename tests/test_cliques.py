@@ -46,6 +46,8 @@ class TestGraphCliques:
     def test_rejects_non_graph(self):
         with pytest.raises(ValueError):
             enumerate_maximal_cliques(Hypergraph(3, [(0, 1, 2)]))
+        with pytest.raises(ValueError):
+            enumerate_maximal_cliques(Hypergraph(3, [(0, 1), ()]))
 
     def test_limit(self):
         h = Hypergraph(4, [(0, 1), (2, 3)])

@@ -412,6 +412,10 @@ class TestComplements:
     def test_uniform_complement_rejects_mixed(self):
         with pytest.raises(ValueError):
             uniform_complement(Hypergraph(3, [(0,), (0, 1)]), 2)
+        with pytest.raises(ValueError, match="3-uniform, not 2-uniform"):
+            uniform_complement(Hypergraph(4, [(0, 1, 2)]), 2)
+        # an edgeless hypergraph is r-uniform for the r it is given
+        assert uniform_complement(Hypergraph(3, []), 2).m == 3
 
     def test_uniform_complement_refuses_oversize(self, monkeypatch):
         # C(50, 6) - 30 six-subsets: refused by count, before any is built

@@ -11,6 +11,7 @@ from transversal.hitting import (
     is_minimal_hitting_set,
     minimize,
 )
+from transversal.oracle import brute_tr
 
 from conftest import random_hypergraph
 
@@ -51,6 +52,22 @@ def test_shared_only_edge_is_not_minimal():
 def test_single_vertex_single_edge():
     h = Hypergraph(1, [(0,)])
     assert is_minimal_hitting_set(h, VertexSet.of(1, 0))
+
+
+def test_predicates_match_their_definitions_on_every_subset(corpus):
+    """On every corpus instance with n <= 8, including the empty universe,
+    empty edges and edgeless inputs, the packed-lane minimality test
+    accepts exactly ``brute_tr(h)`` and the hitting test exactly the sets
+    meeting every edge."""
+    checked = 0
+    for h in corpus:
+        tr = {t.mask for t in brute_tr(h)}
+        for mask in range(1 << h.n):
+            t = VertexSet(h.n, mask)
+            assert is_minimal_hitting_set(h, t) == (mask in tr), (h, mask)
+            assert is_hitting_set(h, t) == all(e & t for e in h.edges), (h, mask)
+            checked += 1
+    assert checked > 30_000
 
 
 class TestMinimize:

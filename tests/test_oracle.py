@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import ast
 import random
+from pathlib import Path
 
 import pytest
 
-from transversal import Hypergraph, VertexSet, edge_complement
+from transversal import Hypergraph, VertexSet, edge_complement, oracle
 from transversal.oracle import (
     OracleCapExceeded,
     brute_conformal_degree,
@@ -84,3 +86,20 @@ def test_internal_consistency():
         if h.m:
             # the two oracles certify each other through the complement
             assert brute_conformal_degree(edge_complement(h)) == brute_rank(h)
+
+
+def test_oracles_share_no_code_with_the_fast_paths():
+    """``oracle.py`` takes only the data types and ``iter_bits`` from the
+    package, all from ``core``, so no oracle can come to lean on a helper
+    of the code it checks."""
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    got = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            got |= {a.name for a in node.names if a.name.split(".")[0] == "transversal"}
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level or (node.module or "").split(".")[0] == "transversal"
+        ):
+            module = "." * node.level + (node.module or "")
+            got |= {f"{module}:{a.name}" for a in node.names}
+    assert got == {".core:Hypergraph", ".core:VertexSet", ".core:iter_bits"}

@@ -41,12 +41,14 @@ class DelayStats:
     however many nodes the run visits: the outputs, the completed
     extension calls, the histogram of the partial solution's size at
     those calls (at most n+1 keys), the deepest stack, and the worst gap
-    between outputs in ns, in calls and in product iterations, counting
-    the lead-in before the first output and the tail until termination.
-    A tree walk adds its histogram and deepest stack when it ends.
-    ``work`` is the run's work counter, handed to every extension call:
-    it tallies ``product_iterations``, ``veto_certified`` and
-    ``candidates_dropped``."""
+    between outputs in ns, in calls, in nodes (calls plus settled nodes)
+    and in product iterations, counting the lead-in before the first
+    output and the tail until termination.  A tree walk adds its
+    histogram and deepest stack when it ends.  ``work`` is the run's work
+    counter, handed to every extension call: it tallies
+    ``product_iterations``, ``veto_certified`` and
+    ``candidates_dropped``, and the tree walk adds the nodes it settled
+    without a call under ``settled``."""
 
     started_ns: int = field(default_factory=time.perf_counter_ns)
     finished_ns: int = 0
@@ -57,6 +59,7 @@ class DelayStats:
     max_stack_depth: int = 0
     max_delay_ns: int = 0
     max_gap_calls: int = 0
+    max_gap_nodes: int = 0
     max_gap_product_iterations: int = 0
 
     @property
@@ -73,6 +76,7 @@ class DelayStats:
             "calls": self.calls,
             "max_delay_ns": self.max_delay_ns,
             "max_gap_calls": self.max_gap_calls,
+            "max_gap_nodes": self.max_gap_nodes,
             "max_gap_product_iterations": self.max_gap_product_iterations,
             "max_stack_depth": self.max_stack_depth,
             "total_ns": self.total_ns,
@@ -82,7 +86,26 @@ class DelayStats:
             "product_iterations": self.product_iterations,
             "veto_certified": self.work["veto_certified"],
             "candidates_dropped": self.work["candidates_dropped"],
+            "settled": self.work["settled"],
         }
+
+
+def _settles(ym: int, state: tuple, edges: tuple[int, ...]) -> bool:
+    """Rule (c) of ``_walk_tree`` at an exclude child (X, Y) with X's
+    ``state``: whether Y plus X's first combination, the union of each
+    member's lowest candidate private edge, leaves every uncovered edge a
+    vertex."""
+    blocked = ym
+    for c in state[1]:
+        blocked |= edges[(c & -c).bit_length() - 1]
+    free = ~blocked
+    uncov = state[0]
+    while uncov:
+        low = uncov & -uncov
+        if not edges[low.bit_length() - 1] & free:
+            return False
+        uncov ^= low
+    return True
 
 
 def _walk_tree(
@@ -97,7 +120,8 @@ def _walk_tree(
     At each node the extension call emits the small solutions and either
     halts the branch or returns a grown forbidden set Y+; the walk then
     branches on a free vertex (outside X and Y+), include branch first,
-    and calls ``extend`` only on nodes that can still be extended:
+    and calls ``extend`` only on nodes that can still be extended and
+    whose answer it cannot read off their parent's:
 
     (a) it branches on the lowest free vertex v that meets an uncovered
         edge, and the free vertices below v join Y+ in both children.  A
@@ -108,7 +132,18 @@ def _walk_tree(
         leaves the outputs and their order as they were;
     (b) it drops the exclude child when some uncovered edge through v
         lies inside Y+ + v: no solution avoids v there, and that child's
-        call would halt with no output.
+        call would halt with no output;
+    (c) it settles an exclude child without a call when Y plus X's first
+        combination (each member's lowest candidate private edge,
+        ``_settles``) leaves every uncovered edge a vertex: the node
+        emits nothing, continues with Y+ = Y and branches by (a) and
+        (b).  That is the call's own answer.  The child shares X, and so
+        the uncovered edges, the candidates and the veto, with a parent
+        that continued, and its Y holds the parent's Y+, which holds the
+        parent's ``forced`` and the veto outside X.  So the child's
+        unhit edges meet in nothing (``forced`` is empty): X is no
+        solution and has no 1-extension, its veto adds nothing to Y,
+        and the call's first-combination test is the test made here.
 
     The include child is then live too: v lies outside the veto in Y+,
     so each member of X keeps a candidate private edge, and no uncovered
@@ -117,22 +152,25 @@ def _walk_tree(
     with no free vertex meeting an uncovered edge breaks ``extend``'s
     promise and raises ``RuntimeError``.
 
-    Each stack entry is (X, Y, state): X and Y as vertex masks, then X's
-    edge classification ``(uncov, crit, veto, cand)`` (see ``extend``).
-    The exclude child shares its parent's state; the include child of v
-    updates it with v's incidence mask (``include_vertex``): in O(1) when
-    v meets no member's candidate edge, and otherwise refolding the veto
-    for only the members whose candidates v removes.  The recursion is an
-    explicit stack, so live state is the root-to-leaf path of entries.
+    Each stack entry is (X, Y, state, excluded): X and Y as vertex masks,
+    X's edge classification ``(uncov, crit, veto, cand)`` (see
+    ``extend``), and whether the entry is an exclude child, which rule
+    (c) may settle.  The exclude child shares its parent's state; the
+    include child of v updates it with v's incidence mask
+    (``include_vertex``): in O(1) when v meets no member's candidate
+    edge, and otherwise refolding the veto for only the members whose
+    candidates v removes.  The recursion is an explicit stack, so live
+    state is the root-to-leaf path of entries.
 
-    ``prune(X, Y, uncov)``, when given, is asked at every node before its
-    extension call; a node it answers True for is dropped with its whole
-    subtree.  ``stats`` counts each completed extension call as it ends;
-    the |X| histogram of those calls and the deepest stack are kept
-    locally and folded into ``stats`` when the walk ends, a stop raised
-    by ``deliver`` included.  Its ``work`` is the counter handed to every
-    extension call.  ``extend`` is read from this module's globals at
-    every call.
+    ``prune(X, Y, uncov)``, when given, is asked at every node before
+    rule (c) and the extension call; a node it answers True for is
+    dropped with its whole subtree.  ``stats`` counts each completed
+    extension call as it ends, and ``stats.work`` each settled node
+    under ``settled``; the |X| histogram of the calls and the deepest
+    stack are kept locally and folded into ``stats`` when the walk ends,
+    a stop raised by ``deliver`` included.  Its ``work`` is the counter
+    handed to every extension call.  ``extend`` is read from this
+    module's globals at every call.
     """
     n = h.n
     edges = h.edge_masks()
@@ -142,27 +180,32 @@ def _walk_tree(
     from_mask = VertexSet._from_mask
     sizes = [0] * (n + 1)  # the |X| histogram of this walk's calls
     deepest = 1
-    stack: list[tuple[int, int, tuple]] = [(0, 0, ((1 << h.m) - 1, [], 0, 0))]
+    stack: list[tuple[int, int, tuple, bool]] = [(0, 0, ((1 << h.m) - 1, [], 0, 0), False)]
     try:
         while stack:
-            xm, ym, state = stack.pop()
+            xm, ym, state, excluded = stack.pop()
             uncov = state[0]
             if prune is not None and prune(xm, ym, uncov):
                 continue
-            outcome: ExtensionOutcome = extend(
-                h,
-                from_mask(n, xm),
-                from_mask(n, ym),
-                deliver,
-                counters=work,
-                state=state,
-            )
-            stats.calls += 1
-            sizes[xm.bit_count()] += 1
-            y_plus = outcome.y_plus
-            if y_plus is None:
-                continue
-            ypm = y_plus.mask
+            if excluded and _settles(ym, state, edges):
+                # rule (c): the call would emit nothing and return Y
+                work["settled"] += 1
+                ypm = ym
+            else:
+                outcome: ExtensionOutcome = extend(
+                    h,
+                    from_mask(n, xm),
+                    from_mask(n, ym),
+                    deliver,
+                    counters=work,
+                    state=state,
+                )
+                stats.calls += 1
+                sizes[xm.bit_count()] += 1
+                y_plus = outcome.y_plus
+                if y_plus is None:
+                    continue
+                ypm = y_plus.mask
             rest = full & ~(xm | ypm)
             # rule (a): v must meet an uncovered edge
             while rest:
@@ -186,10 +229,10 @@ def _walk_tree(
                     break
                 through ^= low
             else:
-                stack.append((xm, ypm | vbit, state))
+                stack.append((xm, ypm | vbit, state, True))
             # include branch, visited first: v is above every member of X,
             # so its critical edges go last
-            stack.append((xm | vbit, ypm, include_vertex(state, ev, edges)))
+            stack.append((xm | vbit, ypm, include_vertex(state, ev, edges), False))
             if len(stack) > deepest:
                 deepest = len(stack)
     finally:
@@ -212,19 +255,22 @@ def stream(
     if limit is not None and limit < 0:
         raise ValueError("limit must be non-negative")
     work = stats.work
-    gap_ns, gap_calls, gap_iterations = stats.started_ns, 0, work["product_iterations"]
+    gap_ns, gap_calls, gap_settled = stats.started_ns, 0, work["settled"]
+    gap_iterations = work["product_iterations"]
 
     def end_gap(now_ns: int) -> None:
-        nonlocal gap_ns, gap_calls, gap_iterations
-        iterations = work["product_iterations"]
+        nonlocal gap_ns, gap_calls, gap_settled, gap_iterations
+        settled, iterations = work["settled"], work["product_iterations"]
         delay, calls = now_ns - gap_ns, stats.calls - gap_calls
         if delay > stats.max_delay_ns:
             stats.max_delay_ns = delay
         if calls > stats.max_gap_calls:
             stats.max_gap_calls = calls
+        if calls + settled - gap_settled > stats.max_gap_nodes:
+            stats.max_gap_nodes = calls + settled - gap_settled
         if iterations - gap_iterations > stats.max_gap_product_iterations:
             stats.max_gap_product_iterations = iterations - gap_iterations
-        gap_ns, gap_calls, gap_iterations = now_ns, stats.calls, iterations
+        gap_ns, gap_calls, gap_settled, gap_iterations = now_ns, stats.calls, settled, iterations
 
     def out(t: VertexSet) -> None:
         stats.outputs += 1

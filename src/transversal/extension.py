@@ -36,7 +36,10 @@ itself and one whose trace holds an earlier kept candidate's.  Neither
 lies in the first witness, so answers and witnesses stay the full
 product's, and ``product_iterations`` can only fall; the dropped
 candidates count in ``candidates_dropped``.  A walk that never backtracks
-never sifts.
+never sifts.  Each time a member runs out, the walk also records the
+prefix's trace on the unhit edges as failed for that depth (nogood
+recording), and a later prefix that reaches the depth with a recorded
+trace is cut, so no (depth, trace) is walked twice.
 
 Both queries call one decision, ``_higher_order_combo``, with the veto
 as its argument.  Between the first-combination test and the walk it
@@ -326,6 +329,18 @@ def _odometer(
     ends the walk with "no".  No dropped candidate lies in the first
     witness, so the answer stays the full product's.  Each cut of the
     sifted walk is a cut of the plain one, so the count can only fall.
+
+    Whether depth i can be completed depends only on the prefix's trace
+    on the span of the unhit edges, ``blocked[i] & span``: every test
+    below it reads only that.  So each time depth i runs out, its trace
+    joins ``failed[i]`` (nogood recording), and a prefix that would enter
+    depth i with a recorded trace is cut instead.  The memo cuts only
+    prefixes whose every completion fails, so the answer and the witness
+    stay the same, and each memo cut stands for a subtree that held at
+    least one cut, so the count can only fall.  Each (depth, trace) is
+    expanded at most once, so a call makes at most |X|·2^|span| member
+    expansions however large Delta^|X| is.  The sets are allocated at the
+    first run-out, so a walk that never backtracks pays nothing.
     """
     for c in crit:
         if c & (c - 1):
@@ -340,6 +355,10 @@ def _odometer(
     sifted = [0] * depth
     # blocked[i]: forced plus the edges chosen at depths < i
     blocked = [forced] * (depth + 1)
+    # failed[i]: the traces on span under which depth i ran out; None
+    # until some depth has
+    failed: list[set[int]] | None = None
+    span = 0
     cuts = dropped = 0
     i = 0
     while i < depth:
@@ -350,11 +369,12 @@ def _odometer(
             free = ~(b | edges[(r ^ after).bit_length() - 1])
             for em in unhit:
                 if not em & free:
-                    cuts += 1
-                    r = after
                     break
             else:
-                break
+                if failed is None or ~free & span not in failed[i + 1]:
+                    break
+            cuts += 1
+            r = after
         if r:
             rest[i] = r
             i += 1
@@ -362,6 +382,12 @@ def _odometer(
         elif i == 0:
             return None, cuts, dropped
         else:
+            if failed is None:
+                for em in unhit:
+                    span |= em
+                span &= ~forced
+                failed = [set() for _ in range(depth + 1)]
+            failed[i].add(b & span)
             kept = sifted[i]
             if not kept:
                 kept = sifted[i] = _sift(crit[i], edges, unhit, forced)

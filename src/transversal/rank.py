@@ -342,8 +342,10 @@ def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
     more than |X| + min(r, u) vertices, where u counts the uncovered edges
     and r the free vertices (outside X and Y) meeting one of them; the
     node is pruned when that is at most the best size so far (an edgeless
-    input's root, whose bound is 0, among them).  Extension calls are
-    tallied under ``tree_nodes`` and pruned nodes under ``tree_pruned``.
+    input's root, whose bound is 0, among them).  The nodes the prune lets
+    through are tallied under ``tree_nodes``, whether the walk calls
+    ``extend`` on them or settles them without a call (``settled``), and
+    pruned nodes under ``tree_pruned``.
     Like ``enumerate_tr``, the walk and the prune both run on the
     inclusion-minimal edges.
     """

@@ -86,6 +86,22 @@ def log_extend_calls(monkeypatch) -> list[tuple[int, int, int]]:
     return log
 
 
+def log_settled_nodes(monkeypatch, log: list) -> None:
+    """Append None to ``log`` at every node that ``enumeration._walk_tree``
+    settles without an extension call (its rule (c)) while ``monkeypatch``
+    is active, so that a ``log_extend_calls`` log cut at the outputs
+    holds each gap's nodes, and its entries that are not None its calls."""
+    real = enumeration._settles
+
+    def logged(*args):
+        settled = real(*args)
+        if settled:
+            log.append(None)
+        return settled
+
+    monkeypatch.setattr(enumeration, "_settles", logged)
+
+
 def walk_raw_edges(h: Hypergraph, sink=None) -> enumeration.DelayStats:
     """``enumerate_tr(h, sink)`` without its minimal-edge pass: the same
     tree walk and the same ``DelayStats``, but over every edge of ``h``

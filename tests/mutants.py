@@ -43,6 +43,8 @@ COLEX_SCAN = "tests/test_rank.py::TestLookahead::test_matches_full_colex_scan"
 PROPERTIES = "tests/test_properties.py::test_property_holds_on_random_hypergraphs"
 RANK_SKIPS = "tests/test_rank.py::TestLookahead::test_exact_rank_skips_redundant_seeds"
 BR30_LOOKAHEAD = "tests/test_rank.py::TestLookahead::test_br30_work_counts"
+ENUMERATION = "transversal/enumeration.py"
+SETTLED = "tests/test_enumeration.py::test_settled_nodes_answer_as_extend_would"
 
 MUTANTS = [
     (
@@ -87,6 +89,43 @@ MUTANTS = [
         "            rest[i] &= rest[i] - 1\n",
         "            rest[i] ^= 1 << (rest[i].bit_length() - 1)\n",
         [SHORTCUTS, BD40_PINS],
+    ),
+    (
+        # unsound: the memo keys on the trace on forced, which every
+        # prefix shares, so once a depth runs out every later prefix that
+        # reaches it is cut, and a combination that completes is missed
+        "memo-trace-on-forced",
+        EXTENSION,
+        "                span &= ~forced\n",
+        "                span &= forced\n",
+        [SHORTCUTS],
+    ),
+    (
+        # unsound: include children may settle too, though they can emit
+        # (X + v itself, or its 1-extensions)
+        "settle-include-children",
+        ENUMERATION,
+        "include_vertex(state, ev, edges), False))",
+        "include_vertex(state, ev, edges), True))",
+        [SETTLED],
+    ),
+    (
+        # sound but weaker: rule (c) settles only the exclude children
+        # whose X is empty, so bd40's call count rises
+        "settle-only-at-empty-x",
+        ENUMERATION,
+        "            if excluded and _settles(ym, state, edges):\n",
+        "            if excluded and not xm and _settles(ym, state, edges):\n",
+        [BD40_PINS],
+    ),
+    (
+        # the test without X's first combination: it settles nodes whose
+        # call would halt, so the walk visits subtrees holding no solution
+        "settle-without-first-combination",
+        ENUMERATION,
+        "        blocked |= edges[(c & -c).bit_length() - 1]\n",
+        "        pass\n",
+        [SETTLED],
     ),
     (
         # sound but weaker: fires only on an unhit edge inside the veto;

@@ -83,8 +83,9 @@ def test_incremental_stats_report_the_search_work(capsys, tmp_path):
 
 def test_enumerate_stats_report_calls_gap_and_depth(capsys, monkeypatch, tmp_path):
     # the walk's call count, its worst gap in calls and in product
-    # iterations, its deepest stack, its certified "no" answers and the
-    # candidates the product search's sift dropped on bd40, as DelayStats
+    # iterations, its deepest stack, its certified "no" answers, the
+    # candidates the product search's sift dropped, the nodes it settled
+    # without a call and its worst gap in nodes on bd40, as DelayStats
     # keeps them
     path = tmp_path / "bd40.hg"
     path.write_text(serialize(bounded_degree_instance(random.Random(1), 40, 80, 4)))
@@ -100,16 +101,18 @@ def test_enumerate_stats_report_calls_gap_and_depth(capsys, monkeypatch, tmp_pat
         payload["max_stack_depth"],
         payload["veto_certified"],
         payload["candidates_dropped"],
-    ) == (16_039, 20, 30, 9, 1_952, 361)
+        payload["settled"],
+        payload["max_gap_nodes"],
+    ) == (12_802, 17, 29, 9, 1_952, 361, 3_237, 20)
     assert payload["calls"] == sum(payload["extend_call_histogram"].values())
-    # over the plain odometer only the product work moves: its worst gap
-    # holds 44 product iterations
+    # without the sift only the product work moves: its worst gap holds 32
+    # product iterations
     unsift(monkeypatch)
     code, plain_out, _ = run(capsys, "enumerate", "--stats", str(stats_path), str(path))
     assert code == 0 and plain_out == out
     plain = json.loads(stats_path.read_text())
     assert (plain["calls"], plain["max_gap_product_iterations"], plain["candidates_dropped"]) == (
-        16_039, 44, 0
+        12_802, 32, 0
     )
 
 

@@ -34,7 +34,15 @@ from transversal.generators import (
 )
 from transversal.oracle import brute_tr
 
-from conftest import log_extend_calls, logged_run, masks, random_hypergraph, unsift, walk_raw_edges
+from conftest import (
+    log_extend_calls,
+    log_settled_nodes,
+    logged_run,
+    masks,
+    random_hypergraph,
+    unsift,
+    walk_raw_edges,
+)
 
 BD40 = bounded_degree_instance(random.Random(1), 40, 80, 4)
 BR30 = bounded_rank_instance(random.Random(2), 30, 60, 3)
@@ -171,33 +179,41 @@ def gap_instances() -> list[Hypergraph]:
 
 
 def test_bounded_gap_between_outputs():
-    # The tree search visits O(n) nodes between consecutive outputs; the
-    # constant here is 3 per level (observed maximum is 1.5n).
+    # The tree search visits O(n) nodes between consecutive outputs, calls
+    # and settled nodes alike; the constant here is 3 per level (observed
+    # maximum is 1.5n).
     for h in gap_instances():
         _, stats = run(h)
-        assert stats.max_gap_calls <= 3 * (h.n + 1)
+        assert stats.max_gap_calls <= stats.max_gap_nodes <= 3 * (h.n + 1)
 
 
 def test_online_stats_match_the_extend_call_log(monkeypatch):
-    """The running aggregates equal what a wrapper of ``extend`` counts:
-    the calls, the worst gap in calls and in product iterations, the |X|
-    histogram and the product iterations.  The last run stops bd40 at
-    its 250th output, as the bench's streams do, so the walk's local
-    histogram and stack depth reach ``stats`` as the stop unwinds it."""
+    """The running aggregates equal what a wrapper of ``extend`` and of
+    the walk's rule (c) count: the calls, the settled nodes, the worst gap
+    in calls, in nodes and in product iterations, the |X| histogram and
+    the product iterations.  The last run stops bd40 at its 250th output,
+    as the bench's streams do, so the walk's local histogram and stack
+    depth reach ``stats`` as the stop unwinds it."""
     log = log_extend_calls(monkeypatch)
+    log_settled_nodes(monkeypatch, log)
     runs = [(h, None) for h in gap_instances() + [BD40]] + [(BD40, 250)]
     for h, limit in runs:
         _, stats, windows = logged_run(log, h, limit=limit)
         if limit is not None:
-            assert (stats.outputs, stats.calls, stats.max_stack_depth) == (limit, 920, 8)
-        assert stats.calls == len(log)
-        assert stats.max_gap_calls == max(len(w) for w in windows)
+            assert (stats.outputs, stats.calls, stats.max_stack_depth) == (limit, 685, 8)
+            assert stats.work["settled"] == 235
+        calls = [[c for c in w if c is not None] for w in windows]
+        assert stats.calls == sum(map(len, calls))
+        assert stats.work["settled"] == log.count(None)
+        assert stats.max_gap_calls == max(map(len, calls))
+        assert stats.max_gap_nodes == max(map(len, windows))
         assert stats.max_gap_product_iterations == max(
-            sum(it for _, _, it in w) for w in windows
+            sum(it for _, _, it in w) for w in calls
         )
-        assert stats.x_size_histogram == Counter(xm.bit_count() for xm, _, _ in log)
+        log_calls = [c for w in calls for c in w]
+        assert stats.x_size_histogram == Counter(xm.bit_count() for xm, _, _ in log_calls)
         assert len(stats.x_size_histogram) <= h.n + 1
-        assert stats.product_iterations == sum(it for _, _, it in log)
+        assert stats.product_iterations == sum(it for _, _, it in log_calls)
 
 
 def test_tree_run_memory_stays_bounded():
@@ -238,31 +254,33 @@ def test_br30_product_work_stays_pruned():
     # high-degree instance whose unpruned candidate product took millions of steps
     got, stats = run(BR30)
     assert len(got) == 8
-    assert stats.calls == 80
-    assert stats.product_iterations == 72
+    assert (stats.calls, stats.work["settled"]) == (73, 7)
+    assert stats.product_iterations == 65
 
 
 def test_bd40_tree_work_counts(monkeypatch):
     # sparse bounded-degree instance: pins the search tree the carried
-    # edge classification walks over the 13 minimal edges of 17, and the
-    # product work inside it; over the plain odometer the same tree makes
-    # 18,431 product iterations (test_extension.py derives the 333 the
-    # sift saves call by call)
+    # edge classification walks over the 13 minimal edges of 17, the
+    # 16,039 nodes of which it settles 3,237 without a call, and the
+    # product work inside it; without the sift the same tree makes
+    # 15,068 product iterations (test_extension.py derives the cuts the
+    # sift and the failed-trace memo save call by call)
     got, stats = run(BD40)
     assert len(got) == 4059
-    assert stats.calls == 16_039
-    assert stats.product_iterations == 18_098
+    assert (stats.calls, stats.work["settled"]) == (12_802, 3_237)
+    assert stats.product_iterations == 14_858
     assert stats.work["veto_certified"] == 1_952
     assert stats.work["candidates_dropped"] == 361
     assert stats.max_stack_depth == 9
     assert stats.x_size_histogram == {
-        0: 5, 1: 24, 2: 156, 3: 953, 4: 2862, 5: 4563, 6: 4556, 7: 2390, 8: 530
+        0: 1, 1: 5, 2: 77, 3: 752, 4: 2016, 5: 3325, 6: 3884, 7: 2212, 8: 530
     }
     unsift(monkeypatch)
     plain, plain_stats = run(BD40)
     assert plain == got
     assert (plain_stats.calls, plain_stats.x_size_histogram) == (stats.calls, stats.x_size_histogram)
-    assert plain_stats.product_iterations == 18_431
+    assert plain_stats.work["settled"] == stats.work["settled"]
+    assert plain_stats.product_iterations == 15_068
     assert plain_stats.work["candidates_dropped"] == 0
 
 
@@ -301,10 +319,13 @@ def _fresh_veto(h, crit):
 
 
 def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
-    """At every node the (uncov, crit, veto, cand) state the tree search
-    carries equals the classification, veto and candidate union counted
-    from scratch, and extend given that state emits and returns exactly
-    what it does without it.
+    """At every node the search calls ``extend`` on, the (uncov, crit,
+    veto, cand) state the tree search carries equals the classification,
+    veto and candidate union counted from scratch, and extend given that
+    state emits and returns exactly what it does without it.  A node
+    settled without a call shares the state of its parent, and each chain
+    of exclude children starts at a node that is called (the root or an
+    include child), so every state the walk builds is checked.
     The corpus, bd40 and bench's sparse class carry low-degree
     classifications; the 3-uniform complement carries high-degree ones."""
     real = enumeration.extend
@@ -332,8 +353,8 @@ def test_carried_state_matches_fresh_classification(monkeypatch, corpus):
     for h in instances:
         enumerate_tr(h)
     # the root of each of the corpus's 33 edgeless instances is one node
-    assert nodes == 17_618
-    for h, calls in ((BD5, 12_895), (UNIFORM3_COMPLEMENT, 100)):
+    assert nodes == 14_069
+    for h, calls in ((BD5, 9_544), (UNIFORM3_COMPLEMENT, 80)):
         nodes = 0
         enumerate_tr(h)
         assert nodes == calls
@@ -392,7 +413,47 @@ def test_walk_calls_extend_only_on_live_nodes(monkeypatch, corpus):
         enumerate_tr(h, lambda t: got.append(t.mask))
         assert got == _walk_every_free_vertex(h), h
     # the corpus and bd40, as in the carried-state test, and br30
-    assert calls == 17_618 + 80
+    assert calls == 14_069 + 73
+
+
+def test_settled_nodes_answer_as_extend_would(monkeypatch, corpus):
+    """Rule (c) settles an exclude child without an extension call.  At
+    every node it settles, on the corpus, bd40, bench's sparse class and
+    the 3-uniform complement, the real ``extend``, folding X's
+    classification from the root, answers CONTINUE with Y+ = Y and emits
+    nothing.  The settled nodes are the visited ones (those ``prune`` is
+    asked about) that ``extend`` never saw, and the walk counts them."""
+    real = enumeration.extend
+    called: set[tuple[int, int]] = set()
+
+    def logged(h, x, y, sink=None, *, counters=None, state=None):
+        called.add((x.mask, y.mask))
+        return real(h, x, y, sink, counters=counters, state=state)
+
+    monkeypatch.setattr(enumeration, "extend", logged)
+    total = 0
+    for h in list(corpus) + [BD40, BD5, UNIFORM3_COMPLEMENT]:
+        g = minimize_edges(h)
+        visited: list[tuple[int, int]] = []
+
+        def visit(xm: int, ym: int, _uncov: int) -> bool:
+            visited.append((xm, ym))
+            return False
+
+        called.clear()
+        stats = DelayStats()
+        enumeration._walk_tree(g, lambda _t: None, stats, prune=visit)
+        settled = [node for node in visited if node not in called]
+        assert len(called) == stats.calls
+        assert len(settled) == stats.work["settled"], h
+        for xm, ym in settled:
+            got: list[VertexSet] = []
+            outcome = real(g, VertexSet(g.n, xm), VertexSet(g.n, ym), got.append)
+            assert got == [], (h, xm, ym)
+            assert outcome.continues and outcome.y_plus.mask == ym, (h, xm, ym)
+        total += len(settled)
+    # the corpus settles 312 nodes, bd40 3,237, bd5 3,351, uni9-c3 20
+    assert total == 312 + 3_237 + 3_351 + 20
 
 
 @pytest.mark.parametrize("y_plus", [0b101, 0b111])

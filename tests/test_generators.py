@@ -267,11 +267,12 @@ def test_delay_trend_supplementary_monotone_in_degree(monkeypatch):
     """With the universe and the solution structure fixed (three blocks,
     largest solution 3), growing every core's degree grows the work
     between outputs only through m = 3 * degree.  The search itself does
-    not change: 10 extend calls, 8 outputs and 6 product iterations (the
-    prefix cut settles it) at every degree.  What grows is the edges each
-    node reduces, those its carried classification names (disjoint from
-    X or private to one member of X): no edge here ever holds two members
-    of X, so that is all m edges at every call, 10 * m in all.  Wall time
+    not change: 7 extend calls, 3 nodes settled without one, 8 outputs
+    and 3 product iterations (the prefix cut settles it) at every degree.
+    What grows is the edges each call reduces, those its carried
+    classification names (disjoint from X or private to one member of
+    X): no edge here ever holds two members of X, so that is all m edges
+    at every call, 7 * m in all.  Wall time
     (the worst gap, which is the lead-in before the first output) is
     printed only.
 
@@ -294,8 +295,9 @@ def test_delay_trend_supplementary_monotone_in_degree(monkeypatch):
         outputs: list = []
         stats = walk_raw_edges(h, outputs.append)
         assert h.m == 3 * delta
-        assert (work["calls"], len(outputs), stats.product_iterations) == (10, 8, 6)
-        assert work["edges_reduced"] == 10 * h.m
+        assert (work["calls"], len(outputs), stats.product_iterations) == (7, 8, 3)
+        assert stats.work["settled"] == 3
+        assert work["edges_reduced"] == 7 * h.m
         in_order: list = []
         enumerate_tr(h, in_order.append)
         assert [t.mask for t in in_order] == [t.mask for t in outputs]

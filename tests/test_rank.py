@@ -464,28 +464,31 @@ class TestTreeRank:
 
     def test_work_counts(self, monkeypatch):
         conf16 = edge_complement(bounded_degree_instance(random.Random(3), 16, 30, 3))
+        # (h, rank, visited nodes, pruned nodes, nodes settled without a
+        # call, product iterations, the same without the sift)
         cases = (
-            (bd40(), 9, 907, 494, 1_252, 1_255),
-            (br30(), 18, 18, 3, 17, 17),
+            (bd40(), 9, 907, 494, 336, 916, 919),
+            (br30(), 18, 18, 3, 0, 17, 17),
             # the tree conformal_degree(conf16) walks
-            (edge_complement(conf16), 5, 158, 74, 195, 198),
+            (edge_complement(conf16), 5, 158, 74, 75, 120, 122),
         )
 
-        def check(h, want, nodes, pruned, product):
+        def check(h, want, nodes, pruned, settled, product):
             counters: Counter = Counter()
             assert transversal_rank(h, counters=counters) == want
             assert counters["tree_nodes"] == nodes
             assert counters["tree_pruned"] == pruned
+            assert counters["settled"] == settled
             # the walk's extension work reaches the caller's counter
             assert counters["product_iterations"] == product
 
-        for h, want, nodes, pruned, product, _ in cases:
-            check(h, want, nodes, pruned, product)
-        # the same walk over the plain odometer: only the product count
-        # moves, and only where the sift dropped a candidate
+        for h, want, nodes, pruned, settled, product, _ in cases:
+            check(h, want, nodes, pruned, settled, product)
+        # the same walk without the sift: only the product count moves,
+        # and only where the sift dropped a candidate
         unsift(monkeypatch)
-        for h, want, nodes, pruned, _, plain in cases:
-            check(h, want, nodes, pruned, plain)
+        for h, want, nodes, pruned, settled, _, plain in cases:
+            check(h, want, nodes, pruned, settled, plain)
 
 
 def test_decider_scan_jumps_past_each_witness(monkeypatch):

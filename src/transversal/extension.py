@@ -277,17 +277,14 @@ def _higher_order_combo(
     return chosen
 
 
-def _sift(c: int, edges: tuple[int, ...], unhit: list[int], forced: int) -> int:
+def _sift(c: int, edges: tuple[int, ...], unhit: list[int], forced: int, span: int) -> int:
     """The bits of ``c`` left once the candidates that no first witness
     needs are dropped: one that blocks an unhit edge by itself, with
-    ``forced`` (rule a), and one whose trace on the span of the unhit
-    edges outside ``forced`` holds the trace of an earlier kept candidate
-    (rule b).  Such a candidate blocks, on the span, all that the earlier
-    one blocks, so any completion it takes the earlier one takes first."""
-    span = 0
-    for em in unhit:
-        span |= em
-    span &= ~forced
+    ``forced`` (rule a), and one whose trace on ``span``, the span of the
+    unhit edges outside ``forced``, holds the trace of an earlier kept
+    candidate (rule b).  Such a candidate blocks, on the span, all that
+    the earlier one blocks, so any completion it takes the earlier one
+    takes first."""
     kept = 0
     traces: list[int] = []
     while c:
@@ -390,7 +387,7 @@ def _odometer(
             failed[i].add(b & span)
             kept = sifted[i]
             if not kept:
-                kept = sifted[i] = _sift(crit[i], edges, unhit, forced)
+                kept = sifted[i] = _sift(crit[i], edges, unhit, forced, span)
                 dropped += (crit[i] ^ kept).bit_count()
                 if not kept:
                     return None, cuts, dropped

@@ -233,8 +233,8 @@ def sifts(monkeypatch):
     real = extension._sift
     tally: Counter = Counter()
 
-    def checked(c, edges, unhit, forced):
-        kept = real(c, edges, unhit, forced)
+    def checked(c, edges, unhit, forced, span):
+        kept = real(c, edges, unhit, forced, span)
         assert kept == _sift_by_the_rules(c, edges, unhit, forced), (c, edges, unhit, forced)
         tally["calls"] += 1
         tally["dropped"] += (c ^ kept).bit_count()

@@ -38,22 +38,23 @@ class StopEnumeration(Exception):
 @dataclass
 class DelayStats:
     """Per-run instrumentation as running aggregates, in O(n) memory
-    however many nodes the run visits: the outputs, the completed
-    extension calls, the histogram of the partial solution's size at
-    those calls (at most n+1 keys), the deepest stack, and the worst gap
-    between outputs in ns, in calls, in nodes (calls plus settled nodes)
-    and in product iterations, counting the lead-in before the first
-    output and the tail until termination.  A tree walk adds its
-    histogram and deepest stack when it ends.  ``work`` is the run's work
-    counter, handed to every extension call: it tallies
-    ``product_iterations``, ``veto_certified`` and
-    ``candidates_dropped``, and the tree walk adds the nodes it settled
-    without a call under ``settled``."""
+    however many nodes the run visits: the outputs, the histogram of the
+    partial solution's size at the extension calls (at most n+1 keys),
+    the deepest stack, and the worst gap between outputs in ns, in calls,
+    in nodes (calls plus settled nodes) and in product iterations,
+    counting the lead-in before the first output and the tail until
+    termination.  A tree walk adds its histogram and deepest stack when
+    it ends.  ``work`` is the run's work counter, the one tally of its
+    tree walks' nodes: each walk counts its completed extension calls
+    under ``calls`` (which the ``calls`` property reads), the nodes it
+    settled without a call under ``settled`` and the nodes its ``prune``
+    dropped under ``tree_pruned``, and hands it to every extension call,
+    which tallies ``product_iterations``, ``veto_certified`` and
+    ``candidates_dropped``."""
 
     started_ns: int = field(default_factory=time.perf_counter_ns)
     finished_ns: int = 0
     outputs: int = 0
-    calls: int = 0
     x_size_histogram: Counter = field(default_factory=Counter)
     work: Counter = field(default_factory=Counter)
     max_stack_depth: int = 0
@@ -65,6 +66,10 @@ class DelayStats:
     @property
     def total_ns(self) -> int:
         return self.finished_ns - self.started_ns
+
+    @property
+    def calls(self) -> int:
+        return self.work["calls"]
 
     @property
     def product_iterations(self) -> int:
@@ -164,13 +169,14 @@ def _walk_tree(
 
     ``prune(X, Y, uncov)``, when given, is asked at every node before
     rule (c) and the extension call; a node it answers True for is
-    dropped with its whole subtree.  ``stats`` counts each completed
-    extension call as it ends, and ``stats.work`` each settled node
-    under ``settled``; the |X| histogram of the calls and the deepest
-    stack are kept locally and folded into ``stats`` when the walk ends,
-    a stop raised by ``deliver`` included.  Its ``work`` is the counter
-    handed to every extension call.  ``extend`` is read from this
-    module's globals at every call.
+    dropped with its whole subtree.  ``stats.work`` counts every node as
+    it ends: each completed extension call under ``calls``, each settled
+    node under ``settled`` and each dropped one under ``tree_pruned``,
+    and it is the counter handed to every extension call.  The |X|
+    histogram of the calls and the deepest stack are kept locally and
+    folded into ``stats`` when the walk ends, a stop raised by
+    ``deliver`` included.  ``extend`` is read from this module's globals
+    at every call.
     """
     n = h.n
     edges = h.edge_masks()
@@ -186,6 +192,7 @@ def _walk_tree(
             xm, ym, state, excluded = stack.pop()
             uncov = state[0]
             if prune is not None and prune(xm, ym, uncov):
+                work["tree_pruned"] += 1
                 continue
             if excluded and _settles(ym, state, edges):
                 # rule (c): the call would emit nothing and return Y
@@ -200,7 +207,7 @@ def _walk_tree(
                     counters=work,
                     state=state,
                 )
-                stats.calls += 1
+                work["calls"] += 1
                 sizes[xm.bit_count()] += 1
                 y_plus = outcome.y_plus
                 if y_plus is None:
@@ -255,13 +262,13 @@ def stream(
     if limit is not None and limit < 0:
         raise ValueError("limit must be non-negative")
     work = stats.work
-    gap_ns, gap_calls, gap_settled = stats.started_ns, 0, work["settled"]
+    gap_ns, gap_calls, gap_settled = stats.started_ns, work["calls"], work["settled"]
     gap_iterations = work["product_iterations"]
 
     def end_gap(now_ns: int) -> None:
         nonlocal gap_ns, gap_calls, gap_settled, gap_iterations
-        settled, iterations = work["settled"], work["product_iterations"]
-        delay, calls = now_ns - gap_ns, stats.calls - gap_calls
+        total, settled, iterations = work["calls"], work["settled"], work["product_iterations"]
+        delay, calls = now_ns - gap_ns, total - gap_calls
         if delay > stats.max_delay_ns:
             stats.max_delay_ns = delay
         if calls > stats.max_gap_calls:
@@ -270,7 +277,7 @@ def stream(
             stats.max_gap_nodes = calls + settled - gap_settled
         if iterations - gap_iterations > stats.max_gap_product_iterations:
             stats.max_gap_product_iterations = iterations - gap_iterations
-        gap_ns, gap_calls, gap_settled, gap_iterations = now_ns, stats.calls, settled, iterations
+        gap_ns, gap_calls, gap_settled, gap_iterations = now_ns, total, settled, iterations
 
     def out(t: VertexSet) -> None:
         stats.outputs += 1
@@ -329,9 +336,10 @@ def enumerate_incremental(
     and shrinking the complement of S yields a fresh solution.  Intended
     for inputs of small edge rank, where the verification is cheap.
 
-    ``stats.work`` sums the verifications' counters, the product
-    iterations of their tree searches included; the call histogram stays
-    empty, since those searches run on G, not on the input.
+    ``stats.work`` sums the verifications' counters, so the calls,
+    settled nodes and product iterations of their tree walks are this
+    run's, gap by gap; the call histogram and the deepest stack stay
+    empty, since those walks run on G, not on the input.
     """
     stats = DelayStats()
 

@@ -129,8 +129,7 @@ def include_vertex(
     mask v met."""
     uncov, crit, veto, cand = state
     own = uncov & ev
-    if own:
-        veto |= _core(own, edges)
+    veto |= _core(own, edges)
     if not cand & ev:
         # on sparse inputs most include steps change no member's candidates
         return uncov ^ own, crit + [own], veto, cand | own

@@ -342,10 +342,10 @@ def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
     more than |X| + min(r, u) vertices, where u counts the uncovered edges
     and r the free vertices (outside X and Y) meeting one of them; the
     node is pruned when that is at most the best size so far (an edgeless
-    input's root, whose bound is 0, among them).  The nodes the prune lets
-    through are tallied under ``tree_nodes``, whether the walk calls
-    ``extend`` on them or settles them without a call (``settled``), and
-    pruned nodes under ``tree_pruned``.
+    input's root, whose bound is 0, among them).  The walk tallies its
+    nodes in ``counters``: those it calls ``extend`` on under ``calls``,
+    those it settles without a call under ``settled``, and the pruned
+    ones under ``tree_pruned``.
     Like ``enumerate_tr``, the walk and the prune both run on the
     inclusion-minimal edges.
     """
@@ -363,24 +363,20 @@ def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
 
     def prune(xm: int, ym: int, uncov: int) -> bool:
         room = best_size - xm.bit_count()
-        if room >= 0:
-            if uncov.bit_count() <= room:
-                counters["tree_pruned"] += 1
-                return True
-            reach = 0
-            free = full & ~(xm | ym)
-            while free:
-                low = free & -free
-                if incidence[low.bit_length() - 1] & uncov:
-                    reach += 1
-                    if reach > room:
-                        break
-                free ^= low
-            else:
-                counters["tree_pruned"] += 1
-                return True
-        counters["tree_nodes"] += 1
-        return False
+        if room < 0:
+            return False
+        if uncov.bit_count() <= room:
+            return True
+        reach = 0
+        free = full & ~(xm | ym)
+        while free:
+            low = free & -free
+            if incidence[low.bit_length() - 1] & uncov:
+                reach += 1
+                if reach > room:
+                    return False
+            free ^= low
+        return True
 
     _walk_tree(h, keep, DelayStats(work=counters), prune=prune)
     return RankWitness(t=best)

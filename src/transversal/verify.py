@@ -66,7 +66,8 @@ def verify_tr(
     """``Equal`` when G is exactly the transversal hypergraph of H, else the
     first failing check's witness.  ``counters`` tallies the minimal
     hitting sets of G examined under ``verify_g_outputs``, plus the work
-    of the tree search that found them (``product_iterations``)."""
+    counter of the tree walk that found them (its ``calls``, ``settled``
+    nodes and ``product_iterations`` among them)."""
     if g.n != h.n:
         raise ValueError("both hypergraphs must share the universe")
     # 1: G contains only minimal hitting sets of H.
@@ -81,15 +82,14 @@ def verify_tr(
     misses: list[VertexSet] = []
 
     def check(s: VertexSet) -> None:
-        if counters is not None:
-            counters["verify_g_outputs"] += 1
         if s.mask not in h_mask_set:
             misses.append(s)
             raise enumeration.StopEnumeration
 
     run = enumeration.enumerate_tr(g, check)
     if counters is not None:
-        counters.update(run.work)
+        # the miss that stopped the walk counts among its outputs
+        counters.update(run.work, verify_g_outputs=run.outputs)
     if not misses:
         return Equal()
     return MissingSolution(misses[0], minimize(h, misses[0].complement()))

@@ -44,6 +44,7 @@ PROPERTIES = "tests/test_properties.py::test_property_holds_on_random_hypergraph
 RANK_SKIPS = "tests/test_rank.py::TestLookahead::test_exact_rank_skips_redundant_seeds"
 BR30_LOOKAHEAD = "tests/test_rank.py::TestLookahead::test_br30_work_counts"
 ENUMERATION = "transversal/enumeration.py"
+VERIFY = "transversal/verify.py"
 SETTLED = "tests/test_enumeration.py::test_settled_nodes_answer_as_extend_would"
 
 MUTANTS = [
@@ -126,6 +127,17 @@ MUTANTS = [
         "        blocked |= edges[(c & -c).bit_length() - 1]\n",
         "        pass\n",
         [SETTLED],
+    ),
+    (
+        # the verification passes on only its walk's product iterations,
+        # so the incremental route's calls and gaps count none of its walks
+        "verify-folds-only-product-work",
+        VERIFY,
+        "        counters.update(run.work, verify_g_outputs=run.outputs)\n",
+        "        counters.update(\n"
+        "            product_iterations=run.product_iterations, verify_g_outputs=run.outputs\n"
+        "        )\n",
+        ["tests/test_cli.py::test_incremental_stats_report_the_search_work"],
     ),
     (
         # sound but weaker: fires only on an unhit edge inside the veto;

@@ -66,8 +66,10 @@ def test_enumerate_incremental_and_stats(capsys, tmp_path, pairs):
 
 
 def test_incremental_stats_report_the_search_work(capsys, tmp_path):
-    # the tree searches inside each stage's verification count; the
-    # histogram stays empty, as those searches run on the found solutions
+    # the tree walks inside each stage's verification count, gap by gap:
+    # their extension calls, settled nodes and product iterations; the
+    # histogram and the stack depth stay empty, as those walks run on the
+    # found solutions
     path = tmp_path / "uni12.hg"
     path.write_text(serialize(uniform_instance(random.Random(0), 12, 30, 3)))
     stats_path = tmp_path / "stats.json"
@@ -77,8 +79,17 @@ def test_incremental_stats_report_the_search_work(capsys, tmp_path):
     assert code == 0
     payload = json.loads(stats_path.read_text())
     assert payload["outputs"] == len(out.splitlines()) == 64
-    assert payload["product_iterations"] > 0
+    assert (
+        payload["calls"],
+        payload["settled"],
+        payload["max_gap_calls"],
+        payload["max_gap_nodes"],
+        payload["product_iterations"],
+    ) == (1_894, 185, 72, 81, 24_528)
+    assert payload["max_gap_calls"] <= payload["max_gap_nodes"]
+    assert payload["max_gap_nodes"] <= payload["max_gap_calls"] + payload["settled"]
     assert payload["extend_call_histogram"] == {}
+    assert payload["max_stack_depth"] == 0
 
 
 def test_enumerate_stats_report_calls_gap_and_depth(capsys, monkeypatch, tmp_path):
@@ -400,6 +411,20 @@ def test_oracle_cap_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("TRANSVERSAL_ORACLE_CAP", "22")
     code, out, _ = run(capsys, "oracle", "rank", str(big))
     assert code == 0 and out.strip() == "1"
+    # a cap below a small file's universe refuses it, naming the cap
+    small = tmp_path / "small.hg"
+    small.write_text("a b\nc d\n")
+    monkeypatch.delenv("TRANSVERSAL_ORACLE_CAP")
+    code, out, _ = run(capsys, "oracle", "tr", str(small))
+    assert code == 0 and sorted(out.splitlines()) == ["a c", "a d", "b c", "b d"]
+    monkeypatch.setenv("TRANSVERSAL_ORACLE_CAP", "3")
+    code, out, err = run(capsys, "oracle", "tr", str(small))
+    assert (code, out) == (2, "")
+    assert "universe of 4 vertices exceeds the oracle cap of 3" in err
+    # a cap that is no integer is an input error, not an internal one
+    monkeypatch.setenv("TRANSVERSAL_ORACLE_CAP", "three")
+    code, out, err = run(capsys, "oracle", "tr", str(small))
+    assert (code, out) == (2, "") and "internal error" not in err
 
 
 def test_unknown_flag_is_usage_error(capsys, pairs):

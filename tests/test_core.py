@@ -48,6 +48,10 @@ class TestVertexSet:
         with pytest.raises(ValueError):
             VertexSet.of(2, 5)
 
+    def test_negative_universe(self):
+        with pytest.raises(ValueError, match="universe size must be non-negative"):
+            VertexSet(-1)
+
     def test_hash_and_eq(self):
         assert VertexSet.of(4, 1, 2) == VertexSet.of(4, 2, 1)
         assert len({VertexSet.of(4, 1), VertexSet.of(4, 1)}) == 1
@@ -93,6 +97,16 @@ class TestHypergraph:
     def test_edge_outside_universe(self):
         with pytest.raises(ValueError):
             Hypergraph(2, [(0, 2)])
+
+    @pytest.mark.parametrize("args, message", [
+        ((-1,), "universe size must be non-negative"),
+        ((2, [], ("a",)), "name table length must equal the universe size"),
+        ((2, [], ("a", "a")), "vertex names must be unique"),
+        ((2, [VertexSet.of(3, 0)]), "edge lives in a different universe"),
+    ])
+    def test_constructor_refusals(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            Hypergraph(*args)
 
     def test_names_are_always_a_tuple(self):
         assert Hypergraph(0, []).names == ()
@@ -408,6 +422,10 @@ class TestComplements:
         assert masks(uniform_complement(h, 3).edges) == masks(
             [VertexSet.of(4, 0, 1, 3), VertexSet.of(4, 0, 2, 3), VertexSet.of(4, 1, 2, 3)]
         )
+
+    def test_uniform_complement_rejects_negative_size(self):
+        with pytest.raises(ValueError, match="r must be non-negative"):
+            uniform_complement(Hypergraph(3, []), -1)
 
     def test_uniform_complement_rejects_mixed(self):
         with pytest.raises(ValueError):

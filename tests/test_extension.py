@@ -87,6 +87,21 @@ def test_rejects_overlapping_x_y_and_answers_edgeless():
         assert find_higher_order(edgeless, x, y) is None
 
 
+@pytest.mark.parametrize("query", [extend, find_higher_order, build_reduced_families])
+@pytest.mark.parametrize("x, y", [
+    (VertexSet.of(3, 2), VertexSet(2)),  # X over a larger universe
+    (VertexSet(2), VertexSet.of(3, 2)),  # Y over a larger universe
+    (VertexSet(1), VertexSet(2)),  # X over a smaller one
+])
+def test_queries_refuse_sets_from_another_universe(query, x, y):
+    # X's classification is folded before the reduction checks Y, so X's
+    # universe is checked there too: a vertex past the input's would
+    # otherwise index past its incidence masks
+    h = Hypergraph(2, [(0, 1)])
+    with pytest.raises(ValueError, match="X and Y must live in the hypergraph's universe"):
+        query(h, x, y)
+
+
 def test_has_higher_order_examples():
     h = Hypergraph(6, [(0, 1), (2, 3), (4, 5)])
     assert find_higher_order(h, VertexSet.of(6, 0)) is not None

@@ -249,6 +249,25 @@ def test_block_family_structure():
         assert kstar_of(h) == 3
 
 
+@pytest.mark.parametrize("make, args, message", [
+    (bounded_degree_instance, (random.Random(0), 0, 3, 2), r"need n >= 1 and delta >= 1"),
+    (bounded_degree_instance, (random.Random(0), 4, 3, 0), r"need n >= 1 and delta >= 1"),
+    (bounded_rank_instance, (random.Random(0), 0, 3, 2), r"need n >= 1 and r >= 1"),
+    (bounded_rank_instance, (random.Random(0), 4, 3, 0), r"need n >= 1 and r >= 1"),
+    (block_family, ((1, 0), 6), "every block needs at least its core edge"),
+    (block_family, ((1, 1), 3), "universe too small for the cores"),
+    # a second edge in the block needs a filler vertex, and there is none
+    (block_family, ((2,), 2), "no filler vertices available"),
+    # one filler vertex gives one pad, and the block needs four
+    (block_family, ((5,), 3), "not enough filler subsets for the requested block size"),
+    # two blocks, so the second still needs one of the three edges
+    (delay_trend_instance, (8, 3, 2, 3), "delta too large: the other blocks still need one edge each"),
+])
+def test_generator_refusals(make, args, message):
+    with pytest.raises(ValueError, match=message):
+        make(*args)
+
+
 def test_delay_trend_instance_feasible_point():
     h = delay_trend_instance(18, 40, 3, 14)
     assert (h.n, h.m, h.max_degree) == (18, 40, 14)

@@ -35,6 +35,13 @@ class StopEnumeration(Exception):
     """Raised by a sink to end the innermost enumerator feeding it."""
 
 
+# The keys a tree walk and its extension calls write in ``DelayStats.work``.
+WALK_KEYS = (
+    "calls", "settled", "tree_pruned",
+    "product_iterations", "veto_certified", "candidates_dropped",
+)
+
+
 @dataclass
 class DelayStats:
     """Per-run instrumentation as running aggregates, in O(n) memory
@@ -50,13 +57,15 @@ class DelayStats:
     settled without a call under ``settled`` and the nodes its ``prune``
     dropped under ``tree_pruned``, and hands it to every extension call,
     which tallies ``product_iterations``, ``veto_certified`` and
-    ``candidates_dropped``."""
+    ``candidates_dropped``.  By default it is a plain dict seeded with
+    those six keys (``WALK_KEYS``): CPython specializes ``d[k] += 1``
+    only on an exact dict, and the walk increments it at every node."""
 
     started_ns: int = field(default_factory=time.perf_counter_ns)
     finished_ns: int = 0
     outputs: int = 0
     x_size_histogram: Counter = field(default_factory=Counter)
-    work: Counter = field(default_factory=Counter)
+    work: dict[str, int] = field(default_factory=lambda: dict.fromkeys(WALK_KEYS, 0))
     max_stack_depth: int = 0
     max_delay_ns: int = 0
     max_gap_calls: int = 0
@@ -339,9 +348,13 @@ def enumerate_incremental(
     ``stats.work`` sums the verifications' counters, so the calls,
     settled nodes and product iterations of their tree walks are this
     run's, gap by gap; the call histogram and the deepest stack stay
-    empty, since those walks run on G, not on the input.
+    empty, since those walks run on G, not on the input.  It is a
+    ``Counter``, not the walk's plain dict: ``verify_tr`` adds into it
+    with ``Counter.update``, which on a dict would replace, and writes a
+    key no tree walk seeds (``verify_g_outputs``); and a key nobody
+    writes reads 0 where a dict would raise ``KeyError``.
     """
-    stats = DelayStats()
+    stats = DelayStats(work=Counter())
 
     def run(out: Sink) -> None:
         solutions: list[int] = []  # the masks of G's edges

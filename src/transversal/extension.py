@@ -211,7 +211,7 @@ def _higher_order_combo(
     unhit: list[int],
     forced: int,
     veto: int,
-    counters: Counter | None,
+    counters: dict[str, int] | None,
 ) -> list[int] | None:
     """The product decision of both queries: search the product of X's
     candidate private edges for a combination proving a higher-order

@@ -343,9 +343,10 @@ def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
     and r the free vertices (outside X and Y) meeting one of them; the
     node is pruned when that is at most the best size so far (an edgeless
     input's root, whose bound is 0, among them).  The walk tallies its
-    nodes in ``counters``: those it calls ``extend`` on under ``calls``,
-    those it settles without a call under ``settled``, and the pruned
-    ones under ``tree_pruned``.
+    nodes in its own ``DelayStats.work``: those it calls ``extend`` on
+    under ``calls``, those it settles without a call under ``settled``,
+    and the pruned ones under ``tree_pruned``; that tally is added to
+    ``counters`` once, when the walk ends.
     Like ``enumerate_tr``, the walk and the prune both run on the
     inclusion-minimal edges.
     """
@@ -378,7 +379,9 @@ def _largest_by_tree(h: Hypergraph, counters: Counter) -> RankWitness:
             free ^= low
         return True
 
-    _walk_tree(h, keep, DelayStats(work=counters), prune=prune)
+    walk = DelayStats()
+    _walk_tree(h, keep, walk, prune=prune)
+    counters.update(walk.work)
     return RankWitness(t=best)
 
 

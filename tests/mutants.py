@@ -140,6 +140,24 @@ MUTANTS = [
         ["tests/test_cli.py::test_incremental_stats_report_the_search_work"],
     ),
     (
+        # the incremental route sums its verifications' work in the walk's
+        # plain dict, where ``update`` replaces instead of adding
+        "incremental-work-plain-dict",
+        ENUMERATION,
+        "    stats = DelayStats(work=Counter())\n",
+        "    stats = DelayStats()\n",
+        ["tests/test_cli.py::test_incremental_stats_report_the_search_work"],
+    ),
+    (
+        # the exact rank's tree walk keeps its work to itself, so the
+        # caller's counters read no node of it
+        "rank-tree-work-not-folded",
+        RANK,
+        "    counters.update(walk.work)\n",
+        "",
+        ["tests/test_rank.py::TestTreeRank::test_work_counts"],
+    ),
+    (
         # sound but weaker: fires only on an unhit edge inside the veto;
         # bd40's counts do not move, bd5's do
         "certificate-over-veto-alone",

@@ -284,6 +284,23 @@ def test_bd40_tree_work_counts(monkeypatch):
     assert plain_stats.work["candidates_dropped"] == 0
 
 
+def test_walk_work_is_a_plain_dict_of_the_walk_keys():
+    # the walk increments it at every node, and CPython specializes
+    # d[k] += 1 only on an exact dict; a key an extension call writes
+    # that is not seeded would raise KeyError inside the walk
+    keys = {
+        "calls", "settled", "tree_pruned",
+        "product_iterations", "veto_certified", "candidates_dropped",
+    }
+    work = DelayStats().work
+    assert type(work) is dict and work.keys() == keys
+    assert set(work.values()) == {0}
+    work = enumerate_tr(BD40).work
+    assert type(work) is dict and work.keys() == keys
+    # the incremental route sums its verifications' counters in a Counter
+    assert type(enumerate_incremental(BR30).work) is Counter
+
+
 def _fresh_state(h, xm):
     """(uncov, crit) of X by direct counting over every edge."""
     xs = [v for v in range(h.n) if xm >> v & 1]

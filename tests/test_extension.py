@@ -411,7 +411,8 @@ def test_extend_decides_as_the_product_search_on_tree_nodes(corpus, monkeypatch,
     def checked(h, x, y, sink=None, *, counters=None, state=None):
         mine: Counter = Counter()
         outcome = real(h, x, y, sink, counters=mine, state=state)
-        counters.update(mine)
+        for key, value in mine.items():
+            counters[key] += value
         reduced = build_reduced_families(h, x, y, state)
         ref, ref_counters = None, Counter()
         if reduced is not None and reduced[1]:

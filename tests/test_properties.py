@@ -23,7 +23,12 @@ On each:
   d <= k; each counterexample has more than k vertices, each of its
   k-subsets lies inside some edge, and it lies inside none.  The
   k-test asks the look-ahead decider about the edge complement, which
-  is dense where H is sparse.
+  is dense where H is sparse;
+- ``extend`` at ``PAIRS`` random (X, Y), drawn from the instance's seed,
+  emits ``brute_extensions``'s 0-extension and then its 1-extensions in
+  ascending order, continues exactly when a higher extension exists, and
+  then returns a Y+ that holds Y, misses X and meets no higher
+  extension.
 
 A failing instance is shrunk, by dropping edges and then vertices while
 the check still fails, and the failure prints its ``.hg`` text.
@@ -37,6 +42,13 @@ tree search at high degree, on the draw's 3-uniform complement (never
 empty, since each draw misses some triple; of degree up to 28) and on
 the draw itself, so the product search's first-combination test and its
 sift run on most calls.
+
+A third fixed seed draws ``GRAPH_COUNT`` random graphs (n from 2 to 9,
+any number of the pairs).  On each, ``enumerate_maximal_cliques`` gives
+``brute_max_cliques``'s sets and ``enumerate_maximal_independent_sets``
+the complements of ``brute_tr``'s, each with no repeats.  A failing
+graph is shrunk too; a shrink step that leaves an edge of one vertex
+gives no graph, which passes.
 """
 
 from __future__ import annotations
@@ -50,16 +62,19 @@ import pytest
 
 from transversal import Hypergraph, VertexSet
 from transversal.cliques import (
+    enumerate_maximal_cliques,
     enumerate_maximal_hypercliques,
     enumerate_maximal_independent_sets,
 )
 from transversal.conformal import conformal_degree, is_k_conformal
 from transversal.core import iter_bits, minimize_edges, serialize
 from transversal.enumeration import enumerate_incremental, enumerate_tr
+from transversal.extension import extend
 from transversal.generators import uniform_instance
 from transversal.hitting import is_minimal_hitting_set
 from transversal.oracle import (
     brute_conformal_degree,
+    brute_extensions,
     brute_max_cliques,
     brute_rank,
     brute_tr,
@@ -73,6 +88,9 @@ SEED = 0x7A2B
 COUNT = 300
 UNIFORM_SEED = 0x3C1D
 UNIFORM_COUNT = 100
+GRAPH_SEED = 0x26C1
+GRAPH_COUNT = 150
+PAIRS = 3
 
 # a check maps (H, permutation seed) to a failure message, or None
 Check = Callable[[Hypergraph, int], "str | None"]
@@ -205,6 +223,49 @@ def conformality(h: Hypergraph, _seed: int) -> str | None:
     return None
 
 
+def extension_route(h: Hypergraph, seed: int) -> str | None:
+    rng = random.Random(seed)
+    for _ in range(PAIRS):
+        xm = ym = 0
+        for v in range(h.n):
+            r = rng.random()
+            if r < 0.25:
+                xm |= 1 << v
+            elif r < 0.45:
+                ym |= 1 << v
+        x, y = VertexSet(h.n, xm), VertexSet(h.n, ym)
+        part = brute_extensions(h, x, y)
+        got: list[int] = []
+        outcome = extend(h, x, y, lambda t: got.append(t.mask))
+        at = f"extend(X = {x.members()}, Y = {y.members()})"
+        want = [t.mask for t in part.zero] + sorted(t.mask for t in part.one)
+        if got != want:
+            return f"{at} emits {got}, oracle {want}"
+        higher = [t.mask for t in part.higher]
+        if outcome.continues != bool(higher):
+            return f"{at} continues: {outcome.continues}, higher extensions {higher}"
+        if outcome.continues:
+            yp = outcome.y_plus.mask
+            if ym & ~yp or yp & xm or any(t & yp for t in higher):
+                return f"{at} gives Y+ {yp}, higher extensions {higher}"
+    return None
+
+
+def graph_routes(h: Hypergraph, _seed: int) -> str | None:
+    if any(e.bit_count() != 2 for e in h.edge_masks()):
+        return None  # a shrink step left an edge of one vertex
+    full = (1 << h.n) - 1
+    return _differs(
+        "cliques",
+        output_masks(h, enumerate_maximal_cliques),
+        {c.mask for c in brute_max_cliques(h, 2)},
+    ) or _differs(
+        "independent sets",
+        output_masks(h, enumerate_maximal_independent_sets),
+        {full & ~t.mask for t in brute_tr(h)},
+    )
+
+
 def _without_vertex(h: Hypergraph, v: int) -> Hypergraph:
     """H restricted to the other vertices, renumbered in order."""
     low = (1 << v) - 1
@@ -230,7 +291,27 @@ def shrink(h: Hypergraph, fails: Callable[[Hypergraph], bool]) -> Hypergraph:
             return h
 
 
+def _holds(check: Check, instances: list[Hypergraph], first_seed: int) -> None:
+    """Fail on the first instance ``check`` fails, shrunk."""
+    for i, h in enumerate(instances):
+        seed = first_seed + i
+        failure = check(h, seed)
+        if failure is not None:
+            small = shrink(h, lambda g: check(g, seed) is not None)
+            pytest.fail(
+                f"{check.__name__} fails on instance {i}: {failure}\n"
+                f"shrunk to {check(small, seed)} on:\n{serialize(small)}"
+            )
+
+
+def _random_graph(rng: random.Random) -> Hypergraph:
+    n = rng.randint(2, 9)
+    pairs = list(itertools.combinations(range(n), 2))
+    return Hypergraph(n, rng.sample(pairs, rng.randint(0, len(pairs))))
+
+
 INSTANCES = [random_hypergraph(random.Random(SEED + i), 10, 14, 0.02) for i in range(COUNT)]
+GRAPHS = [_random_graph(random.Random(GRAPH_SEED + i)) for i in range(GRAPH_COUNT)]
 
 
 def test_the_draw_covers_the_degenerate_shapes():
@@ -250,18 +331,15 @@ def test_the_draw_covers_the_degenerate_shapes():
         rank_deciders,
         verify_route,
         conformality,
+        extension_route,
     ],
 )
 def test_property_holds_on_random_hypergraphs(check: Check):
-    for i, h in enumerate(INSTANCES):
-        seed = SEED + i
-        failure = check(h, seed)
-        if failure is not None:
-            small = shrink(h, lambda g: check(g, seed) is not None)
-            pytest.fail(
-                f"{check.__name__} fails on instance {i}: {failure}\n"
-                f"shrunk to {check(small, seed)} on:\n{serialize(small)}"
-            )
+    _holds(check, INSTANCES, SEED)
+
+
+def test_graph_routes_match_the_oracles_on_random_graphs():
+    _holds(graph_routes, GRAPHS, GRAPH_SEED)
 
 
 def test_clique_routes_match_the_oracles_on_uniform_hypergraphs():

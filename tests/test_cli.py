@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import random
+import re
 import subprocess
 import sys
 
@@ -762,3 +764,103 @@ def test_commands_answer_or_refuse_in_bounded_memory(tmp_path):
                 line.startswith("error: ") for line in proc.stderr.splitlines()
             ), (argv, proc.stderr)
         assert "internal error" not in proc.stderr, (argv, proc.stderr)
+
+
+GOLDEN_FILES = {
+    "pairs.hg": "1 2\n3 4\n",
+    "matchings.hg": "1 2\n3 4\n5 6\n",
+    "tri.hg": "1 2\n2 3\n1 3\n",
+    "path.hg": "1 2\n2 3\n",
+    "k4.hg": "1 2 3\n1 2 4\n1 3 4\n2 3 4\n3 4 5\n",
+    "mixed.hg": "1 2 3\n3 4\n",
+    "g-equal.hg": "!vertices 1 2 3 4\n1 3\n1 4\n2 3\n2 4\n",
+    "g-missing.hg": "!vertices 1 2 3 4\n1 3\n1 4\n2 3\n",
+    "g-not-subset.hg": "4 3\n",
+    "wide.hg": "!vertices " + " ".join(f"v{i}" for i in range(22)) + "\nv0 v1\n",
+    "uni50.hg": serialize(uniform_instance(random.Random(0), 50, 30, 6)),
+    "edge40.hg": " ".join(f"v{i}" for i in range(40)) + "\n",
+}
+
+# (argv, exit code, the first 16 hex digits of the sha256 of stdout, a NUL
+# and stderr); the inputs are GOLDEN_FILES, read from the working directory
+GOLDEN_CALLS = [
+    (["enumerate", "pairs.hg"], 0, "1584947897bdf367"),
+    (["enumerate", "--limit", "2", "matchings.hg"], 0, "3118d6d877b4dfee"),
+    (["enumerate", "--method", "incremental", "matchings.hg"], 0, "a5014b18cd6c2d69"),
+    (["enumerate", "--json", "pairs.hg"], 0, "b8851ebbb01590f5"),
+    (["extend", "--x", "1", "matchings.hg"], 0, "45aae4ee6363aed1"),
+    (["extend", "--x", "1 3", "--y", "2", "matchings.hg"], 1, "5649da3c6221491c"),
+    (["extend", "--json", "--x", "1", "matchings.hg"], 0, "f08ff0db0927b20b"),
+    (["extend", "--json", "--x", "1 3", "--y", "2", "matchings.hg"], 1, "97240d5f8d698d93"),
+    (["rank", "--k", "3", "matchings.hg"], 0, "da6d12043bb7e609"),
+    (["rank", "--k", "3", "--method", "bd", "matchings.hg"], 0, "39ca03c78cd93990"),
+    (["rank", "--k", "3", "pairs.hg"], 1, "4df300f9a9dca335"),
+    (["rank", "--exact", "matchings.hg"], 0, "e49cd161f6fbf09a"),
+    (["rank", "--json", "--k", "3", "--method", "bd", "matchings.hg"], 0, "b5e833ea85e7a417"),
+    (["rank", "--json", "--k", "3", "pairs.hg"], 1, "74827dadea181242"),
+    (["rank", "--json", "--exact", "--method", "lookahead", "matchings.hg"], 0, "71f57ad323913e23"),
+    (["conformal", "--k", "2", "tri.hg"], 1, "bd13b7035fecd9c2"),
+    (["conformal", "--k", "3", "tri.hg"], 0, "8917b2a4b16a3a27"),
+    (["conformal", "--degree", "k4.hg"], 0, "348472503113fdb8"),
+    (["conformal", "--json", "--k", "2", "tri.hg"], 1, "14a4b151a99eed7a"),
+    (["conformal", "--json", "--degree", "k4.hg"], 0, "108eb8439d2dd4a0"),
+    (["cliques", "k4.hg"], 0, "715483c519fb16e5"),
+    (["cliques", "--independent", "path.hg"], 0, "42ce2d7dec8506a1"),
+    (["cliques", "--json", "path.hg"], 0, "9d19ab545935f0fd"),
+    (["verify", "--g", "g-equal.hg", "--h", "pairs.hg"], 0, "14c7eb11d048c085"),
+    (["verify", "--g", "g-missing.hg", "--h", "pairs.hg"], 1, "e5b86c7a0e455dbb"),
+    (["verify", "--g", "g-not-subset.hg", "--h", "pairs.hg"], 1, "516529a48e4502f2"),
+    (["verify", "--json", "--g", "g-equal.hg", "--h", "pairs.hg"], 0, "ac1e06ec14f4e18c"),
+    (["verify", "--json", "--g", "g-missing.hg", "--h", "pairs.hg"], 1, "eeda0da53a1ff8ac"),
+    (["verify", "--json", "--g", "g-not-subset.hg", "--h", "pairs.hg"], 1, "26f80f8f65c3df6d"),
+    (["minimize", "--set", "1 2 3", "tri.hg"], 0, "144958c809755605"),
+    (["minimize", "--json", "--set", "1 2 3", "tri.hg"], 0, "d8b8633028eb7f66"),
+    (["section", "--k", "2", "mixed.hg"], 0, "e26eca27b79ba792"),
+    (["section", "--json", "--k", "2", "mixed.hg"], 0, "08ee80b8808cdbdb"),
+    (["complement", "mixed.hg"], 0, "a5e1869d4ce44d7b"),
+    (["complement", "--uniform", "2", "path.hg"], 0, "d0d06defcd83dc07"),
+    (["complement", "--json", "mixed.hg"], 0, "2d54afe38bfac4c9"),
+    (["complement", "--json", "--uniform", "2", "path.hg"], 0, "f6ddbf8c4bd44cfa"),
+    (["oracle", "tr", "matchings.hg"], 0, "3615c51f0001a08b"),
+    (["oracle", "rank", "matchings.hg"], 0, "e49cd161f6fbf09a"),
+    (["oracle", "conformal", "k4.hg"], 0, "348472503113fdb8"),
+    (["oracle", "cliques", "k4.hg"], 0, "715483c519fb16e5"),
+    (["oracle", "--json", "tr", "pairs.hg"], 0, "de780904a9e0c531"),
+    (["oracle", "--json", "rank", "matchings.hg"], 0, "5a360ddcdf0e24c6"),
+    (["oracle", "--json", "conformal", "k4.hg"], 0, "7a825548363e9d06"),
+    (["oracle", "--json", "cliques", "k4.hg"], 0, "a23f012026d6605f"),
+    (["oracle", "tr", "wide.hg"], 2, "cfa80b761a2a7f4c"),
+    (["cliques", "uni50.hg"], 2, "5efe18b7bffa2fb1"),
+    (["complement", "--uniform", "6", "uni50.hg"], 2, "5efe18b7bffa2fb1"),
+    (["section", "--k", "10", "edge40.hg"], 2, "c65b5abbc4f58ca3"),
+    (["bench", "--family", "uniform", "--seed", "7", "--n", "8", "--m", "10", "--arity", "2",
+      "--count", "3"], 0, "a90055a5459ddf05"),
+]
+
+
+def _without_times(argv: list[str], out: str) -> str:
+    """``bench``'s CSV less its two ns columns, ``enumerate --json`` less
+    its ns keys: the bytes that do not depend on the clock."""
+    if argv[0] == "bench":
+        return re.sub(r"(,[^,\r\n]*){2}(?=\r?\n)", "", out)
+    if argv[:2] == ["enumerate", "--json"]:
+        payload = json.loads(out)
+        del payload["stats"]["max_delay_ns"], payload["stats"]["total_ns"]
+        return json.dumps(payload) + "\n"
+    return out
+
+
+def test_every_subcommand_keeps_its_bytes(capsys, monkeypatch, tmp_path):
+    # each subcommand, plain and --json, with each of its answers and
+    # refusals: exit code, stdout and stderr, byte for byte
+    for name, text in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TRANSVERSAL_ORACLE_CAP", raising=False)
+    got, want = [], []
+    for argv, code, digest in GOLDEN_CALLS:
+        c, out, err = run(capsys, *argv)
+        blob = _without_times(argv, out) + "\0" + err
+        got.append((argv, c, hashlib.sha256(blob.encode()).hexdigest()[:16], blob))
+        want.append((argv, code, digest))
+    assert [g[:3] for g in got] == want, [g for g in got if g[:3] not in want]

@@ -48,7 +48,7 @@ from .enumeration import StopEnumeration, enumerate_incremental, enumerate_tr
 from .generators import bounded_degree_instance, bounded_rank_instance, uniform_instance
 from .hitting import minimize
 from .rank import rank_at_least, transversal_rank
-from .verify import Equal, MissingSolution, NotSubset, verify_tr
+from .verify import Equal, NotSubset, verify_tr
 
 EXIT_OK = 0
 EXIT_NO = 1
@@ -248,23 +248,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         _respond(args, "equal", lines=["equal"])
         return EXIT_OK
     if isinstance(outcome, NotSubset):
-        _respond(
-            args,
-            "not-subset",
-            witness=h.set_tokens(outcome.g),
-            lines=["not-subset " + _set_text(h, outcome.g)],
-        )
-        return EXIT_NO
-    assert isinstance(outcome, MissingSolution)
-    _respond(
-        args,
-        "missing-solution",
-        witness=h.set_tokens(outcome.t),
-        lines=[
-            "missing-solution s=" + _set_text(h, outcome.s),
-            "missing-solution t=" + _set_text(h, outcome.t),
-        ],
-    )
+        answer, witness = "not-subset", outcome.g
+        lines = ["not-subset " + _set_text(h, outcome.g)]
+    else:
+        answer, witness = "missing-solution", outcome.t
+        lines = [f"missing-solution {k}={_set_text(h, getattr(outcome, k))}" for k in "st"]
+    _respond(args, answer, witness=h.set_tokens(witness), lines=lines)
     return EXIT_NO
 
 
@@ -276,37 +265,40 @@ def _cmd_minimize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _cmd_section(args: argparse.Namespace) -> int:
-    h = _load(args.path)
-    text = serialize(k_section(h, args.k))
+def _respond_hypergraph(args: argparse.Namespace, h: Hypergraph) -> int:
+    text = serialize(h)
     _respond(args, {"hg": text}, lines=[text.rstrip("\n")])
     return EXIT_OK
+
+
+def _cmd_section(args: argparse.Namespace) -> int:
+    return _respond_hypergraph(args, k_section(_load(args.path), args.k))
 
 
 def _cmd_complement(args: argparse.Namespace) -> int:
     h = _load(args.path)
     out = uniform_complement(h, args.uniform) if args.uniform is not None else edge_complement(h)
-    text = serialize(out)
-    _respond(args, {"hg": text}, lines=[text.rstrip("\n")])
-    return EXIT_OK
+    return _respond_hypergraph(args, out)
+
+
+# what -> its brute-force answer: a number, or a family of sets
+_ORACLES = {
+    "tr": oracle_mod.brute_tr,
+    "rank": oracle_mod.brute_rank,
+    "conformal": oracle_mod.brute_conformal_degree,
+    "cliques": oracle_mod.brute_max_cliques,
+}
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     h = _load(args.path)
     raw = os.environ.get("TRANSVERSAL_ORACLE_CAP")
     cap = int(raw) if raw else oracle_mod.DEFAULT_CAP
-    if args.what == "tr":
-        ts = oracle_mod.brute_tr(h, cap=cap)
-        _respond(args, [h.set_tokens(t) for t in ts], lines=[_set_text(h, t) for t in ts])
-    elif args.what == "rank":
-        k = oracle_mod.brute_rank(h, cap=cap)
-        _respond(args, k, lines=[str(k)])
-    elif args.what == "conformal":
-        d = oracle_mod.brute_conformal_degree(h, cap=cap)
-        _respond(args, d, lines=[str(d)])
+    answer = _ORACLES[args.what](h, cap=cap)
+    if isinstance(answer, int):
+        _respond(args, answer, lines=[str(answer)])
     else:
-        cs = oracle_mod.brute_max_cliques(h, cap=cap)
-        _respond(args, [h.set_tokens(c) for c in cs], lines=[_set_text(h, c) for c in cs])
+        _respond(args, [h.set_tokens(s) for s in answer], lines=[_set_text(h, s) for s in answer])
     return EXIT_OK
 
 
@@ -333,8 +325,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         open(args.out, "w", newline="", encoding="utf-8") if args.out else nullcontext(sys.stdout)
     )
     with opened as out:
-        writer = csv.DictWriter(out, fieldnames=BENCH_COLUMNS)
-        writer.writeheader()
+        writer = csv.writer(out)
+        writer.writerow(BENCH_COLUMNS)
         for i in range(args.count):
             rng = random.Random(args.seed * 1_000_003 + i)
             h = make(rng, args.n, args.m, param)
@@ -347,18 +339,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             stats = enumerate_tr(h, widest)
             # only an empty edge leaves no minimal hitting set
             kstar = largest if stats.outputs else -1
-            writer.writerow(
-                {
-                    "instance_id": f"{args.family}-{args.seed}-{i}",
-                    "n": h.n,
-                    "m": h.m,
-                    "delta": h.max_degree,
-                    "kstar": kstar,
-                    "outputs": stats.outputs,
-                    "max_delay_ns": stats.max_delay_ns,
-                    "total_ns": stats.total_ns,
-                }
-            )
+            # in BENCH_COLUMNS order
+            writer.writerow([f"{args.family}-{args.seed}-{i}", h.n, h.m, h.max_degree, kstar,
+                             stats.outputs, stats.max_delay_ns, stats.total_ns])
     return EXIT_OK
 
 

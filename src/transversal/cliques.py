@@ -83,20 +83,20 @@ def enumerate_maximal_cliques(
                 continue
             base = c & av
             spawn = base | (1 << i)
-            keep_spawn = True
+            # one scan over the u < i outside the spawn for both tests:
+            # maximality, and the parent test (c must be the least maximal
+            # clique over base, grown greedily in index order)
+            least = base
             for u in range(i):
-                if not (spawn >> u) & 1 and spawn & ~adj[u] == 0:
-                    keep_spawn = False  # extendable below v_i: not maximal yet
-                    break
-            if keep_spawn:
-                # parent test: c must be the least maximal clique over base
-                least = base
-                for u in range(i):
-                    if not (least >> u) & 1 and least & ~adj[u] == 0:
-                        least |= 1 << u
-                keep_spawn = least == c
-            if keep_spawn:
-                stack.append((i + 1, spawn))
+                if (spawn >> u) & 1:
+                    continue
+                if spawn & ~adj[u] == 0:
+                    break  # extendable below v_i: not maximal yet
+                if least & ~adj[u] == 0:
+                    least |= 1 << u
+            else:
+                if least == c:
+                    stack.append((i + 1, spawn))
             stack.append((i + 1, c))
 
     return stream(DelayStats(), run, sink, limit).outputs

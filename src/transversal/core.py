@@ -182,6 +182,7 @@ class Hypergraph:
         "_masks",
         "_edges",
         "_incidence",
+        "_index",
     )
 
     def __init__(
@@ -230,6 +231,7 @@ class Hypergraph:
         self._masks = kept
         self._edges: tuple[VertexSet, ...] | None = None  # built on first read
         self._incidence: tuple[int, ...] | None = None  # built on first use
+        self._index: dict[str, int] | None = None  # name -> vertex, built on first use
 
     @property
     def edges(self) -> tuple[VertexSet, ...]:
@@ -285,10 +287,10 @@ class Hypergraph:
         return self.names[v]
 
     def index_of(self, token: str) -> int:
-        try:
-            return self.names.index(token)
-        except ValueError:
-            raise KeyError(token) from None
+        """The vertex named ``token``; a ``KeyError`` when there is none."""
+        if self._index is None:
+            self._index = {tok: v for v, tok in enumerate(self.names)}
+        return self._index[token]
 
     def set_tokens(self, s: VertexSet) -> list[str]:
         return [self.token(v) for v in s]
@@ -445,6 +447,14 @@ def _subset_masks(vertices: Iterable[int], r: int) -> Iterator[int]:
 MAX_UNIFORM_COMPLEMENT_EDGES = 1 << 20
 
 
+def _refuse_above_cap(size: int, what: str) -> None:
+    """A ``ValueError`` when a construction would build ``size`` masks,
+    more than ``MAX_UNIFORM_COMPLEMENT_EDGES``; ``what`` opens its
+    message and names the size."""
+    if size > MAX_UNIFORM_COMPLEMENT_EDGES:
+        raise ValueError(f"{what}, more than the {MAX_UNIFORM_COMPLEMENT_EDGES:,} it may build")
+
+
 def _uniform_rank(h: Hypergraph, r: int | None) -> int:
     """The size every edge of ``h`` has, checked against ``r`` when given;
     an edgeless ``h`` needs ``r``.  A ``ValueError`` otherwise."""
@@ -472,11 +482,7 @@ def uniform_complement(h: Hypergraph, r: int) -> Hypergraph:
         raise ValueError("r must be non-negative")
     _uniform_rank(h, r)
     size = math.comb(h.n, r) - h.m
-    if size > MAX_UNIFORM_COMPLEMENT_EDGES:
-        raise ValueError(
-            f"the {r}-uniform complement has {size:,} edges, more than the "
-            f"{MAX_UNIFORM_COMPLEMENT_EDGES:,} it may build"
-        )
+    _refuse_above_cap(size, f"the {r}-uniform complement has {size:,} edges")
     present = h.edge_mask_set()
     masks = [m for m in _subset_masks(range(h.n), r) if m not in present]
     return Hypergraph._from_masks(h.n, h.names, masks)
@@ -492,11 +498,7 @@ def k_section(h: Hypergraph, k: int) -> Hypergraph:
     if k < 1:
         raise ValueError("k must be at least 1")
     size = sum(math.comb(e.bit_count(), k) for e in h.edge_masks())
-    if size > MAX_UNIFORM_COMPLEMENT_EDGES:
-        raise ValueError(
-            f"the {k}-section would generate {size:,} subsets, more than the "
-            f"{MAX_UNIFORM_COMPLEMENT_EDGES:,} it may build"
-        )
+    _refuse_above_cap(size, f"the {k}-section would generate {size:,} subsets")
     masks = dict.fromkeys(
         m for e in h.edge_masks() for m in _subset_masks(iter_bits(e), k)
     )

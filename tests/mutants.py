@@ -35,6 +35,8 @@ RANK = "transversal/rank.py"
 CLI = "transversal/cli.py"
 HITTING = "transversal/hitting.py"
 GENERATORS = "transversal/generators.py"
+CLIQUES = "transversal/cliques.py"
+GOLDEN = "tests/test_cli.py::test_every_subcommand_keeps_its_bytes"
 BD40_PINS = "tests/test_enumeration.py::test_bd40_tree_work_counts"
 SHORTCUTS = "tests/test_extension.py::test_product_shortcuts_match_the_odometer"
 TREE_NODES = "tests/test_extension.py::test_extend_decides_as_the_product_search_on_tree_nodes"
@@ -237,6 +239,23 @@ MUTANTS = [
         "    goal = min(m, space)\n",
         "    goal = m\n",
         ["tests/test_generators.py::test_no_draw_follows_the_last_new_edge"],
+    ),
+    (
+        # unsound: a spawn that some vertex below v_i extends is kept, so
+        # a clique that is not maximal is listed
+        "clique-spawn-maximality-skipped",
+        CLIQUES,
+        "                    break  # extendable below v_i: not maximal yet\n",
+        "                    continue  # extendable below v_i: not maximal yet\n",
+        ["tests/test_cliques.py::TestGraphCliques::test_matches_brute_force"],
+    ),
+    (
+        # the oracle draws a family of sets as if it were a number
+        "oracle-family-drawn-as-number",
+        CLI,
+        "    if isinstance(answer, int):\n",
+        "    if isinstance(answer, (int, list)):\n",
+        [GOLDEN],
     ),
 ]
 

@@ -4,10 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import runpy
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -706,6 +709,45 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines() == ["1", "2"]
+
+
+@pytest.mark.parametrize("module", ["transversal", "transversal.cli"])
+def test_module_runs_main_in_process(capsys, monkeypatch, pairs, module):
+    # ``python -m <module>`` in this process: main exits with dispatch's code
+    monkeypatch.setattr(sys, "argv", [module, "rank", "--k", "3", pairs])
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as done:
+        # runpy warns that transversal.cli was imported before it ran
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module(module, run_name="__main__")
+    assert done.value.code == 1
+    assert capsys.readouterr() == ("no\n", "")
+
+
+def test_main_points_a_closed_stdout_at_the_null_device(monkeypatch, tmp_path, pairs):
+    # the reader left before main's final flush: exit 0, and what is
+    # still written to stdout's descriptor goes to the null device
+    class ClosedPipe:
+        def __init__(self, fd):
+            self.fd = fd
+
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return self.fd
+
+    out = tmp_path / "stdout"
+    with open(out, "wb") as fh:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fh.fileno()))
+        monkeypatch.setattr(sys, "argv", ["transversal", "enumerate", pairs])
+        with pytest.raises(SystemExit) as done:
+            cli.main()
+        os.write(fh.fileno(), b"lost")
+    assert done.value.code == 0
+    assert out.read_bytes() == b""
 
 
 def _cap_memory() -> None:

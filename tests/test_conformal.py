@@ -30,13 +30,14 @@ def counterexample_is_valid(h: Hypergraph, s: VertexSet, k: int) -> bool:
 
 def test_triangle_counterexample():
     verdict = is_k_conformal(TRIANGLE, 2)
-    assert not verdict.ok
+    assert not verdict.ok and not verdict
     assert verdict.counterexample == VertexSet.of(3, 0, 1, 2)
     assert counterexample_is_valid(TRIANGLE, verdict.counterexample, 2)
 
 
 def test_single_edge_is_1_conformal():
-    assert is_k_conformal(Hypergraph(3, [(0, 1, 2)]), 1).ok
+    verdict = is_k_conformal(Hypergraph(3, [(0, 1, 2)]), 1)
+    assert verdict.ok and verdict
 
 
 def test_singleton_edges():

@@ -31,8 +31,9 @@ class TestVertexSet:
         assert (a | b).members() == (0, 2, 3, 4)
         assert (a & b).members() == (2,)
         assert (a - b).members() == (0, 4)
-        assert b <= (a | b)
-        assert not a <= b
+        assert b <= (a | b) and b.issubset(a | b)
+        assert not a <= b and not a.issubset(b)
+        assert (a & b) < b and not b < b
         assert a.complement().members() == (1, 3)
         assert len(a) == 3 and 2 in a and 1 not in a
         assert list(a) == [0, 2, 4]
@@ -55,6 +56,8 @@ class TestVertexSet:
     def test_hash_and_eq(self):
         assert VertexSet.of(4, 1, 2) == VertexSet.of(4, 2, 1)
         assert len({VertexSet.of(4, 1), VertexSet.of(4, 1)}) == 1
+        s = VertexSet.of(4, 1, 3)
+        assert repr(s) == "VertexSet.of(4, 1, 3)" and eval(repr(s)) == s
 
 
 class TestHypergraph:
@@ -62,6 +65,12 @@ class TestHypergraph:
         h = Hypergraph(2, [(0, 1), (1, 0)])
         assert h.m == 1
         assert h.duplicates_dropped == 1
+
+    def test_hash_eq_and_repr(self):
+        h = Hypergraph(3, [(0, 1), (1, 2)])
+        assert len({h, Hypergraph(3, [(1, 0), (2, 1)])}) == 1
+        assert h != Hypergraph(3, [(1, 2), (0, 1)])  # edge order counts
+        assert repr(h) == "Hypergraph(n=3, edges=[{0 1}, {1 2}])"
 
     def test_stats(self):
         h = Hypergraph(3, [(0, 1), (1, 2)])
@@ -117,6 +126,7 @@ class TestHypergraph:
     def test_index_of_reads_names_only(self):
         h = Hypergraph(10, [(0, 7)])
         assert h.index_of("7") == 7 and h.token(7) == "7"
+        assert [h.index_of(tok) for tok in reversed(h.names)] == list(range(9, -1, -1))
         # a token is a name, not a number: "07" names no vertex
         for tok in ("07", "10", "-1", "x"):
             with pytest.raises(KeyError):

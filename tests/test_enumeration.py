@@ -156,6 +156,22 @@ def test_incremental_rejects_a_stale_solution(monkeypatch):
     assert len(got) == 1
 
 
+def test_incremental_rejects_a_solution_that_stopped_being_minimal(monkeypatch):
+    # the sets found so far are minimal hitting sets by construction, so a
+    # stage that calls one of them not minimal is a fault, not an answer
+    real = verify.verify_tr
+
+    def faulty(g, h, **kwargs):
+        outcome = real(g, h, **kwargs)
+        return verify.NotSubset(g.edges[0]) if g.m else outcome
+
+    monkeypatch.setattr(verify, "verify_tr", faulty)
+    got: list[VertexSet] = []
+    with pytest.raises(RuntimeError, match="stopped being minimal"):
+        enumerate_incremental(uniform_instance(random.Random(1), 9, 20, 3), got.append)
+    assert len(got) == 1
+
+
 def test_incremental_limit():
     got, _ = run(
         Hypergraph(4, [(0, 1), (2, 3)]), method=enumerate_incremental, limit=2

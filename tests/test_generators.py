@@ -247,6 +247,8 @@ def test_block_family_structure():
         assert h.m == 3 * delta
         assert h.max_degree == delta
         assert kstar_of(h) == 3
+    # a block of one edge is its core alone: no pad, so no filler needed
+    assert block_family((1,), 2).edge_masks() == (0b11,)
 
 
 @pytest.mark.parametrize("make, args, message", [
@@ -262,6 +264,9 @@ def test_block_family_structure():
     (block_family, ((5,), 3), "not enough filler subsets for the requested block size"),
     # two blocks, so the second still needs one of the three edges
     (delay_trend_instance, (8, 3, 2, 3), "delta too large: the other blocks still need one edge each"),
+    # three blocks of two edges share the one filler vertex, whose degree
+    # 3 then exceeds delta = 2
+    (delay_trend_instance, (7, 6, 3, 2), "parameters not realizable as a block family"),
 ])
 def test_generator_refusals(make, args, message):
     with pytest.raises(ValueError, match=message):

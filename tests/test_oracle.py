@@ -68,6 +68,8 @@ def test_brute_max_cliques_needs_uniformity():
     with pytest.raises(ValueError):
         brute_max_cliques(Hypergraph(3, []))  # ambiguous without r
     assert brute_max_cliques(Hypergraph(3, []), 2) == []
+    with pytest.raises(ValueError, match="2-uniform, not 3-uniform"):
+        brute_max_cliques(Hypergraph(3, [(0, 1)]), 3)
 
 
 def test_cap():
